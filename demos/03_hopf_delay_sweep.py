@@ -5,7 +5,8 @@ Raising the incubation delay destabilizes the endemic point of ex5_3:
 trajectories that spiral into (2, 2, 2) for small delays turn into
 sustained oscillations past the critical delay.  This script
   1. sweeps tau over 0..9 and classifies each trajectory,
-  2. bisects the rightmost characteristic root's sign change,
+  2. computes the exact delay at which a characteristic root reaches the
+     imaginary axis and checks it against the root scan,
   3. writes a sweep CSV and an SVG of one sustained trajectory.
 """
 
@@ -14,11 +15,12 @@ from pathlib import Path
 from sirdelay import (
     all_equilibria,
     char_coeffs,
-    find_delay_crossing,
     integrate,
     jacobian_coeffs,
     load_preset,
+    max_real_part,
     sweep,
+    tau_crossing,
 )
 from sirdelay.analytics import sweep_to_csv
 from sirdelay.integrator import dense_eval
@@ -41,10 +43,12 @@ with open(OUT / "ex5_3_sweep.csv", "w", newline="") as fh:
     sweep_to_csv(rows, fh)
 print(f"\nwrote {OUT / 'ex5_3_sweep.csv'}")
 
-# --- 2. bisect the crossing ------------------------------------------------
+# --- 2. the exact crossing -------------------------------------------------
 cc = char_coeffs(jacobian_coeffs(cfg.model, endemic))
-tau_star = find_delay_crossing(cc, 4.0, 5.0, fixed=0.0)
-print(f"rightmost root crosses the imaginary axis at tau ~ {tau_star:.4f}")
+tau_star = tau_crossing(cc)
+print(f"rightmost root crosses the imaginary axis at tau = {tau_star:.6f}")
+print(f"root scan: max Re = {max_real_part(cc, tau_star - 1e-3, 0.0):+.2e} just before, "
+      f"{max_real_part(cc, tau_star + 1e-3, 0.0):+.2e} just after")
 print("consistent with the sweep: converged through tau = 3, damped at 4,")
 print("sustained oscillation from tau = 5 on")
 

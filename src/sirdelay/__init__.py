@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .analytics import Classification, SweepRow, classify, sweep
-from .charroots import char_roots_scan, find_delay_crossing, max_real_part
+from .charroots import char_roots_scan, max_real_part
 from .config import ScenarioConfig, load_scenario, scenario_from_dict
 from .cubic import solve_cubic_real
 from .equilibria import (
@@ -40,7 +40,7 @@ from .model import (
     jacobian_coeffs,
     jacobian_coeffs_fd,
 )
-from .presets import PRESET_NAMES, load_preset, preset_model
+from .presets import PRESET_NAMES, load_preset
 from .report import StabilityReport, build_stability_report, render_report, report_to_json
 from .responses import (
     Bilinear,
@@ -51,8 +51,6 @@ from .responses import (
     SaturatingIncidence,
     SaturatingUnary,
     Zero,
-    response_eval,
-    response_partial,
 )
 from .stability import (
     CharCoeffs,
@@ -63,6 +61,7 @@ from .stability import (
     global_verdict,
     pseudo_delay_cubic,
     tau_critical,
+    tau_crossing,
     tau_from_pseudo_delay,
     tau_persistence,
 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import CONVERGED, DAMPED, SUSTAINED, sweep
-from .charroots import char_roots_scan, find_delay_crossing, max_real_part
+from .charroots import char_roots_scan, max_real_part
 from .cubic import solve_cubic_real
 from .equilibria import all_equilibria, is_bilinear_special_case
 from .errors import IntegrationError
@@ -31,7 +31,13 @@ from .integrator import ConstantHistory, default_step, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
 from .presets import load_preset
 from .responses import Linear, Zero
-from .stability import STABLE, char_coeffs, delay_free_stable, tau_from_pseudo_delay
+from .stability import (
+    STABLE,
+    char_coeffs,
+    delay_free_stable,
+    tau_crossing,
+    tau_from_pseudo_delay,
+)
 
 __all__ = ["SubCheck", "CriterionResult", "run_all", "CRITERIA", "format_result"]
 
@@ -168,7 +174,7 @@ def criterion_4():
 
 
 def criterion_5():
-    """Root-scan oracle locates ex5_3's stability crossing inside [4, 5]."""
+    """The exact crossing of ex5_3 lies in the root scan's bracket [4, 5]."""
     t0 = time.perf_counter()
     model = load_preset("ex5_3").model
     eq = _eq_of_kind(model, "endemic")
@@ -179,10 +185,10 @@ def criterion_5():
     subs.append(SubCheck("bracket: max Re < 0 at tau=4 and > 0 at tau=5",
                          g4 is not None and g5 is not None and g4 < 0 < g5,
                          f"g(4) = {g4:.4g}, g(5) = {g5:.4g}"))
-    if g4 is not None and g5 is not None and g4 < 0 < g5:
-        tau_star = find_delay_crossing(cc, 4.0, 5.0, fixed=0.0)
-        subs.append(SubCheck("crossing tau* in [4, 5]", 4.0 <= tau_star <= 5.0,
-                             f"tau* = {tau_star:.4f}"))
+    tau_star = tau_crossing(cc)
+    subs.append(SubCheck("exact crossing tau* in [4, 5]",
+                         tau_star is not None and 4.0 <= tau_star <= 5.0,
+                         f"tau* = {tau_star}"))
     subs.append(_runtime_sub(t0, 30.0))
     return _result(5, "bifurcation bracket (oracle)", t0, subs)
 
@@ -284,21 +290,28 @@ def _computed_part(model, history, horizon):
     return integrate(model, history, err.time - h, step=h), err
 
 
+def _stays_away(traj, err, target, bar):
+    """(passed, info): does the computed part ``traj`` stay at least ``bar``
+    from ``target`` over the second half of its span?  This is how a run
+    is judged where the oracle finds the target unstable."""
+    if traj is None:
+        return False, f"no trajectory computed: {err}"
+    half = len(traj.times) // 2
+    dev = np.max(np.abs(traj.states[half:] - np.array(target.as_tuple())), axis=1)
+    closest = float(dev.min())
+    ran = "ran to the horizon" if err is None else f"integrator stopped: {err}"
+    return closest >= bar, (
+        f"{ran}; deviation over [{traj.times[half]:.4g}, {traj.horizon:.4g}] "
+        f">= {closest:.3g}")
+
+
 def _judge_7(traj, err, target, max_re, tail_rate):
     """(passed, info) for one criterion-7 run, given the oracle's max Re at
     the target and the zero-root tail slope (None when no law applies)."""
     if traj is None:
         return False, f"no trajectory computed: {err}"
     if max_re > ORACLE_BAND:
-        # unstable: the run must stay away from the target over the second
-        # half of whatever was computed
-        half = len(traj.times) // 2
-        dev = np.max(np.abs(traj.states[half:] - np.array(target.as_tuple())), axis=1)
-        closest = float(dev.min())
-        ran = "ran to the horizon" if err is None else f"integrator stopped: {err}"
-        return closest >= CONVERGED_TOL_7, (
-            f"{ran}; deviation over [{traj.times[half]:.4g}, {traj.horizon:.4g}] "
-            f">= {closest:.3g}")
+        return _stays_away(traj, err, target, CONVERGED_TOL_7)
     if err is not None:
         return False, f"integration failed: {err}"
     final = traj.final_state().max_abs_diff(target)
@@ -442,37 +455,45 @@ def criterion_9():
 
 def criterion_10():
     """Across all sweep rows: oracle max Re < -0.05 implies converged and
-    max Re > +0.05 implies not converged."""
-    t0 = time.perf_counter()
-    rows = []
-    cfg3 = load_preset("ex5_3")
-    rows += [("ex5_3", r) for r in sweep(
-        cfg3.model, [(tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)],
-        cfg3.history, horizon=200.0)]
-    cfg1 = load_preset("ex5_1")
-    rows += [("ex5_1", r) for r in sweep(
-        cfg1.model, [(a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 1.0, 5.0)],
-        cfg1.history, horizon=200.0)]
-    cfg2 = load_preset("ex5_2")
-    rows += [("ex5_2", r) for r in sweep(cfg2.model, [(0.0, 0.0)], cfg2.history, horizon=300.0)]
+    max Re > +0.05 implies not converged.
 
+    A row whose integration failed is judged by what was computed before
+    the failure, as in criterion 7: with max Re > +0.05 it passes only if
+    that part stays outside classify's convergence bar around the row's
+    equilibrium over its second half.
+    """
+    t0 = time.perf_counter()
+    sweeps = (
+        ("ex5_3", [(tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)], 200.0),
+        ("ex5_1", [(a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 1.0, 5.0)], 200.0),
+        ("ex5_2", [(0.0, 0.0)], 300.0),
+    )
     subs = []
-    for preset, row in rows:
-        mr = row.max_re_lambda
-        label = (f"{preset} (tau,delta)=({row.tau:g},{row.delta:g}) "
-                 f"max Re = {mr if mr is None else format(mr, '.4f')}")
-        kind = None if row.classification is None else row.classification.kind
-        if mr is None:
-            subs.append(SubCheck(label, False, "no oracle value"))
-        elif mr < -ORACLE_BAND:
-            subs.append(SubCheck(f"{label} => converged", kind == CONVERGED,
-                                 f"classified {kind or f'error: {row.error}'}"))
-        elif mr > ORACLE_BAND:
-            subs.append(SubCheck(f"{label} => not converged", kind != CONVERGED,
-                                 f"classified {kind or f'error: {row.error}'}"))
-        else:
-            subs.append(SubCheck(f"{label} in band: unconstrained", True,
-                                 f"classified {kind or f'error: {row.error}'}"))
+    for preset, grid, horizon in sweeps:
+        cfg = load_preset(preset)
+        for row in sweep(cfg.model, grid, cfg.history, horizon=horizon):
+            mr = row.max_re_lambda
+            label = (f"{preset} (tau,delta)=({row.tau:g},{row.delta:g}) "
+                     f"max Re = {mr if mr is None else format(mr, '.4f')}")
+            kind = None if row.classification is None else row.classification.kind
+            classified = f"classified {kind or f'error: {row.error}'}"
+            if mr is None:
+                subs.append(SubCheck(label, False, "no oracle value"))
+            elif mr < -ORACLE_BAND:
+                subs.append(SubCheck(f"{label} => converged", kind == CONVERGED, classified))
+            elif mr > ORACLE_BAND and row.error is None:
+                subs.append(SubCheck(f"{label} => not converged", kind != CONVERGED, classified))
+            elif mr > ORACLE_BAND:
+                row_model = replace(cfg.model,
+                                    params=cfg.model.params.with_delays(row.tau, row.delta))
+                traj, err = _computed_part(row_model, cfg.history, horizon)
+                target = row.candidate.state
+                # classify's default convergence bar
+                bar = 1e-2 * (1.0 + target.norm_inf())
+                ok, info = _stays_away(traj, err, target, bar)
+                subs.append(SubCheck(f"{label} => not converged", ok, info))
+            else:
+                subs.append(SubCheck(f"{label} in band: unconstrained", True, classified))
     subs.append(_runtime_sub(t0, 120.0))
     return _result(10, "theory/simulation agreement", t0, subs)
 

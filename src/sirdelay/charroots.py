@@ -27,7 +27,6 @@ __all__ = [
     "char_deriv",
     "char_roots_scan",
     "max_real_part",
-    "find_delay_crossing",
 ]
 
 log = logging.getLogger(__name__)
@@ -160,40 +159,3 @@ def max_real_part(cc, tau: float, delta: float, **kw):
     roots = char_roots_scan(cc, tau, delta, **kw)
     return roots[0].real if roots else None
 
-
-def find_delay_crossing(
-    cc,
-    lo: float,
-    hi: float,
-    fixed: float = 0.0,
-    vary: str = "tau",
-    tol: float = 1e-3,
-    **kw,
-):
-    """Bisect the delay at which the rightmost root crosses the imaginary axis.
-
-    ``vary`` selects which delay is swept ("tau" or "delta"); the other
-    delay is held at ``fixed``.  The bracket [lo, hi] must straddle the
-    crossing: max Re < 0 at lo and > 0 at hi.  Returns the crossing delay
-    to absolute tolerance ``tol``.
-    """
-
-    def g(v):
-        if vary == "tau":
-            return max_real_part(cc, v, fixed, **kw)
-        return max_real_part(cc, fixed, v, **kw)
-
-    glo, ghi = g(lo), g(hi)
-    if glo is None or ghi is None:
-        raise ValueError("root scan produced no roots on the bracket")
-    if not (glo < 0.0 < ghi):
-        raise ValueError(
-            f"bracket does not straddle a crossing: g({lo})={glo:.4g}, g({hi})={ghi:.4g}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

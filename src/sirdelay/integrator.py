@@ -315,6 +315,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
         dzs.append(dn[2])
 
     times = np.arange(n + 1, dtype=float) * h
+    times[-1] = horizon  # n*h can round below the horizon
     states = np.column_stack([xs, ys, zs])
     derivs = np.column_stack([dxs, dys, dzs])
     return Trajectory(

@@ -14,7 +14,7 @@ from importlib import resources
 from .config import ScenarioConfig, scenario_from_dict
 from .errors import ConfigError
 
-__all__ = ["PRESET_NAMES", "load_preset", "preset_model"]
+__all__ = ["PRESET_NAMES", "load_preset"]
 
 PRESET_NAMES = (
     "ex5_1",
@@ -38,6 +38,3 @@ def load_preset(name: str) -> ScenarioConfig:
     blob = resources.files("sirdelay").joinpath(f"_presets/{name}.json").read_text()
     return scenario_from_dict(json.loads(blob))
 
-
-def preset_model(name: str):
-    return load_preset(name).model

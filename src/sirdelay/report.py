@@ -37,6 +37,7 @@ from .stability import (
     general_delay_analysis,
     global_verdict,
     tau_critical,
+    tau_crossing,
     tau_persistence,
 )
 
@@ -46,6 +47,10 @@ __all__ = ["TauOnlySummary", "StabilityReport", "build_stability_report",
 PRESERVED_STABLE = "preserved_stable"
 PRESERVED_UNSTABLE = "preserved_unstable"
 SWITCH_AT = "switch_at"
+
+#: offset on each side of the exact crossing at which the root scan must
+#: show max Re < 0 before it and > 0 after it
+CROSSING_CHECK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class StabilityReport:
     global_case: GlobalResult
     oracle_roots: tuple           # at the model's (tau, delta)
     oracle_roots_zero_delay: tuple
-    oracle_crossing_tau: float | None  # first tau (delta=0) where max Re crosses 0
+    oracle_crossing_tau: float | None  # exact first crossing in tau (delta = 0)
     annotations: tuple
 
 
@@ -103,31 +108,12 @@ def _synthesize_tau_only(delay_free, persistence, critical) -> TauOnlySummary:
     return TauOnlySummary(INCONCLUSIVE, None, None, None, persistence, critical)
 
 
-def _find_oracle_crossing(cc, tau_cap: float):
-    """First incubation delay (delta = 0) at which max Re crosses zero, by
-    marching then bisecting; None when no sign change up to tau_cap."""
-    g0 = max_real_part(cc, 0.0, 0.0)
-    if g0 is None or g0 >= 0.0:
-        return None
-    step = max(tau_cap / 40.0, 1e-3)
-    prev_t, prev_g = 0.0, g0
-    t = step
-    while t <= tau_cap + 1e-12:
-        g = max_real_part(cc, t, 0.0)
-        if g is not None and g > 0.0:
-            lo, hi = prev_t, t
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if (max_real_part(cc, mid, 0.0) or 0.0) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-4:
-                    break
-            return 0.5 * (lo + hi)
-        prev_t, prev_g = t, g
-        t += step
-    return None
+def _scan_brackets(cc, lo: float, hi: float):
+    """(max Re at tau = lo, max Re at tau = hi, whether it goes from < 0 to
+    > 0) by the root scan at delta = 0."""
+    left = max_real_part(cc, lo, 0.0)
+    right = max_real_part(cc, hi, 0.0)
+    return left, right, left is not None and right is not None and left < 0.0 < right
 
 
 def _fmt_poly(coeffs) -> str:
@@ -140,14 +126,14 @@ def build_stability_report(
     equilibria=None,
     name: str | None = None,
     reference: dict | None = None,
-    oracle_crossing: bool = True,
 ) -> StabilityReport:
     """Assemble the full stability report for one equilibrium.
 
     ``reference`` may carry published values (char_poly, pseudo_delay_cubic,
     tau_plus, roots, note); any disagreement with the computed pipeline is
-    annotated rather than resolved.  ``oracle_crossing`` enables a root-scan
-    search for the actual stability switch in tau, used to audit the
+    annotated rather than resolved.  When the zero-delay scan finds every
+    root stable, the exact first crossing in tau (delta = 0) is computed
+    and checked by the scan on both sides of it; it audits the
     pseudo-delay prediction.
     """
     p = model.params
@@ -185,15 +171,24 @@ def build_stability_report(
                 f"all roots stable (max Re = {top:.6g})"
             )
 
-    # audit a predicted switch against the oracle
+    # the exact first crossing in tau, checked by the scan on both sides
     crossing = None
+    if roots_zero and roots_zero[0].real < 0.0:
+        crossing = tau_crossing(cc)
+    if crossing is not None:
+        left, right, confirmed = _scan_brackets(
+            cc, crossing - CROSSING_CHECK, crossing + CROSSING_CHECK)
+        if not confirmed:
+            annotations.append(
+                f"exact crossing tau = {crossing:.6g} (delta = 0) is not confirmed by "
+                f"the root scan: max Re = {left} at tau - {CROSSING_CHECK:g} and "
+                f"{right} at tau + {CROSSING_CHECK:g}"
+            )
+
+    # audit a predicted switch against the oracle
     if tau_only.verdict == SWITCH_AT:
         tp = tau_only.tau_plus
-        left = max_real_part(cc, tp * 0.9, 0.0)
-        right = max_real_part(cc, tp * 1.1, 0.0)
-        agrees = left is not None and right is not None and left < 0.0 < right
-        if oracle_crossing:
-            crossing = _find_oracle_crossing(cc, tau_cap=max(4.0 * tp, 20.0))
+        left, right, agrees = _scan_brackets(cc, tp * 0.9, tp * 1.1)
         if not agrees:
             msg = (
                 f"pseudo-delay chain predicts a switch at tau = {tp:.6g}, but the "
@@ -202,13 +197,11 @@ def build_stability_report(
             if crossing is not None:
                 msg += f"; the scan locates the actual crossing near tau = {crossing:.4g}"
             annotations.append(msg)
-    elif oracle_crossing and tau_only.verdict == PRESERVED_STABLE and not delay_free.delay_free_equivalent:
-        crossing = _find_oracle_crossing(cc, tau_cap=20.0)
-        if crossing is not None:
-            annotations.append(
-                f"criteria report preservation for all incubation delays, but the "
-                f"root scan finds a crossing near tau = {crossing:.4g} (delta = 0)"
-            )
+    elif tau_only.verdict == PRESERVED_STABLE and crossing is not None:
+        annotations.append(
+            f"criteria report preservation for all incubation delays, but the "
+            f"root scan finds a crossing near tau = {crossing:.4g} (delta = 0)"
+        )
 
     # global claim vs local switch evidence
     if glob.verdict == ENDEMIC_GAS and eq.kind == "endemic":

@@ -31,8 +31,6 @@ __all__ = [
     "FractionalMix",
     "SaturatingUnary",
     "PowerSum",
-    "response_eval",
-    "response_partial",
     "response_from_dict",
 ]
 
@@ -224,18 +222,6 @@ _KIND_BY_CLASS = {
     PowerSum: "power_sum",
 }
 _CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
-
-
-def response_eval(fn: ResponseFn, *args: float) -> float:
-    """Evaluate a response function at the given nonnegative arguments."""
-    return fn.value(*args)
-
-
-def response_partial(fn: ResponseFn, index: int, *args: float) -> float:
-    """Analytic partial of ``fn`` with respect to argument ``index``."""
-    if not 0 <= index < len(args):
-        raise DomainError(f"partial index {index} out of range for {len(args)} args")
-    return fn.partial(index, *args)
 
 
 def response_from_dict(d: dict) -> ResponseFn:

@@ -14,6 +14,7 @@ chain and the actual root locations disagree.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "char_coeffs",
     "delay_free_stable",
     "tau_persistence",
+    "tau_crossing",
     "pseudo_delay_cubic",
     "tau_from_pseudo_delay",
     "tau_critical",
@@ -231,10 +233,17 @@ class TauPersistenceResult:
     checks: tuple
 
 
-def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
+def _crossing_cubic(cc: CharCoeffs):
+    """(a0, a1, a2) with |P(i nu)|^2 - |Q(i nu)|^2 = s^3 + a2*s^2 + a1*s + a0,
+    s = nu^2, where F = P(lam) + Q(lam) e^(-lam*tau) at delta = 0."""
     a0 = cc.n**2 - (cc.m1 + cc.n1) ** 2
     a1 = cc.m**2 - 2.0 * cc.l * cc.n - cc.l1**2
     a2 = cc.l**2 - 2.0 * cc.m
+    return a0, a1, a2
+
+
+def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
+    a0, a1, a2 = _crossing_cubic(cc)
     checks = [check("a0 > 0", a0, ">"), check("a1 >= 0", a1, ">=")]
     if checks[0].holds and checks[1].holds:
         return TauPersistenceResult(PRESERVED, a0, a1, a2, tuple(checks))
@@ -254,6 +263,33 @@ def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
     checks.append(neg)
     verdict = SWITCH_EXPECTED if neg.holds else INSTABILITY_PERSISTS
     return TauPersistenceResult(verdict, a0, a1, a2, tuple(checks))
+
+
+def tau_crossing(cc: CharCoeffs) -> float | None:
+    """Smallest incubation delay (delta = 0) at which a characteristic root
+    lies on the imaginary axis, or None when no delay puts one there.
+
+    With F = P(lam) + Q(lam) e^(-lam*tau), a root lam = i*nu needs
+    |P(i nu)| = |Q(i nu)|, a cubic in s = nu^2 (see ``_crossing_cubic``),
+    and e^(-i nu tau) = -P/Q, so each positive root s gives
+    tau = ((-arg(-P/Q)) mod 2pi) / nu; frequencies with |Q| ~ 0 are
+    skipped (Cooke & van den Driessche, Funkcial. Ekvac. 29, 1986).  For an
+    equilibrium stable at zero delay, this is the first delay at which
+    stability can be lost.
+    """
+    a0, a1, a2 = _crossing_cubic(cc)
+    l, m, n, l1, m1, n1 = cc.as_tuple()
+    taus = []
+    for s in solve_cubic_real(1.0, a2, a1, a0):
+        if s <= 1e-12:
+            continue
+        nu = math.sqrt(s)
+        P = complex(n - l * s, nu * (m - s))
+        Q = complex(m1 + n1, l1 * nu)
+        if abs(Q) < 1e-12:
+            continue
+        taus.append((-cmath.phase(-P / Q)) % (2.0 * math.pi) / nu)
+    return min(taus, default=None)
 
 
 def pseudo_delay_cubic(cc: CharCoeffs):

@@ -4,10 +4,9 @@ from sirdelay.charroots import (
     char_deriv,
     char_roots_scan,
     char_value,
-    find_delay_crossing,
     max_real_part,
 )
-from sirdelay.stability import CharCoeffs
+from sirdelay.stability import CharCoeffs, tau_crossing
 
 CC_EX5_2 = CharCoeffs(l=3.0, m=2.0, n=0.0, l1=0.0, m1=0.0, n1=0.0)
 CC_EX5_3 = CharCoeffs(l=7.0, m=6.0, n=0.0, l1=4.0, m1=4.0, n1=-2.0)
@@ -74,10 +73,4 @@ def test_ex5_3_crossing_bracket():
     g4 = max_real_part(CC_EX5_3, 4.0, 0.0)
     g5 = max_real_part(CC_EX5_3, 5.0, 0.0)
     assert g4 < 0.0 < g5
-    tau_star = find_delay_crossing(CC_EX5_3, 4.0, 5.0, fixed=0.0)
-    assert 4.5 < tau_star < 4.65  # scan locates the switch near 4.56
-
-
-def test_find_delay_crossing_requires_bracket():
-    with pytest.raises(ValueError):
-        find_delay_crossing(CC_EX5_3, 0.0, 1.0, fixed=0.0)
+    assert 4.5 < tau_crossing(CC_EX5_3) < 4.65  # the exact switch lies inside

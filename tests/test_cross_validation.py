@@ -2,21 +2,19 @@
 
 The root scan arbitrates every criterion disagreement, so it gets checked
 here against methods that share none of its code: numpy's eigenvalue-based
-polynomial roots for delay-free cases, and a modulus/angle construction of
-the crossing delay for the delayed case.
+polynomial roots for delay-free cases, and the exact modulus/angle
+crossing delay (``tau_crossing``) for the delayed case.
 """
 
-import cmath
-import math
 import random
 
 import numpy as np
 import pytest
 
-from sirdelay.charroots import char_roots_scan, find_delay_crossing, max_real_part
+from sirdelay.charroots import char_roots_scan, max_real_part
 from sirdelay.equilibria import all_equilibria
 from sirdelay.model import ModelSpec, Params, jacobian_coeffs, jacobian_coeffs_fd
-from sirdelay.presets import load_preset
+from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import (
     Bilinear,
     FractionalMix,
@@ -26,7 +24,7 @@ from sirdelay.responses import (
     SaturatingUnary,
     Zero,
 )
-from sirdelay.stability import STABLE, CharCoeffs, char_coeffs, delay_free_stable
+from sirdelay.stability import STABLE, CharCoeffs, char_coeffs, delay_free_stable, tau_crossing
 
 
 def fold_upper(roots, tol=1e-7):
@@ -58,53 +56,27 @@ def test_scan_matches_numpy_roots_on_random_cubics():
             assert abs(a - b) < 1e-6, (l, m, n, got, want)
 
 
-def first_crossing_by_modulus_angle(cc):
-    """First incubation delay with a pure-imaginary root, delta = 0.
-
-    Independent of the scan and of the pseudo-delay machinery: crossing
-    frequencies solve |P(i nu)| = |Q(i nu)| (a cubic in nu^2 handled by
-    numpy), and each maps to its smallest delay through the argument of
-    -P/Q.
-    """
-    l, m, n, l1, m1, n1 = cc.as_tuple()
-    # |P|^2 - |Q|^2 as a cubic in s = nu^2
-    coeffs = [1.0,
-              l * l - 2.0 * m,
-              m * m - 2.0 * l * n - l1 * l1,
-              n * n - (m1 + n1) ** 2]
-    taus = []
-    for s in np.roots(coeffs):
-        if abs(s.imag) > 1e-9 or s.real <= 1e-12:
-            continue
-        nu = math.sqrt(s.real)
-        P = complex(n - l * nu * nu, m * nu - nu**3)
-        Q = complex(m1 + n1, l1 * nu)
-        if abs(Q) < 1e-12:
-            continue
-        phase = cmath.phase(-P / Q)  # e^(-i nu tau) = -P/Q
-        tau = (-phase) % (2.0 * math.pi) / nu
-        taus.append(tau)
-    return min(taus) if taus else None
+def endemic_cc(name):
+    model = load_preset(name).model
+    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
+    return char_coeffs(jacobian_coeffs(model, eq))
 
 
 def test_ex5_3_crossing_agrees_across_three_routes():
-    model = load_preset("ex5_3").model
-    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
-    cc = char_coeffs(jacobian_coeffs(model, eq))
-    analytic = first_crossing_by_modulus_angle(cc)
-    scanned = find_delay_crossing(cc, 4.0, 5.0, fixed=0.0)
-    assert analytic == pytest.approx(scanned, abs=0.02)
+    cc = endemic_cc("ex5_3")
+    analytic = tau_crossing(cc)
+    assert analytic == pytest.approx(4.561670, abs=1e-5)
+    # the scan changes sign across it
+    assert max_real_part(cc, analytic - 1e-3, 0.0) < 0.0 < max_real_part(cc, analytic + 1e-3, 0.0)
     # and simulation (the regime sweep) brackets the same value: stable
     # behavior at tau=4, oscillation at tau=5
     assert 4.0 < analytic < 5.0
 
 
 def test_ex5_1_crossing_agrees_with_modulus_angle():
-    model = load_preset("ex5_1").model
-    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
-    cc = char_coeffs(jacobian_coeffs(model, eq))
-    analytic = first_crossing_by_modulus_angle(cc)
-    assert analytic == pytest.approx(1.3745, abs=0.01)
+    cc = endemic_cc("ex5_1")
+    analytic = tau_crossing(cc)
+    assert analytic == pytest.approx(1.374026, abs=1e-5)
     assert max_real_part(cc, analytic * 0.95, 0.0) < 0.0
     assert max_real_part(cc, analytic * 1.05, 0.0) > 0.0
 
@@ -168,3 +140,22 @@ def test_random_models_equilibria_and_criteria_consistency(model):
             assert top <= 1e-9
         if top is not None and top > 1e-9:
             assert res.verdict != STABLE
+
+
+@pytest.mark.parametrize(
+    "model",
+    [load_preset(name).model for name in PRESET_NAMES] + random_models(15),
+    ids=lambda m: m.content_hash(),
+)
+def test_exact_crossing_is_where_the_scan_changes_sign(model):
+    for eq in all_equilibria(model):
+        cc = char_coeffs(jacobian_coeffs(model, eq))
+        top = max_real_part(cc, 0.0, 0.0)
+        if top is None or top >= 0.0:
+            continue
+        c = tau_crossing(cc)
+        if c is None:
+            for tau in (1.0, 5.0, 20.0):
+                assert max_real_part(cc, tau, 0.0) < 0.0, (eq, tau)
+        else:
+            assert max_real_part(cc, c - 1e-3, 0.0) < 0.0 < max_real_part(cc, c + 1e-3, 0.0), eq

@@ -96,6 +96,16 @@ def test_dense_eval_exact_at_mesh_points():
         assert got.as_tuple() == tuple(traj.states[i])
 
 
+def test_dense_eval_at_horizon_when_the_step_does_not_divide_it():
+    # 200 / 0.00875 is not an integer; n*h used to round to 199.99999999999997
+    from dataclasses import replace
+    cfg = load_preset("ex5_3")
+    model = replace(cfg.model, params=cfg.model.params.with_delays(7.0, 0.0))
+    traj = integrate(model, cfg.history, horizon=200.0, step=0.00875)
+    assert traj.horizon == 200.0
+    assert dense_eval(traj, 200.0) == traj.final_state()
+
+
 def test_dense_eval_range_error():
     traj = integrate(linear_reduction(), ConstantHistory(State(8.0, 3.0, 4.0)),
                      horizon=10.0, step=0.1)

@@ -79,7 +79,8 @@ def test_reports_build_for_every_preset_equilibrium(name):
     eqs = all_equilibria(cfg.model)
     for eq in eqs:
         rep = build_stability_report(cfg.model, eq, equilibria=eqs, name=name,
-                                     reference=cfg.reference, oracle_crossing=False)
+                                     reference=cfg.reference)
+        assert not any("not confirmed by the root scan" in a for a in rep.annotations)
         json.dumps(report_to_json(rep))
         text = render_report(rep)
         assert "criteria:" in text

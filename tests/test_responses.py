@@ -11,9 +11,7 @@ from sirdelay.responses import (
     SaturatingIncidence,
     SaturatingUnary,
     Zero,
-    response_eval,
     response_from_dict,
-    response_partial,
 )
 
 ALL_VARIANTS = [
@@ -47,14 +45,14 @@ def central_diff(fn, index, args, h=1e-6):
 
 def test_bilinear_values():
     f = Bilinear()
-    assert response_eval(f, 2.0, 6.0) == 12.0
-    assert response_partial(f, 0, 2.0, 6.0) == 6.0
-    assert response_partial(f, 1, 2.0, 6.0) == 2.0
+    assert f.value(2.0, 6.0) == 12.0
+    assert f.partial(0, 2.0, 6.0) == 6.0
+    assert f.partial(1, 2.0, 6.0) == 2.0
 
 
 def test_saturating_incidence_value():
     f = SaturatingIncidence(2.0)
-    assert response_eval(f, 2.0, 3.0) == pytest.approx(1.5, abs=1e-15)
+    assert f.value(2.0, 3.0) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_saturating_unary_value_and_slope():
@@ -118,11 +116,6 @@ def test_bad_parameters_rejected():
         SaturatingUnary(-1.0)
     with pytest.raises(DomainError):
         Linear(math.inf)
-
-
-def test_partial_index_out_of_range():
-    with pytest.raises(DomainError):
-        response_partial(SaturatingUnary(1.0), 1, 2.0)
 
 
 @pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
