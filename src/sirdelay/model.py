@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError
 from .responses import ResponseFn, response_from_dict
@@ -128,13 +128,8 @@ class ModelSpec:
         return self.f.zero_when_y_zero
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
-            "params": {
-                "a": p.a, "b": p.b, "b1": p.b1, "c": p.c, "d": p.d,
-                "d1": p.d1, "r": p.r, "alpha": p.alpha,
-                "tau": p.tau, "delta": p.delta,
-            },
+            "params": asdict(self.params),
             "f": self.f.to_dict(),
             "V": self.V.to_dict(),
             "P": self.P.to_dict(),

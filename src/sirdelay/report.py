@@ -10,11 +10,11 @@ criterion verdict, they expose both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .charroots import char_roots_scan, max_real_part
 from .equilibria import Equilibrium, all_equilibria
-from .model import JacCoeffs, ModelSpec, jacobian_coeffs
+from .model import JacCoeffs, ModelSpec, State, jacobian_coeffs
 from .stability import (
     ENDEMIC_GAS,
     INCONCLUSIVE,
@@ -195,12 +195,12 @@ def build_stability_report(
                 f"root scan gives max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau"
             )
             if crossing is not None:
-                msg += f"; the scan locates the actual crossing near tau = {crossing:.4g}"
+                msg += f"; the exact crossing, checked by the root scan, is at tau = {crossing:.4g}"
             annotations.append(msg)
     elif tau_only.verdict == PRESERVED_STABLE and crossing is not None:
         annotations.append(
-            f"criteria report preservation for all incubation delays, but the "
-            f"root scan finds a crossing near tau = {crossing:.4g} (delta = 0)"
+            f"criteria report preservation for all incubation delays, but the exact "
+            f"crossing, checked by the root scan, is at tau = {crossing:.4g} (delta = 0)"
         )
 
     # global claim vs local switch evidence
@@ -270,104 +270,44 @@ def build_stability_report(
     )
 
 
-def _checks_json(checks):
-    return [
-        {"name": c.name, "lhs": c.lhs, "op": c.op, "rhs": c.rhs,
-         "holds": c.holds, "boundary": c.boundary}
-        for c in checks
-    ]
-
-
-def _roots_json(roots):
-    return [[r.real, r.imag] for r in roots]
+def _jsonable(value):
+    """Dataclasses become dicts in field order, tuples and lists become
+    lists, states [x, y, z] and complex numbers [re, im]; every other value
+    passes through unchanged."""
+    if isinstance(value, State):
+        return [value.x, value.y, value.z]
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 def report_to_json(rep: StabilityReport) -> dict:
     """JSON-serializable dict with every inequality's left/right values."""
-    st = rep.equilibrium.state
-    out = {
-        "name": rep.name,
-        "model_hash": rep.model_hash,
-        "tau": rep.tau,
-        "delta": rep.delta,
-        "equilibrium": {
-            "state": [st.x, st.y, st.z],
-            "kind": rep.equilibrium.kind,
-            "residual": rep.equilibrium.residual,
-        },
-        "linearization": {
-            "A": rep.jac.A, "B": rep.jac.B, "C": rep.jac.C,
-            "D": rep.jac.D, "E": rep.jac.E, "alpha": rep.jac.alpha,
-        },
-        "char_coeffs": {
-            "l": rep.cc.l, "m": rep.cc.m, "n": rep.cc.n,
-            "l1": rep.cc.l1, "m1": rep.cc.m1, "n1": rep.cc.n1,
-        },
-        "delay_free": {
-            "verdict": rep.delay_free.verdict,
-            "delay_free_equivalent": rep.delay_free.delay_free_equivalent,
-            "nonzero_roots_negative": rep.delay_free.nonzero_roots_negative,
-            "boundary": rep.delay_free.boundary,
-            "checks": _checks_json(rep.delay_free.checks),
-        },
-        "incubation_delay": {
-            "verdict": rep.tau_only.verdict,
-            "tau_plus": rep.tau_only.tau_plus,
-            "nu_plus": rep.tau_only.nu_plus,
-            "T_plus": rep.tau_only.T_plus,
-            "persistence": {
-                "verdict": rep.tau_only.persistence.verdict,
-                "a0": rep.tau_only.persistence.a0,
-                "a1": rep.tau_only.persistence.a1,
-                "a2": rep.tau_only.persistence.a2,
-                "checks": _checks_json(rep.tau_only.persistence.checks),
-            },
-            "critical": None if rep.tau_only.critical is None else {
-                "verdict": rep.tau_only.critical.verdict,
-                "cubic": list(rep.tau_only.critical.cubic),
-                "candidates": [
-                    {"T": c.T, "nu": c.nu, "tau": c.tau, "tau_next": c.tau_next}
-                    for c in rep.tau_only.critical.candidates
-                ],
-                "checks": _checks_json(rep.tau_only.critical.checks),
-                "diagnostics": list(rep.tau_only.critical.diagnostics),
-            },
-        },
-        "recovery_delay": {
-            "verdict": rep.delta_only.verdict,
-            "freq_cubic": list(rep.delta_only.freq_cubic),
-            "candidates": [
-                {"nu": c.nu, "T": c.T, "delta": c.delta, "delta_next": c.delta_next}
-                for c in rep.delta_only.candidates
-            ],
-            "checks": _checks_json(rep.delta_only.checks),
-            "diagnostics": list(rep.delta_only.diagnostics),
-        },
-        "combined_delays": {
-            "verdict": rep.combined.verdict,
-            "theta": rep.combined.theta,
-            "theta_smallest_positive": rep.combined.theta_smallest_positive,
-            "nu": rep.combined.nu,
-            "checks": _checks_json(rep.combined.checks),
-            "diagnostics": list(rep.combined.diagnostics),
-        },
-        "global_case": {
-            "verdict": rep.global_case.verdict,
-            "boundary": rep.global_case.boundary,
-            "checks": _checks_json(rep.global_case.checks),
-        },
+    roots, roots_zero = rep.oracle_roots, rep.oracle_roots_zero_delay
+    return {
+        "name": rep.name, "model_hash": rep.model_hash,
+        "tau": rep.tau, "delta": rep.delta,
+        "equilibrium": _jsonable(rep.equilibrium),
+        "linearization": _jsonable(rep.jac),
+        "char_coeffs": _jsonable(rep.cc),
+        "delay_free": _jsonable(rep.delay_free),
+        "incubation_delay": _jsonable(rep.tau_only),
+        "recovery_delay": _jsonable(rep.delta_only),
+        "combined_delays": _jsonable(rep.combined),
+        "global_case": _jsonable(rep.global_case),
         "oracle": {
-            "roots": _roots_json(rep.oracle_roots),
-            "roots_zero_delay": _roots_json(rep.oracle_roots_zero_delay),
-            "max_re": rep.oracle_roots[0].real if rep.oracle_roots else None,
-            "max_re_zero_delay": (
-                rep.oracle_roots_zero_delay[0].real if rep.oracle_roots_zero_delay else None
-            ),
+            "roots": _jsonable(roots),
+            "roots_zero_delay": _jsonable(roots_zero),
+            "max_re": roots[0].real if roots else None,
+            "max_re_zero_delay": roots_zero[0].real if roots_zero else None,
             "crossing_tau": rep.oracle_crossing_tau,
         },
         "annotations": list(rep.annotations),
     }
-    return out
 
 
 def _poly_str(cc: CharCoeffs, reduced: bool) -> str:
@@ -438,7 +378,8 @@ def render_report(rep: StabilityReport) -> str:
         lines.append(f"  oracle roots (tau,delta as configured): {shown}")
         lines.append(f"  oracle max Re: {rep.oracle_roots[0].real:.6g}")
     if rep.oracle_crossing_tau is not None:
-        lines.append(f"  oracle stability crossing (delta=0): tau ~ {rep.oracle_crossing_tau:.4g}")
+        lines.append(f"  exact stability crossing (delta=0): tau = {rep.oracle_crossing_tau:.4g}, "
+                     "checked by the root scan")
     for a in rep.annotations:
         lines.append(f"  ! {a}")
     return "\n".join(lines)

@@ -331,10 +331,14 @@ class TauCandidate:
 class TauCriticalResult:
     verdict: str  # preserved | switch | inconclusive
     cubic: tuple
-    candidates: tuple
-    primary: TauCandidate | None
+    candidates: tuple  # sorted by T
     checks: tuple
     diagnostics: tuple
+
+    @property
+    def primary(self) -> TauCandidate | None:
+        """The candidate with the smallest pseudo-delay root T, if any."""
+        return self.candidates[0] if self.candidates else None
 
 
 def tau_critical(cc: CharCoeffs) -> TauCriticalResult:
@@ -358,13 +362,13 @@ def tau_critical(cc: CharCoeffs) -> TauCriticalResult:
     case2 = [check(f"cubic[{i}] >= 0", cubic[i], ">=") for i in range(4)]
     checks = case1 + case2
     if all(c.holds for c in case1) or all(c.holds for c in case2):
-        return TauCriticalResult(PRESERVED, cubic, (), None, tuple(checks), ())
+        return TauCriticalResult(PRESERVED, cubic, (), tuple(checks), ())
 
     diagnostics = []
     try:
         roots = solve_cubic_real(*cubic)
     except DomainError as exc:
-        return TauCriticalResult(INCONCLUSIVE, cubic, (), None, tuple(checks), (str(exc),))
+        return TauCriticalResult(INCONCLUSIVE, cubic, (), tuple(checks), (str(exc),))
     candidates = []
     for T in roots:
         if T <= 1e-14:
@@ -385,10 +389,10 @@ def tau_critical(cc: CharCoeffs) -> TauCriticalResult:
         ))
     candidates.sort(key=lambda cand: cand.T)
     if candidates:
-        return TauCriticalResult(SWITCH, cubic, tuple(candidates), candidates[0],
-                                 tuple(checks), tuple(diagnostics))
+        return TauCriticalResult(SWITCH, cubic, tuple(candidates), tuple(checks),
+                                 tuple(diagnostics))
     diagnostics.append("no positive pseudo-delay root with nu^2 > 0")
-    return TauCriticalResult(INCONCLUSIVE, cubic, (), None, tuple(checks), tuple(diagnostics))
+    return TauCriticalResult(INCONCLUSIVE, cubic, (), tuple(checks), tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sirdelay.analytics import (
     SUSTAINED,
     UNCLASSIFIED,
     classify,
+    nearest_equilibrium,
     sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -34,6 +35,20 @@ def synthetic_trajectory(fn, dfn, horizon=60.0, h=0.02):
     derivs = np.column_stack([np.zeros_like(times), dys, np.zeros_like(times)])
     return Trajectory(times=times, states=states, derivatives=derivs,
                       step=h, tau=0.0, delta=0.0, model_hash="synthetic")
+
+
+@pytest.mark.parametrize("target", [(5.0, 0.0, 0.0), (2.0, 6.0, 6.0)])
+def test_nearest_equilibrium_follows_the_tail_mean(target):
+    eqs = all_equilibria(load_preset("ex5_1").model)
+    assert sorted(e.state.as_tuple() for e in eqs) == [(2.0, 6.0, 6.0), (5.0, 0.0, 0.0)]
+    other = (2.0, 6.0, 6.0) if target == (5.0, 0.0, 0.0) else (5.0, 0.0, 0.0)
+    times = np.arange(201) * 0.5
+    # the first half sits at the other point; the tail wobbles by 1.5 about the target
+    wobble = np.where(np.arange(201) % 2 == 0, 1.5, -1.5)[:, None]
+    states = np.where(times[:, None] < 50.0, np.array(other), np.array(target) + wobble)
+    traj = Trajectory(times=times, states=states, derivatives=np.zeros_like(states),
+                      step=0.5, tau=0.0, delta=0.0, model_hash="synthetic")
+    assert nearest_equilibrium(traj, eqs).state.as_tuple() == pytest.approx(target, abs=1e-9)
 
 
 def test_horizon_precondition():

@@ -1,7 +1,10 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.report import build_stability_report, render_report, report_to_json
@@ -84,3 +87,34 @@ def test_reports_build_for_every_preset_equilibrium(name):
         json.dumps(report_to_json(rep))
         text = render_report(rep)
         assert "criteria:" in text
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_same_json(got, want, path="$"):
+    """Strings, booleans, None, key order and list lengths match exactly;
+    numbers agree to a relative 1e-12 (with a 1e-12 floor for rounding-noise
+    values such as Newton residuals)."""
+    num = (int, float)
+    if isinstance(want, num) and not isinstance(want, bool):
+        assert isinstance(got, num) and not isinstance(got, bool), path
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stability_json_matches_golden(name, capsys):
+    assert main(["stability", "--preset", name, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert_same_json(got, want)
