@@ -12,6 +12,7 @@ byte-identical trajectory.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ __all__ = [
 
 #: states dipping below this trigger a negativity-violation error
 NEGATIVITY_TOL = -1e-6
+#: most steps one integrate call may take; more fails fast with ValueError
+MAX_STEPS = 2_000_000
+
+
+def _valid_history_state(s: State) -> bool:
+    return all(math.isfinite(v) and v >= 0.0 for v in (s.x, s.y, s.z))
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,8 @@ class ConstantHistory:
     state: State
 
     def __post_init__(self):
-        if self.state.x < 0 or self.state.y < 0 or self.state.z < 0:
-            raise ValueError("history states must be nonnegative")
+        if not _valid_history_state(self.state):
+            raise ValueError("history states must be finite and nonnegative")
 
     def value(self, t: float) -> State:
         return self.state
@@ -65,12 +72,14 @@ class SampledHistory:
     def __post_init__(self):
         if len(self.times) != len(self.states) or len(self.times) < 2:
             raise ValueError("sampled history needs >= 2 aligned samples")
+        if not all(map(math.isfinite, self.times)):
+            raise ValueError("sampled history times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("sampled history times must increase strictly")
         if self.times[-1] < 0.0:
             raise ValueError("sampled history must reach t = 0")
-        if any(s.x < 0 or s.y < 0 or s.z < 0 for s in self.states):
-            raise ValueError("history states must be nonnegative")
+        if not all(map(_valid_history_state, self.states)):
+            raise ValueError("history states must be finite and nonnegative")
 
     def span(self) -> float:
         return -self.times[0]
@@ -81,17 +90,16 @@ class SampledHistory:
             return self.states[0]
         if t >= ts[-1]:
             return self.states[-1]
-        # linear scan is fine: histories are short
-        for i in range(len(ts) - 1):
-            if ts[i] <= t <= ts[i + 1]:
-                w = (t - ts[i]) / (ts[i + 1] - ts[i])
-                s0, s1 = self.states[i], self.states[i + 1]
-                return State(
-                    s0.x + w * (s1.x - s0.x),
-                    s0.y + w * (s1.y - s0.y),
-                    s0.z + w * (s1.z - s0.z),
-                )
-        return self.states[-1]
+        # the first interval with ts[i] <= t <= ts[i + 1]: at a sample time,
+        # the one that ends there
+        i = bisect_left(ts, t) - 1
+        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        s0, s1 = self.states[i], self.states[i + 1]
+        return State(
+            s0.x + w * (s1.x - s0.x),
+            s0.y + w * (s1.y - s0.y),
+            s0.z + w * (s1.z - s0.z),
+        )
 
     def to_dict(self):
         return {
@@ -141,14 +149,20 @@ class Trajectory:
         return dense_eval(self, t)
 
 
-def _hermite(h, y0, f0, y1, f1, w):
+def _hermite(ys, fs, h, t, top):
+    """Cubic Hermite interpolation at t > 0 through mesh values ``ys`` with
+    slopes ``fs`` on the mesh of step h, in interval int(t/h) capped at ``top``."""
+    i = int(t / h)
+    if i > top:
+        i = top
+    w = (t - i * h) / h
     w2 = w * w
     w3 = w2 * w
     return (
-        (2.0 * w3 - 3.0 * w2 + 1.0) * y0
-        + (w3 - 2.0 * w2 + w) * h * f0
-        + (-2.0 * w3 + 3.0 * w2) * y1
-        + (w3 - w2) * h * f1
+        (2.0 * w3 - 3.0 * w2 + 1.0) * ys[i]
+        + (w3 - 2.0 * w2 + w) * h * fs[i]
+        + (-2.0 * w3 + 3.0 * w2) * ys[i + 1]
+        + (w3 - w2) * h * fs[i + 1]
     )
 
 
@@ -165,10 +179,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     if 0 <= j < len(traj.times) and abs(t - j * h) <= 1e-9 * h:
         x, y, z = traj.states[j]
         return State(float(x), float(y), float(z))
-    i = min(int(t / h), len(traj.times) - 2)
-    s = traj.states
-    d = traj.derivatives
-    x, y, z = _hermite(h, s[i], d[i], s[i + 1], d[i + 1], (t - i * h) / h)
+    x, y, z = _hermite(traj.states, traj.derivatives, h, t, len(traj.times) - 2)
     return State(float(x), float(y), float(z))
 
 
@@ -186,9 +197,9 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
 
     The step must not exceed the smallest positive delay (so delayed
     lookups never run ahead of computed segments); with both delays zero
-    it must not exceed horizon/100.  Raises IntegrationError when a state
-    component falls below -1e-6 (negativity violation) or stops being
-    finite (blow-up).
+    it must not exceed horizon/100, and it must reach the horizon within
+    MAX_STEPS steps.  Raises IntegrationError when a state component falls
+    below -1e-6 (negativity violation) or stops being finite (blow-up).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -212,95 +223,73 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
         )
 
     n = max(1, math.ceil(horizon / step - 1e-9))
+    if n > MAX_STEPS:
+        raise ValueError(f"step budget exceeded: {n} steps of {step} to reach {horizon}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     h = horizon / n
 
-    a, b, b1, c, d, d1, r, alpha = p.a, p.b, p.b1, p.c, p.d, p.d1, p.r, p.alpha
-    fval = model.f.value
-    Vval = model.V.value
-    Pval = model.P.value
+    rhs = model.rhs
     use_xt = tau > 0.0
     use_yd = delta > 0.0
 
-    if isinstance(history, ConstantHistory):
-        hx0, hy0 = history.state.x, history.state.y
-        hist_x = lambda t: hx0
-        hist_y = lambda t: hy0
-    else:
-        hist_x = lambda t: history.value(t).x
-        hist_y = lambda t: history.value(t).y
+    hist_x = lambda t: history.value(t).x
+    hist_y = lambda t: history.value(t).y
 
     s0 = history.value(0.0)
-    xs = [s0.x]
-    ys = [s0.y]
-    zs = [s0.z]
-    dxs = []
-    dys = []
-    dzs = []
-
-    def past(arr, darr, hist, t):
-        if t <= 0.0:
-            return hist(t)
-        i = int(t / h)
-        top = len(arr) - 2
-        if i > top:
-            i = top
-        return _hermite(h, arr[i], darr[i], arr[i + 1], darr[i + 1], (t - i * h) / h)
-
-    def rhs(s, x, y, z):
-        xt = past(xs, dxs, hist_x, s - tau) if use_xt else x
-        yd = past(ys, dys, hist_y, s - delta) if use_yd else y
-        return (
-            a - b * fval(x, y) - d * x - c * Vval(x) + alpha * z,
-            b1 * fval(xt, y) - r * Pval(y) - d1 * y,
-            r * Pval(yd) - alpha * z,
-        )
-
-    d0 = rhs(0.0, xs[0], ys[0], zs[0])
-    dxs.append(d0[0])
-    dys.append(d0[1])
-    dzs.append(d0[2])
+    x, y, z = s0.x, s0.y, s0.z
+    kx, ky, kz = rhs(x, y, z, hist_x(-tau) if use_xt else x, hist_y(-delta) if use_yd else y)
+    xs, ys, zs = [x], [y], [z]
+    dxs, dys, dzs = [kx], [ky], [kz]
 
     half = 0.5 * h
     sixth = h / 6.0
     isfinite = math.isfinite
-    for k in range(n):
-        t = k * h
-        x, y, z = xs[k], ys[k], zs[k]
-        tn = t + h
-        try:
-            k1 = rhs(t, x, y, z)
-            k2 = rhs(t + half, x + half * k1[0], y + half * k1[1], z + half * k1[2])
-            k3 = rhs(t + half, x + half * k2[0], y + half * k2[1], z + half * k2[2])
-            k4 = rhs(t + h, x + h * k3[0], y + h * k3[1], z + h * k3[2])
-        except (DomainError, OverflowError, ZeroDivisionError) as exc:
-            # finite at step start, non-finite inside a stage: numeric blow-up
-            raise IntegrationError(
-                f"blow-up: state left the finite range during the step at t = {tn:.6g}",
-                time=tn,
-            ) from exc
-        xn = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        yn = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        zn = z + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        if not (isfinite(xn) and isfinite(yn) and isfinite(zn)):
-            raise IntegrationError(f"blow-up: non-finite state at t = {tn:.6g}", time=tn)
-        if xn < NEGATIVITY_TOL or yn < NEGATIVITY_TOL or zn < NEGATIVITY_TOL:
-            raise IntegrationError(
-                f"negativity violation at t = {tn:.6g}: state = ({xn:.6g}, {yn:.6g}, {zn:.6g})",
-                time=tn,
-            )
-        xs.append(xn)
-        ys.append(yn)
-        zs.append(zn)
-        try:
-            dn = rhs(tn, xn, yn, zn)
-        except (DomainError, OverflowError, ZeroDivisionError) as exc:
-            raise IntegrationError(
-                f"blow-up: state left the finite range during the step at t = {tn:.6g}",
-                time=tn,
-            ) from exc
-        dxs.append(dn[0])
-        dys.append(dn[1])
-        dzs.append(dn[2])
+    try:
+        for k in range(n):
+            # k1 = (kx, ky, kz) is the derivative stored at t; the delayed
+            # arguments of k2 and k3 (mid-step) and of k4 and the next k1
+            # (step end) are looked up once each
+            t = k * h
+            tm = t + half
+            tn = t + h
+            if use_xt:
+                sm, se = tm - tau, tn - tau
+                xm = _hermite(xs, dxs, h, sm, k - 1) if sm > 0.0 else hist_x(sm)
+                xe = _hermite(xs, dxs, h, se, k - 1) if se > 0.0 else hist_x(se)
+            if use_yd:
+                sm, se = tm - delta, tn - delta
+                ym = _hermite(ys, dys, h, sm, k - 1) if sm > 0.0 else hist_y(sm)
+                ye = _hermite(ys, dys, h, se, k - 1) if se > 0.0 else hist_y(se)
+            x2, y2, z2 = x + half * kx, y + half * ky, z + half * kz
+            k2 = rhs(x2, y2, z2, xm if use_xt else x2, ym if use_yd else y2)
+            x3, y3, z3 = x + half * k2[0], y + half * k2[1], z + half * k2[2]
+            k3 = rhs(x3, y3, z3, xm if use_xt else x3, ym if use_yd else y3)
+            x4, y4, z4 = x + h * k3[0], y + h * k3[1], z + h * k3[2]
+            k4 = rhs(x4, y4, z4, xe if use_xt else x4, ye if use_yd else y4)
+            x = x + sixth * (kx + 2.0 * (k2[0] + k3[0]) + k4[0])
+            y = y + sixth * (ky + 2.0 * (k2[1] + k3[1]) + k4[1])
+            z = z + sixth * (kz + 2.0 * (k2[2] + k3[2]) + k4[2])
+            # a non-finite stage reaches the new state through its own loss
+            # term (d*x, d1*y, alpha*z), so this one check catches it
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise IntegrationError(f"blow-up: non-finite state at t = {tn:.6g}", time=tn)
+            if x < NEGATIVITY_TOL or y < NEGATIVITY_TOL or z < NEGATIVITY_TOL:
+                raise IntegrationError(
+                    f"negativity violation at t = {tn:.6g}: state = ({x:.6g}, {y:.6g}, {z:.6g})",
+                    time=tn,
+                )
+            kx, ky, kz = rhs(x, y, z, xe if use_xt else x, ye if use_yd else y)
+            xs.append(x)
+            ys.append(y)
+            zs.append(z)
+            dxs.append(kx)
+            dys.append(ky)
+            dzs.append(kz)
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
+        raise IntegrationError(
+            f"blow-up: state left the finite range during the step at t = {tn:.6g}",
+            time=tn,
+        ) from exc
 
     times = np.arange(n + 1, dtype=float) * h
     times[-1] = horizon  # n*h can round below the horizon

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 from .errors import DomainError
 from .responses import ResponseFn, response_from_dict
@@ -121,6 +122,31 @@ class ModelSpec:
             if not math.isfinite(v):
                 raise DomainError(f"vaccination response not finite at x={u}")
 
+    @cached_property
+    def rhs(self):
+        """The right-hand side as a function of (x, y, z, x_tau, y_delta).
+
+        Binds the parameters and the three response formulas once and
+        checks no argument: :func:`eval_rhs` checks its inputs, and the
+        integrator checks the state after every step.
+        """
+        p = self.params
+        a, b, b1, c, d, d1, r, alpha = p.a, p.b, p.b1, p.c, p.d, p.d1, p.r, p.alpha
+        f, V, P = self.f.formula, self.V.formula, self.P.formula
+
+        def rhs(x, y, z, x_tau, y_delta):
+            return (
+                a - b * f(x, y) - d * x - c * V(x) + alpha * z,
+                b1 * f(x_tau, y) - r * P(y) - d1 * y,
+                r * P(y_delta) - alpha * z,
+            )
+
+        return rhs
+
+    def __getstate__(self):
+        # the bound right-hand side is a closure: pickle without it, rebuild on use
+        return {k: v for k, v in vars(self).items() if k != "rhs"}
+
     @property
     def supports_disease_free(self) -> bool:
         """True when the incidence vanishes at y = 0, a prerequisite for a
@@ -163,11 +189,7 @@ def eval_rhs(model: ModelSpec, now: State, x_tau: float, y_delta: float):
     for v in (now.x, now.y, now.z, x_tau, y_delta):
         if not math.isfinite(v):
             raise DomainError(f"non-finite state passed to eval_rhs: {v!r}")
-    p = model.params
-    dx = p.a - p.b * model.f.value(now.x, now.y) - p.d * now.x - p.c * model.V.value(now.x) + p.alpha * now.z
-    dy = p.b1 * model.f.value(x_tau, now.y) - p.r * model.P.value(now.y) - p.d1 * now.y
-    dz = p.r * model.P.value(y_delta) - p.alpha * now.z
-    return (dx, dy, dz)
+    return model.rhs(now.x, now.y, now.z, x_tau, y_delta)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ def _require_finite(*args):
 
 @dataclass(frozen=True)
 class ResponseFn:
-    """Base class; concrete variants implement value() and partial()."""
+    """Base class; concrete variants implement the formulas _value() and
+    _partial(), and value() and partial() check the arguments first."""
 
     #: number of arguments the function takes; None means either 1 or 2
     arity = None
@@ -55,10 +56,24 @@ class ResponseFn:
         return _KIND_BY_CLASS[type(self)]
 
     def value(self, *args: float) -> float:
-        raise NotImplementedError
+        _require_finite(*args)
+        return self._value(*args)
 
     def partial(self, index: int, *args: float) -> float:
         """Analytic partial derivative with respect to argument ``index``."""
+        _require_finite(*args)
+        return self._partial(index, *args)
+
+    @property
+    def formula(self):
+        """The value without the argument check, for loops that check their
+        results; a subclass that overrides value() keeps its own."""
+        return self._value if type(self).value is ResponseFn.value else self.value
+
+    def _value(self, *args: float) -> float:
+        raise NotImplementedError
+
+    def _partial(self, index: int, *args: float) -> float:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -75,12 +90,10 @@ class Zero(ResponseFn):
     arity = None
     zero_when_y_zero = True
 
-    def value(self, *args):
-        _require_finite(*args)
+    def _value(self, *args):
         return 0.0
 
-    def partial(self, index, *args):
-        _require_finite(*args)
+    def _partial(self, index, *args):
         return 0.0
 
 
@@ -95,12 +108,10 @@ class Linear(ResponseFn):
         if not math.isfinite(self.k):
             raise DomainError("Linear slope must be finite")
 
-    def value(self, u):
-        _require_finite(u)
+    def _value(self, u):
         return self.k * u
 
-    def partial(self, index, u):
-        _require_finite(u)
+    def _partial(self, index, u):
         return self.k
 
 
@@ -111,12 +122,10 @@ class Bilinear(ResponseFn):
     arity = 2
     zero_when_y_zero = True
 
-    def value(self, x, y):
-        _require_finite(x, y)
+    def _value(self, x, y):
         return x * y
 
-    def partial(self, index, x, y):
-        _require_finite(x, y)
+    def _partial(self, index, x, y):
         return y if index == 0 else x
 
 
@@ -132,12 +141,10 @@ class SaturatingIncidence(ResponseFn):
         if not (math.isfinite(self.k) and self.k > 0):
             raise DomainError("SaturatingIncidence needs k > 0")
 
-    def value(self, x, y):
-        _require_finite(x, y)
+    def _value(self, x, y):
         return (x / (x + self.k)) * y
 
-    def partial(self, index, x, y):
-        _require_finite(x, y)
+    def _partial(self, index, x, y):
         if index == 0:
             return self.k * y / (x + self.k) ** 2
         return x / (x + self.k)
@@ -154,15 +161,13 @@ class FractionalMix(ResponseFn):
     arity = 2
     zero_when_y_zero = False
 
-    def value(self, x, y):
-        _require_finite(x, y)
+    def _value(self, x, y):
         s = x + y
         if s == 0.0:
             return 0.0
         return x / s
 
-    def partial(self, index, x, y):
-        _require_finite(x, y)
+    def _partial(self, index, x, y):
         s = x + y
         if s == 0.0:
             return 0.0
@@ -182,12 +187,10 @@ class SaturatingUnary(ResponseFn):
         if not (math.isfinite(self.k) and self.k > 0):
             raise DomainError("SaturatingUnary needs k > 0")
 
-    def value(self, u):
-        _require_finite(u)
+    def _value(self, u):
         return u / (self.k + u)
 
-    def partial(self, index, u):
-        _require_finite(u)
+    def _partial(self, index, u):
         return self.k / (self.k + u) ** 2
 
 
@@ -203,12 +206,10 @@ class PowerSum(ResponseFn):
         if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
             raise DomainError("PowerSum coefficients must be finite")
 
-    def value(self, u):
-        _require_finite(u)
+    def _value(self, u):
         return self.p1 * u + self.p2 * u * u
 
-    def partial(self, index, u):
-        _require_finite(u)
+    def _partial(self, index, u):
         return self.p1 + 2.0 * self.p2 * u
 
 

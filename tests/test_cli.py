@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 from sirdelay import acceptance
 from sirdelay.cli import main
@@ -41,6 +45,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["equilibria", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "model" in err and "alpha" in err
+    blob = load_preset("ex5_1").to_dict()
+    blob["history"]["state"][0] = float("nan")
+    path.write_text(json.dumps(blob))
+    assert main(["simulate", "--config", str(path), "--horizon", "5"]) == 2
+    assert "[history]" in capsys.readouterr().err
 
 
 def test_stability_text_and_json(tmp_path, capsys):
@@ -122,3 +131,12 @@ def test_verify_exit_status_follows_results(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "criteria passed" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sirdelay", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: sirdelay")

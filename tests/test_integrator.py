@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sirdelay import integrator
 from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import IntegrationError
 from sirdelay.integrator import (
@@ -15,7 +17,7 @@ from sirdelay.integrator import (
     integrate,
     trajectory_to_csv,
 )
-from sirdelay.model import ModelSpec, Params, State
+from sirdelay.model import ModelSpec, Params, State, eval_rhs
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import Linear, ResponseFn, Zero
 
@@ -186,12 +188,12 @@ def test_solutions_stay_nonnegative(name):
 def test_blow_up_raises_with_time():
     # (tau, delta) = (1, 1) destabilizes ex5_1; the growing oscillation
     # eventually overwhelms the fixed step
-    from dataclasses import replace
     model = load_preset("ex5_1").model
     model = replace(model, params=model.params.with_delays(1.0, 1.0))
-    with pytest.raises(IntegrationError) as exc:
-        integrate(model, ConstantHistory(State(8.0, 5.0, 2.0)), horizon=100.0)
-    assert exc.value.time is not None and exc.value.time > 0.0
+    for start, when in (((8.0, 5.0, 2.0), 1.59), ((1.0, 1.0, 1.0), 11.98)):
+        with pytest.raises(IntegrationError, match="blow-up") as exc:
+            integrate(model, ConstantHistory(State(*start)), horizon=100.0)
+        assert exc.value.time == pytest.approx(when, abs=1e-9)
 
 
 class _ConstantDrain(ResponseFn):
@@ -244,3 +246,98 @@ def test_uses_sampled_history_values():
     # delayed lookups differ over [0, 1], so the paths must split early
     i = int(0.5 / a.step)
     assert abs(a.states[i, 1] - b.states[i, 1]) > 1e-4
+
+
+def test_histories_reject_non_finite_input():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ConstantHistory(State(bad, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            SampledHistory(times=(bad, 0.0), states=(State(1, 1, 1), State(1, 1, 1)))
+        with pytest.raises(ValueError):
+            SampledHistory(times=(-1.0, 0.0), states=(State(1, 1, 1), State(1, bad, 1)))
+    with pytest.raises(ValueError):
+        SampledHistory(times=(-math.inf, 0.0), states=(State(1, 1, 1), State(1, 1, 1)))
+
+
+def _scan_value(history, t):
+    """Reference lookup: a linear scan for the first interval holding t."""
+    ts = history.times
+    if t <= ts[0]:
+        return history.states[0]
+    if t >= ts[-1]:
+        return history.states[-1]
+    for i in range(len(ts) - 1):
+        if ts[i] <= t <= ts[i + 1]:
+            w = (t - ts[i]) / (ts[i + 1] - ts[i])
+            s0, s1 = history.states[i], history.states[i + 1]
+            return State(s0.x + w * (s1.x - s0.x), s0.y + w * (s1.y - s0.y),
+                         s0.z + w * (s1.z - s0.z))
+
+
+def _zigzag_history(n=300, span=3.0):
+    # x jumps by more than 2x between samples, so s0 + 1.0*(s1 - s0) often
+    # differs from s1 in the last bit: picking the other interval at a
+    # sample time shows up as a changed value
+    times = tuple(float(t) for t in np.linspace(-span, 0.0, n))
+    states = tuple(State(0.1 + 3.3 * (i % 2) + 0.01 * math.sin(i), 1.0 + 0.3 * math.cos(t), 1.0 + t * t)
+                   for i, t in enumerate(times))
+    return SampledHistory(times, states)
+
+
+def test_sampled_history_lookup_matches_scan_and_interp():
+    hist = _zigzag_history()
+    ts = np.array(hist.times)
+    rows = np.array([s.as_tuple() for s in hist.states])
+    probes = list(ts) + list(0.5 * (ts[:-1] + ts[1:])) + [ts[0] - 1.0, 1.0]
+    for t in probes:
+        got = hist.value(float(t)).as_tuple()
+        assert got == _scan_value(hist, float(t)).as_tuple()
+        want = [np.interp(t, ts, rows[:, j]) for j in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_step_budget_fails_fast(monkeypatch):
+    model = load_preset("ex5_1").model
+    tiny = replace(model, params=model.params.with_delays(1e-6, 0.0))
+    hist = ConstantHistory(State(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(tiny, hist, horizon=200.0)  # default step 5e-8: 4e9 steps
+    monkeypatch.setattr(integrator, "MAX_STEPS", 100)
+    assert len(integrate(model, hist, horizon=1.0, step=0.01).times) == 101
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(model, hist, horizon=1.01, step=0.01)
+
+
+def _assert_derivatives_are_eval_rhs(model, history, traj):
+    tau, delta = model.params.tau, model.params.delta
+
+    def lagged(t, lag):
+        return dense_eval(traj, t - lag) if t - lag >= 0.0 else history.value(t - lag)
+
+    for t, st, got in zip(traj.times, traj.states, traj.derivatives):
+        now = State(*map(float, st))
+        x_tau = lagged(t, tau).x if tau > 0.0 else now.x
+        y_delta = lagged(t, delta).y if delta > 0.0 else now.y
+        want = eval_rhs(model, now, x_tau, y_delta)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "ex5_5_sampled"])
+def test_stored_derivatives_match_eval_rhs(name):
+    # integrate and eval_rhs share one right-hand side
+    cfg = load_preset(name.removesuffix("_sampled"))
+    history = _zigzag_history() if name.endswith("_sampled") else cfg.history
+    traj = integrate(cfg.model, history, horizon=20.0)
+    _assert_derivatives_are_eval_rhs(cfg.model, history, traj)
+
+
+def test_step_equal_to_the_delay():
+    # the step may equal the smallest delay: every delayed lookup then
+    # lands on a mesh point of the previous step
+    model = load_preset("ex5_1").model
+    model = replace(model, params=model.params.with_delays(0.2, 0.0))
+    hist = ConstantHistory(State(1.0, 1.0, 1.0))
+    traj = integrate(model, hist, horizon=10.0, step=0.2)
+    assert len(traj.times) == 51
+    _assert_derivatives_are_eval_rhs(model, hist, traj)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -63,6 +64,17 @@ def test_rhs_rejects_non_finite():
     model = load_preset("ex5_1").model
     with pytest.raises(DomainError):
         eval_rhs(model, State(math.nan, 1.0, 1.0), 1.0, 1.0)
+    with pytest.raises(DomainError):
+        eval_rhs(model, State(1.0, 1.0, 1.0), 1.0, math.inf)
+
+
+def test_one_rhs_per_model():
+    model = load_preset("ex5_5").model
+    assert model.rhs is model.rhs
+    assert eval_rhs(model, State(1.0, 2.0, 3.0), 0.5, 0.25) == model.rhs(1.0, 2.0, 3.0, 0.5, 0.25)
+    again = pickle.loads(pickle.dumps(model))  # a used model still pickles
+    assert again == model
+    assert again.rhs(1.0, 2.0, 3.0, 0.5, 0.25) == model.rhs(1.0, 2.0, 3.0, 0.5, 0.25)
 
 
 def test_jacobian_ex5_2():

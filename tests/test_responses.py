@@ -8,6 +8,7 @@ from sirdelay.responses import (
     FractionalMix,
     Linear,
     PowerSum,
+    ResponseFn,
     SaturatingIncidence,
     SaturatingUnary,
     Zero,
@@ -107,6 +108,26 @@ def test_non_finite_rejected():
         Bilinear().value(math.inf, 1.0)
     with pytest.raises(DomainError):
         Linear(1.0).value(math.nan)
+    with pytest.raises(DomainError):
+        SaturatingUnary(1.0).partial(0, math.nan)
+
+
+@pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
+def test_formula_is_value_without_the_check(fn):
+    args = (0.7, 1.3)[: fn.arity or 2]
+    assert fn.formula(*args) == fn.value(*args)
+
+
+def test_formula_skips_the_check_unless_value_is_overridden():
+    assert math.isnan(Bilinear().formula(math.inf, 0.0))  # inf * 0
+
+    class Half(ResponseFn):
+        arity = 1
+
+        def value(self, u):
+            return 0.5 * u
+
+    assert Half().formula(3.0) == 1.5
 
 
 def test_bad_parameters_rejected():
