@@ -39,7 +39,8 @@ print("   ", eval_rhs(model, State(1.0, 1.0, 1.0), 1.0, 1.0))
 print()
 
 print("steady states (disease-free solved by bisection, endemic in closed")
-print("form for this bilinear case, damped Newton otherwise):")
+print("form for this bilinear case, otherwise by bracketing sign changes of")
+print("one equation in y):")
 for eq in all_equilibria(model):
     s = eq.state
     print(f"  {eq.kind:13s} ({s.x:.10g}, {s.y:.10g}, {s.z:.10g})   residual {eq.residual:.1e}")

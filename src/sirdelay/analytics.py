@@ -170,11 +170,15 @@ def sweep(
     oracle's rightmost real part at the row's reference equilibrium (the
     equilibrium nearest the trajectory tail; for rows whose integration
     fails, the endemic equilibrium when one exists, else the disease-free
-    one).  Integration failures are recorded in the row and the sweep
-    continues.
+    one).  Integration failures, including a step that does not suit a
+    row's delays, are recorded in the row and the sweep continues.
     """
     if not delay_grid:
         raise ValueError("delay grid must be nonempty")
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    if step is not None and step <= 0.0:
+        raise ValueError("step must be positive")
     eqs = all_equilibria(model)
     cc_cache = {}
 
@@ -199,7 +203,7 @@ def sweep(
         error = None
         try:
             traj = integrate(row_model, history, horizon, step=step)
-        except IntegrationError as exc:
+        except (IntegrationError, ValueError) as exc:  # ValueError: step vs. this row's delays
             error = str(exc)
         else:
             if eqs:

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError
 from .model import ModelSpec, State, eval_rhs
 from .responses import Bilinear, Linear
 
@@ -25,6 +22,8 @@ ENDEMIC = "endemic"
 RESIDUAL_TOL = 1e-10
 #: boundary band for the strict endemic-existence inequality
 BOUNDARY_TOL = 1e-12
+#: equally spaced samples of H(y) over (0, Y] in the endemic search
+ENDEMIC_SAMPLES = 400
 
 
 def _residual(model: ModelSpec, st: State) -> float:
@@ -45,42 +44,51 @@ class Equilibrium:
         return f"{self.kind}({s.x:.10g}, {s.y:.10g}, {s.z:.10g})"
 
 
+def _bisect(g, lo, hi):
+    """A root of g on [lo, hi] by bisection, or None when g(lo) and g(hi)
+    are nonzero and share a sign.
+
+    Stops once |g| < 1e-12 or the bracket is narrower than
+    1e-15 * max(1, hi).
+    """
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if (glo > 0.0) == (ghi > 0.0):
+        return None
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if abs(gm) < 1e-12 or hi - lo < 1e-15 * max(1.0, hi):
+            return mid
+        if (gm > 0.0) == (glo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _susceptible_balance(model: ModelSpec):
+    """G(x) = a - d*x - c*V(x), which decreases on [0, a/d] as V does not."""
+    p = model.params
+    V = model.V.formula
+    return lambda x: p.a - p.d * x - p.c * V(x)
+
+
 def find_disease_free(model: ModelSpec):
     """Locate the disease-free steady state (xbar, 0, 0), if one exists.
 
-    Solves a - d*x - c*V(x) = 0 by bisection on [0, a/d].  Returns None
-    when the incidence does not vanish at y = 0 (no disease-free state can
-    exist) or when the bracket carries no sign change.
+    Solves G(x) = a - d*x - c*V(x) = 0 by bisection on [0, a/d].  Returns
+    None when the incidence does not vanish at y = 0 (no disease-free state
+    can exist) or when the bracket carries no sign change.
     """
     if not model.supports_disease_free:
         return None
-    p = model.params
-
-    def g(x):
-        return p.a - p.d * x - p.c * model.V.value(x)
-
-    lo, hi = 0.0, p.a / p.d
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        xbar = lo
-    elif ghi == 0.0:
-        xbar = hi
-    elif glo < 0.0 or ghi > 0.0:
+    xbar = _bisect(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
+    if xbar is None:
         return None
-    else:
-        xbar = None
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if abs(gm) < 1e-12 or hi - lo < 1e-15 * max(1.0, hi):
-                xbar = mid
-                break
-            if gm > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        if xbar is None:
-            xbar = 0.5 * (lo + hi)
     st = State(xbar, 0.0, 0.0)
     return Equilibrium(state=st, kind=DISEASE_FREE, residual=_residual(model, st))
 
@@ -113,92 +121,63 @@ def _closed_form_endemic(model: ModelSpec):
     return Equilibrium(state=st, kind=ENDEMIC, residual=_residual(model, st))
 
 
-def _newton_jacobian(model: ModelSpec, x, y, z):
-    """Jacobian of the rhs with delayed arguments set to current values."""
-    p = model.params
-    fx = model.f.partial(0, x, y)
-    fy = model.f.partial(1, x, y)
-    vp = model.V.partial(0, x)
-    pp = model.P.partial(0, y)
-    return np.array([
-        [-p.b * fx - p.d - p.c * vp, -p.b * fy, p.alpha],
-        [p.b1 * fx, p.b1 * fy - p.r * pp - p.d1, 0.0],
-        [0.0, p.r * pp, -p.alpha],
-    ])
-
-
-_NEWTON_FAILURES = (DomainError, ZeroDivisionError, OverflowError,
-                    ValueError, np.linalg.LinAlgError)
-
-
-def _damped_newton(model: ModelSpec, start, max_iter=60):
-    """Damped Newton on the steady-state system; returns a State or None."""
-    x, y, z = start
-
-    def gvec(x, y, z):
-        return np.array(eval_rhs(model, State(x, y, z), x, y))
-
-    try:
-        g = gvec(x, y, z)
-    except _NEWTON_FAILURES:
-        return None
-    for _ in range(max_iter):
-        gn = float(np.max(np.abs(g)))
-        if gn < 1e-13:
-            return State(float(x), float(y), float(z))
-        try:
-            J = _newton_jacobian(model, x, y, z)
-            step = np.linalg.solve(J, -g)
-        except _NEWTON_FAILURES:
-            return None
-        lam = 1.0
-        for _ in range(40):
-            xn, yn, zn = x + lam * step[0], y + lam * step[1], z + lam * step[2]
-            try:
-                g_new = gvec(xn, yn, zn)
-            except _NEWTON_FAILURES:
-                lam *= 0.5
-                continue
-            if float(np.max(np.abs(g_new))) < gn * (1.0 - 1e-4 * lam) or lam < 1e-10:
-                x, y, z, g = xn, yn, zn, g_new
-                break
-            lam *= 0.5
-        else:
-            return None
-    return State(float(x), float(y), float(z)) if float(np.max(np.abs(g))) < 1e-13 else None
-
-
 def find_endemic(model: ModelSpec):
     """All endemic equilibria (y > 0) of the model.
 
     The bilinear special case (f = x*y, V = x, P = y) is answered in
-    closed form.  Otherwise a damped Newton iteration is started from a
-    deterministic 8x8x8 grid over [0, a/d]^3, solutions are deduplicated
-    at 1e-8 distance, and every result is verified to residual < 1e-10.
-    Nonconvergence from all starts yields an empty list.
+    closed form.  Otherwise, with z = r*P(y)/alpha and b1*f = r*P(y) + d1*y,
+    the x equation reads G(x) = K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y).
+    Contract: V and P do not decrease (``ModelSpec`` checks it), so with
+    b1 <= b, G falls and K rises; x(y) is one bisection on [0, a/d] for y
+    in (0, Y], where K(Y) = G(0).  The endemic points are the sign changes
+    of H(y) = b1*f(x(y), y) - r*P(y) - d1*y over ENDEMIC_SAMPLES equal
+    steps of (0, Y], each refined by bisection and verified to residual
+    < 1e-10.  A tangential root at a fold (or two roots within one step)
+    changes no sign and is not reported.
     """
     if is_bilinear_special_case(model):
         eq = _closed_form_endemic(model)
         return [eq] if eq is not None else []
 
     p = model.params
-    hi = p.a / p.d
-    grid = np.linspace(0.0, hi, 8)
+    f, P = model.f.formula, model.P.formula
+    G = _susceptible_balance(model)
+    g0 = G(0.0)
+    if g0 <= 0.0:  # then G(x) <= 0 < K(y) for all x >= 0 < y
+        return []
+
+    def K(y):
+        rp = p.r * P(y)
+        return (p.b / p.b1) * (rp + p.d1 * y) - rp
+
+    def x_of(y):
+        k = K(y)
+        x = _bisect(lambda x: G(x) - k, 0.0, p.a / p.d)
+        return 0.0 if x is None else x  # K(y) passes G(0) only within Y's tolerance
+
+    def H(y):
+        return p.b1 * f(x_of(y), y) - p.r * P(y) - p.d1 * y
+
+    # K(y) >= (b/b1)*d1*y reaches G(0) by yhi; None means only at yhi, within rounding
+    yhi = p.b1 * g0 / (p.b * p.d1)
+    ymax = _bisect(lambda y: K(y) - g0, 0.0, yhi)
+    ymax = yhi if ymax is None else ymax
+    ys = [ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1)]
+    hs = [H(y) for y in ys]
+    roots = [y for y, h in zip(ys, hs) if h == 0.0]
+    roots += [_bisect(H, y0, y1) for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
+
     found = []
-    for gx in grid:
-        for gy in grid:
-            for gz in grid:
-                st = _damped_newton(model, (gx, gy, gz))
-                if st is None:
-                    continue
-                if st.y <= 1e-8 or st.x < -1e-9 or st.z < -1e-9:
-                    continue
-                res = _residual(model, st)
-                if res >= RESIDUAL_TOL:
-                    continue
-                if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
-                    continue
-                found.append(Equilibrium(state=st, kind=ENDEMIC, residual=res))
+    for y in roots:
+        st = State(x_of(y), y, p.r * P(y) / p.alpha)
+        if st.y <= 1e-8 or st.x < -1e-9 or st.z < -1e-9:
+            continue
+        res = _residual(model, st)
+        if res >= RESIDUAL_TOL:
+            continue
+        if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
+            continue
+        found.append(Equilibrium(state=st, kind=ENDEMIC, residual=res))
     found.sort(key=lambda e: (e.state.x, e.state.y, e.state.z))
     return found
 

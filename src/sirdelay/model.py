@@ -116,11 +116,20 @@ class ModelSpec:
             raise DomainError(f"recovery response must take one argument, got {self.P.kind}")
         if abs(self.P.value(0.0)) > 1e-14:
             raise DomainError("recovery response must satisfy P(0) = 0")
-        # V must be evaluable on the susceptible range [0, a/d]
-        for u in (0.0, self.params.a / self.params.d):
+        # The equilibrium search needs V evaluable and nondecreasing on the
+        # susceptible range [0, a/d], and P nondecreasing on the infected
+        # range [0, b1*a/(b*d1)].  Every shipped one-argument kind has a
+        # monotone slope, so the slopes at the two ends decide it.
+        p = self.params
+        for u in (0.0, p.a / p.d):
             v = self.V.value(u)
             if not math.isfinite(v):
                 raise DomainError(f"vaccination response not finite at x={u}")
+            if self.V.partial(0, u) < 0.0:
+                raise DomainError(f"vaccination response must not decrease, but does at x={u}")
+        for u in (0.0, p.b1 * p.a / (p.b * p.d1)):
+            if self.P.partial(0, u) < 0.0:
+                raise DomainError(f"recovery response must not decrease, but does at y={u}")
 
     @cached_property
     def rhs(self):

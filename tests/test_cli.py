@@ -52,6 +52,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "[history]" in capsys.readouterr().err
 
 
+def test_decreasing_response_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "decreasing.json"
+    blob = load_preset("ex5_1").to_dict()
+    blob["model"]["V"] = {"kind": "power_sum", "p1": 1.0, "p2": -1.0}
+    path.write_text(json.dumps(blob))
+    assert main(["equilibria", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error [model]" in err and "must not decrease" in err
+
+
 def test_stability_text_and_json(tmp_path, capsys):
     assert main(["stability", "--preset", "ex5_2"]) == 0
     out = capsys.readouterr().out

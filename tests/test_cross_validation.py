@@ -142,6 +142,21 @@ def test_random_models_equilibria_and_criteria_consistency(model):
             assert res.verdict != STABLE
 
 
+def test_random_model_with_two_endemic_points():
+    # quadratic vaccination and saturating recovery give H(y) two sign
+    # changes; the points are pinned from an independent Newton solve
+    model = random_models(200, seed=7)[128]
+    endemic = [e for e in all_equilibria(model) if e.kind == "endemic"]
+    want = [
+        (1.2517287779320598, 3.1746820981809827, 1.280775853210122),
+        (2.1233269535489216, 0.724878218398547, 0.8634894426532931),
+    ]
+    assert len(endemic) == 2
+    for eq, point in zip(endemic, want):
+        assert max(abs(u - v) for u, v in zip(eq.state.as_tuple(), point)) < 1e-8
+        assert eq.residual < 1e-10
+
+
 @pytest.mark.parametrize(
     "model",
     [load_preset(name).model for name in PRESET_NAMES] + random_models(15),

@@ -63,14 +63,14 @@ def test_no_endemic_for_saturating_presets():
     assert find_endemic(load_preset("ex5_7").model) == []
 
 
-def test_newton_finds_ex5_5_equilibrium():
+def test_generic_search_finds_ex5_5_equilibrium():
     eqs = find_endemic(load_preset("ex5_5").model)
     assert len(eqs) == 1
     want = (200.0 / 21.0, 10.0 / 21.0, 30.0 / 21.0)
     assert max_diff(eqs[0].state, want) < 1e-9
 
 
-def test_closed_form_agrees_with_generic_newton():
+def test_closed_form_agrees_with_generic_search():
     # same dynamics expressed so the special-case detection does not fire:
     # c*V with c=2, V=0.5*x multiplies out to the original c=1, V=x
     for name in ("ex5_1", "ex5_3", "sec6_followup"):

@@ -14,7 +14,7 @@ from sirdelay.model import (
     jacobian_coeffs_fd,
 )
 from sirdelay.presets import PRESET_NAMES, load_preset
-from sirdelay.responses import Bilinear, Linear, Zero
+from sirdelay.responses import Bilinear, Linear, PowerSum, Zero
 
 
 def test_params_validation():
@@ -36,6 +36,14 @@ def test_modelspec_arity_validation():
         ModelSpec(params=p, f=Linear(1.0), V=Linear(1.0), P=Linear(1.0))  # unary incidence
     with pytest.raises(DomainError):
         ModelSpec(params=p, f=Bilinear(), V=Bilinear(), P=Linear(1.0))  # binary vaccination
+
+
+def test_modelspec_rejects_decreasing_responses():
+    p = Params(a=10, b=1, b1=1, c=1, d=1, d1=1, r=1, alpha=1)
+    with pytest.raises(DomainError, match="vaccination"):
+        ModelSpec(params=p, f=Bilinear(), V=PowerSum(1.0, -1.0), P=Linear(1.0))
+    with pytest.raises(DomainError, match="recovery"):
+        ModelSpec(params=p, f=Bilinear(), V=Linear(1.0), P=Linear(-1.0))
 
 
 def test_rhs_at_ex5_1_equilibrium():
