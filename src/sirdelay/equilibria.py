@@ -24,6 +24,8 @@ RESIDUAL_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 #: equally spaced samples of H(y) over (0, Y] in the endemic search
 ENDEMIC_SAMPLES = 400
+#: endemic points need y above this; it is also the first sample of H(y)
+MIN_ENDEMIC_Y = 1e-8
 
 
 def _residual(model: ModelSpec, st: State) -> float:
@@ -130,10 +132,11 @@ def find_endemic(model: ModelSpec):
     Contract: V and P do not decrease (``ModelSpec`` checks it), so with
     b1 <= b, G falls and K rises; x(y) is one bisection on [0, a/d] for y
     in (0, Y], where K(Y) = G(0).  The endemic points are the sign changes
-    of H(y) = b1*f(x(y), y) - r*P(y) - d1*y over ENDEMIC_SAMPLES equal
-    steps of (0, Y], each refined by bisection and verified to residual
-    < 1e-10.  A tangential root at a fold (or two roots within one step)
-    changes no sign and is not reported.
+    of H(y) = b1*f(x(y), y) - r*P(y) - d1*y, sampled at MIN_ENDEMIC_Y (so a
+    point just above threshold, next to the disease-free root y = 0, is
+    bracketed) and at ENDEMIC_SAMPLES equal steps of (0, Y]; each is refined
+    by bisection and verified to residual < 1e-10.  A tangential root at a
+    fold (or two roots within one step) changes no sign and is not reported.
     """
     if is_bilinear_special_case(model):
         eq = _closed_form_endemic(model)
@@ -162,7 +165,8 @@ def find_endemic(model: ModelSpec):
     yhi = p.b1 * g0 / (p.b * p.d1)
     ymax = _bisect(lambda y: K(y) - g0, 0.0, yhi)
     ymax = yhi if ymax is None else ymax
-    ys = [ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1)]
+    steps = (ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1))
+    ys = [MIN_ENDEMIC_Y] + [y for y in steps if y > MIN_ENDEMIC_Y]
     hs = [H(y) for y in ys]
     roots = [y for y, h in zip(ys, hs) if h == 0.0]
     roots += [_bisect(H, y0, y1) for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
@@ -170,7 +174,7 @@ def find_endemic(model: ModelSpec):
     found = []
     for y in roots:
         st = State(x_of(y), y, p.r * P(y) / p.alpha)
-        if st.y <= 1e-8 or st.x < -1e-9 or st.z < -1e-9:
+        if st.y <= MIN_ENDEMIC_Y or st.x < -1e-9 or st.z < -1e-9:
             continue
         res = _residual(model, st)
         if res >= RESIDUAL_TOL:

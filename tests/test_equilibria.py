@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_closed_form_agrees_with_generic_search():
         eqs = find_endemic(equivalent)
         assert len(eqs) == 1
         assert closed.state.max_abs_diff(eqs[0].state) < 1e-8
+
+
+@pytest.mark.parametrize("a", [10.02, 10.0002])
+def test_generic_search_finds_a_point_just_above_threshold(a):
+    # ex5_2 has x* = 5 and a/(c+d) = a/2, so a = 10.02 puts y* = 0.02 below
+    # the first equal step Y/400 = 0.025 of the scan; a = 10.0002 gives 2e-4
+    p = replace(load_preset("ex5_2").model.params, a=a)
+    closed = find_endemic(ModelSpec(params=p, f=Bilinear(), V=Linear(1.0), P=Linear(1.0)))
+    twin = ModelSpec(params=replace(p, c=2.0 * p.c), f=Bilinear(), V=Linear(0.5), P=Linear(1.0))
+    eqs = find_endemic(twin)
+    assert len(closed) == 1 and len(eqs) == 1
+    assert closed[0].state.max_abs_diff(eqs[0].state) < 1e-8
+    assert eqs[0].residual < 1e-10
 
 
 def test_special_case_detection():
