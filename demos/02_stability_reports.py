@@ -9,10 +9,12 @@ characteristic equation itself is transcendental,
     lam^3 + l lam^2 + m lam + n
         + (l1 lam + m1) e^(-lam tau) + n1 e^(-lam (tau+delta)) = 0,
 
-so an independent numerical root scan (grid + Newton refinement over a
-rectangle of the complex plane) acts as the oracle of record.  Wherever a
-criterion chain, the oracle, or a bundled published reference value
-disagree, the report carries an annotation exposing both sides.
+so an independent numerical oracle acts as the arbiter of record: the
+eigenvalues of a Chebyshev collocation of the delay equation, polished by
+Newton, with an argument-principle count proving that no root with
+Re > -1e-6 is missed.  Wherever a criterion chain, the oracle, or a
+bundled published reference value disagree, the report carries an
+annotation exposing both sides.
 """
 
 from sirdelay import all_equilibria, load_preset

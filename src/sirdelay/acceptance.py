@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -193,14 +194,18 @@ def criterion_5():
     return _result(5, "bifurcation bracket (oracle)", t0, subs)
 
 
+@cache
+def _preset_sweep(preset, grid, horizon):
+    """A preset's sweep rows, run once per process (criteria 6 and 10 share ex5_3's)."""
+    cfg = load_preset(preset)
+    return tuple(sweep(cfg.model, grid, cfg.history, horizon=horizon))
+
+
 def criterion_6():
     """ex5_3 regime sweep: converged / damped-or-converged / sustained."""
     t0 = time.perf_counter()
-    cfg = load_preset("ex5_3")
-    grid = [(tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)]
-    rows = sweep(cfg.model, grid, cfg.history, horizon=200.0)
     subs = []
-    for row in rows:
+    for row in _preset_sweep("ex5_3", EX5_3_GRID, 200.0):
         if row.error is not None:
             subs.append(SubCheck(f"tau = {row.tau:g}", False, f"integration error: {row.error}"))
             continue
@@ -222,6 +227,7 @@ def criterion_6():
     return _result(6, "regime sweep (ex5_3)", t0, subs)
 
 
+EX5_3_GRID = tuple((tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0))
 HISTORIES_7 = (
     (0.1, 0.1, 0.1),
     (0.3, 0.2, 0.4),
@@ -464,14 +470,14 @@ def criterion_10():
     """
     t0 = time.perf_counter()
     sweeps = (
-        ("ex5_3", [(tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)], 200.0),
-        ("ex5_1", [(a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 1.0, 5.0)], 200.0),
-        ("ex5_2", [(0.0, 0.0)], 300.0),
+        ("ex5_3", EX5_3_GRID, 200.0),
+        ("ex5_1", tuple((a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 1.0, 5.0)), 200.0),
+        ("ex5_2", ((0.0, 0.0),), 300.0),
     )
     subs = []
     for preset, grid, horizon in sweeps:
         cfg = load_preset(preset)
-        for row in sweep(cfg.model, grid, cfg.history, horizon=horizon):
+        for row in _preset_sweep(preset, grid, horizon):
             mr = row.max_re_lambda
             label = (f"{preset} (tau,delta)=({row.tau:g},{row.delta:g}) "
                      f"max Re = {mr if mr is None else format(mr, '.4f')}")

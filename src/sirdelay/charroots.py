@@ -1,43 +1,42 @@
-"""Numerical root scan for the transcendental characteristic function.
-
-The characteristic function of the linearized delayed system is
+"""Certified roots of the characteristic function of the linearized system,
 
     F(lam) = lam^3 + l*lam^2 + m*lam + n
-             + (l1*lam + m1) * exp(-lam*tau) + n1 * exp(-lam*(tau+delta))
+             + (l1*lam + m1) * exp(-lam*tau) + n1 * exp(-lam*(tau+delta)):
 
-This module locates its roots inside a rectangle of the complex plane by
-grid evaluation, Newton refinement with the analytic derivative, and
-deduplication.  It is the independent oracle against which the closed-form
-stability criteria are cross-checked: the sign of the rightmost root's
-real part decides local stability.
+the oracle that checks the closed-form stability criteria.  Without delay
+(tau + delta = 0 or l1 = m1 = n1 = 0) the roots are the eigenvalues of the
+cubic's companion matrix.  Otherwise the infinitesimal generator of the
+companion realization u' = A0 u(t) + Atau u(t-tau) + Ataudelta u(t-tau-delta)
+is collocated on N + 1 Chebyshev nodes over [-(tau+delta), 0] (Breda, Maset
+& Vermiglio, SIAM J. Sci. Comput. 27, 2005) and Newton on F polishes its
+eigenvalues (DDE-BIFTOOL: Engelborghs, Luzyanina & Roose, ACM TOMS 28, 2002).
 
-Roots come back sorted by descending real part; complex conjugates are
-implied (only Im >= 0 is reported).
+Contract: every root with Re > -EPS (so lam = 0 too) is returned, certified
+by equality, conjugates counted, with the argument-principle count of zeros
+in Re > -EPS, |lam| < R, where R bounds all roots there; failing that, N
+doubles up to DOUBLINGS times, then DomainError is raised.  A root with
+Re <= -EPS is returned only when an eigenvalue lies within RESOLVED_TOL of
+it, relative, so the list does not depend on Newton's basins.  Every root
+has |F| < 1e-9; roots come by descending real part, with Im >= 0 only.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
+import math
 
 import numpy as np
 
-__all__ = [
-    "char_value",
-    "char_deriv",
-    "char_roots_scan",
-    "max_real_part",
-]
+from .errors import DomainError
 
-log = logging.getLogger(__name__)
-
-#: default search rectangle in the complex plane
-DEFAULT_RE_RANGE = (-20.0, 5.0)
-DEFAULT_IM_RANGE = (0.0, 50.0)
-DEFAULT_GRID = 200
+__all__ = ["char_value", "char_deriv", "char_roots_scan", "max_real_part"]
 
 ROOT_ABS_TOL = 1e-9
 DEDUP_TOL = 1e-8
+EPS = 1e-6
+NODES = 12
+DOUBLINGS = 3
+RESOLVED_TOL = 1e-3
 
 
 def char_value(cc, tau: float, delta: float, lam: complex) -> complex:
@@ -58,38 +57,12 @@ def char_deriv(cc, tau: float, delta: float, lam: complex) -> complex:
     )
 
 
-def _grid_candidates(cc, tau, delta, re_range, im_range, grid):
-    re = np.linspace(re_range[0], re_range[1], grid)
-    im = np.linspace(im_range[0], im_range[1], grid)
-    R, I = np.meshgrid(re, im)
-    lam = R + 1j * I
-    with np.errstate(all="ignore"):
-        F = (
-            lam**3 + cc.l * lam**2 + cc.m * lam + cc.n
-            + (cc.l1 * lam + cc.m1) * np.exp(-lam * tau)
-            + cc.n1 * np.exp(-lam * (tau + delta))
-        )
-        A = np.abs(F)
-    A = np.where(np.isfinite(A), A, np.inf)
-    # local minima of |F|, boundary cells included via +inf padding
-    P = np.pad(A, 1, constant_values=np.inf)
-    mins = np.ones_like(A, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mins &= A <= P[1 + di:1 + di + grid, 1 + dj:1 + dj + grid]
-    mins &= np.isfinite(A)
-    return [complex(lam[i, j]) for i, j in np.argwhere(mins)]
-
-
-def _newton(cc, tau, delta, z0, max_iter=80):
-    z = z0
+def _newton(cc, tau, delta, z, max_iter=80):
     try:
         for _ in range(max_iter):
             d = char_deriv(cc, tau, delta, z)
             if d == 0:
-                return None
+                break
             step = char_value(cc, tau, delta, z) / d
             z -= step
             # exp(-z*(tau+delta)) overflows once Newton strays far left
@@ -97,65 +70,91 @@ def _newton(cc, tau, delta, z0, max_iter=80):
                 return None
             if abs(step) < 1e-13 * (1.0 + abs(z)):
                 break
-        if abs(char_value(cc, tau, delta, z)) < ROOT_ABS_TOL:
-            return z
+        return z if abs(char_value(cc, tau, delta, z)) < ROOT_ABS_TOL else None
     except OverflowError:
         return None
-    return None
 
 
-def char_roots_scan(
-    cc,
-    tau: float,
-    delta: float,
-    re_range=DEFAULT_RE_RANGE,
-    im_range=DEFAULT_IM_RANGE,
-    grid: int = DEFAULT_GRID,
-):
-    """Roots of F inside the given rectangle, descending by real part.
+def _generator(cc, tau, delta, n):
+    """The generator collocated at theta_k = (tau+delta)(cos(k pi/n) - 1)/2."""
+    k = np.arange(n + 1)
+    theta = 0.5 * (tau + delta) * (np.cos(np.pi * k / n) - 1.0)
+    w = (-1.0) ** k  # barycentric weights
+    w[[0, n]] *= 0.5
+    D = w[None, :] / w[:, None] / (theta[:, None] - theta[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))  # the diagonal, 1 so far, becomes -(off-diagonal row sum)
+    gap = -tau - theta
+    at_tau = 1.0 * (gap == 0.0) if (gap == 0.0).any() else (w / gap) / (w / gap).sum()
+    M = np.kron(D, np.eye(3))
+    M[:3] = 0.0
+    M[0, 1] = M[1, 2] = 1.0
+    M[2, :3] = (-cc.n, -cc.m, -cc.l)
+    M[2, 0::3] -= cc.m1 * at_tau
+    M[2, 1::3] -= cc.l1 * at_tau
+    M[2, 3 * n] -= cc.n1  # theta_n = -(tau+delta)
+    return M
 
-    Grid cells that are local minima of |F| seed Newton iterations (the
-    seed plus its immediate neighbours, so nearly coincident roots
-    separate).  Converged points with |F| < 1e-9 are kept, deduplicated at
-    1e-8, snapped to the real axis when |Im| < 1e-10, and conjugated into
-    the upper half plane.
-    """
-    cells = _grid_candidates(cc, tau, delta, re_range, im_range, grid)
-    if not cells:
-        log.warning(
-            "no root candidates in box Re=%s Im=%s at grid %d; consider a finer grid",
-            re_range, im_range, grid,
-        )
-        return []
-    hre = (re_range[1] - re_range[0]) / (grid - 1)
-    him = (im_range[1] - im_range[0]) / (grid - 1)
+
+def _unstable_count(cc, tau, delta):
+    """Zeros of F in Re > -EPS, |lam| < R: the winding of F along the upper
+    half of the contour (arc from R, then down Re = -EPS) over pi, with each
+    interval halved until F turns by at most pi/4 across it."""
+    h = tau + delta
+    R = math.exp(EPS * h) * (1.0 + max(
+        abs(cc.l), abs(cc.m) + abs(cc.l1), abs(cc.n) + abs(cc.m1) + abs(cc.n1)))
+    top = math.acos(-EPS / R)
+    if R * h > 1e5:  # the contour takes about 8*R*h samples
+        raise DomainError(f"tau + delta = {h:g} is too long to certify the roots")
+
+    def f(s):
+        lam = np.where(s < 0.5, R * np.exp(2j * top * s), -EPS + 2j * R * math.sin(top) * (1.0 - s))
+        return (lam**3 + cc.l * lam**2 + cc.m * lam + cc.n
+                + (cc.l1 * lam + cc.m1) * np.exp(-lam * tau) + cc.n1 * np.exp(-lam * h))
+
+    s = np.linspace(0.0, 1.0, 64 + int(8.0 * R * h))
+    fs = f(s)
+    for _ in range(64):
+        turn = np.angle(fs[1:] / fs[:-1])
+        coarse = np.flatnonzero(~(np.abs(turn) <= np.pi / 4))
+        if coarse.size == 0:
+            return round(turn.sum() / np.pi)
+        mid = 0.5 * (s[coarse] + s[coarse + 1])
+        s, fs = np.insert(s, coarse + 1, mid), np.insert(fs, coarse + 1, f(mid))
+    raise DomainError(f"argument principle unresolved at tau={tau:g}, delta={delta:g}")
+
+
+def _polish(cc, tau, delta, eigs):
     roots = []
-    for z0 in cells:
-        seeds = [z0, z0 + hre, z0 - hre, z0 + 1j * him, z0 - 1j * him]
-        for seed in seeds:
-            z = _newton(cc, tau, delta, seed)
-            if z is None:
-                continue
-            if abs(z.imag) < 1e-10:
-                z = complex(z.real, 0.0)
-            if z.imag < 0.0:
-                z = z.conjugate()
-            # keep only roots inside (or a hair outside) the requested box
-            if not (re_range[0] - hre <= z.real <= re_range[1] + hre):
-                continue
-            if z.imag > im_range[1] + him:
-                continue
+    for mu in eigs:
+        z = _newton(cc, tau, delta, complex(mu))
+        if z is not None:
+            z = complex(z.real, 0.0 if abs(z.imag) < 1e-10 else abs(z.imag))
             if not any(abs(z - w) < DEDUP_TOL for w in roots):
                 roots.append(z)
-    roots.sort(key=lambda w: (-w.real, w.imag))
     return roots
 
 
-def max_real_part(cc, tau: float, delta: float, **kw):
-    """Real part of the rightmost root found in the (default) search box.
+def char_roots_scan(cc, tau: float, delta: float):
+    """Roots of F by descending real part: all with Re > -EPS, certified, and the
+    stable ones the collocation resolves.  DomainError if certification fails."""
+    if tau + delta == 0.0 or cc.l1 == cc.m1 == cc.n1 == 0.0:
+        roots = _polish(cc, tau, delta, np.roots([1.0, cc.l, cc.m + cc.l1, cc.n + cc.m1 + cc.n1]))
+    else:
+        count = _unstable_count(cc, tau, delta)
+        for n in NODES * 2 ** np.arange(DOUBLINGS + 1):
+            eigs = np.linalg.eigvals(_generator(cc, tau, delta, n))
+            roots = _polish(cc, tau, delta, eigs[eigs.imag >= 0.0])
+            found = sum(1 if z.imag == 0.0 else 2 for z in roots if z.real > -EPS)
+            if found == count:
+                break
+        else:
+            raise DomainError(f"root certificate failed: {found} roots found, {count} counted")
+        roots = [z for z in roots if z.real > -EPS
+                 or np.abs(eigs - z).min() <= RESOLVED_TOL * (1.0 + abs(z))]
+    return sorted(roots, key=lambda w: (-w.real, w.imag))
 
-    Returns None when the scan yields nothing.
-    """
-    roots = char_roots_scan(cc, tau, delta, **kw)
+
+def max_real_part(cc, tau: float, delta: float):
+    """Real part of the rightmost root ``char_roots_scan`` returns, or None."""
+    roots = char_roots_scan(cc, tau, delta)
     return roots[0].real if roots else None
-

@@ -165,10 +165,10 @@ def build_stability_report(
                 f"delay-free criterion says stable but the zero-delay root scan "
                 f"finds max Re = {top:.6g} > 0"
             )
-        if delay_free.verdict == NOT_ESTABLISHED and top < -1e-9:
+        if delay_free.verdict == NOT_ESTABLISHED and abs(top) > 1e-9:
             annotations.append(
                 f"delay-free criterion inconclusive; zero-delay root scan finds "
-                f"all roots stable (max Re = {top:.6g})"
+                f"{'all roots stable' if top < 0.0 else 'an unstable root'} (max Re = {top:.6g})"
             )
 
     # the exact first crossing in tau, checked by the scan on both sides

@@ -6,12 +6,13 @@ polynomial roots for delay-free cases, and the exact modulus/angle
 crossing delay (``tau_crossing``) for the delayed case.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from sirdelay.charroots import char_roots_scan, max_real_part
+from sirdelay.charroots import EPS, char_roots_scan, char_value, max_real_part
 from sirdelay.equilibria import all_equilibria
 from sirdelay.model import ModelSpec, Params, jacobian_coeffs, jacobian_coeffs_fd
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -43,14 +44,17 @@ def fold_upper(roots, tol=1e-7):
 
 def test_scan_matches_numpy_roots_on_random_cubics():
     rng = random.Random(42)
-    for _ in range(60):
-        l = rng.uniform(-5.0, 5.0)
-        m = rng.uniform(-5.0, 5.0)
-        n = rng.uniform(-5.0, 5.0)
+    # roots reach Re ~ 11
+    coeffs = [tuple(rng.uniform(-10.0, 10.0) for _ in range(3)) for _ in range(60)]
+    for name in PRESET_NAMES:  # the zero-delay cubics, with ex5_7's -1.2032 and sec6's 10
+        model = load_preset(name).model
+        for eq in all_equilibria(model):
+            cc = char_coeffs(jacobian_coeffs(model, eq))
+            coeffs.append((cc.l, cc.m + cc.l1, cc.n + cc.m1 + cc.n1))
+    for l, m, n in coeffs:
         cc = CharCoeffs(l, m, n, 0.0, 0.0, 0.0)
         want = fold_upper(np.roots([1.0, l, m, n]))
-        # Cauchy bound: |root| <= 1 + max coefficient magnitude <= 6
-        got = char_roots_scan(cc, 0.0, 0.0, re_range=(-8.0, 8.0), im_range=(0.0, 8.0))
+        got = char_roots_scan(cc, 0.0, 0.0)
         assert len(got) == len(want), (l, m, n)
         for a, b in zip(got, want):
             assert abs(a - b) < 1e-6, (l, m, n, got, want)
@@ -174,3 +178,39 @@ def test_exact_crossing_is_where_the_scan_changes_sign(model):
                 assert max_real_part(cc, tau, 0.0) < 0.0, (eq, tau)
         else:
             assert max_real_part(cc, c - 1e-3, 0.0) < 0.0 < max_real_part(cc, c + 1e-3, 0.0), eq
+
+
+def winding_count(cc, tau, delta, eps):
+    """Zeros of F in Re > -eps, from the winding of F along the upper half
+    of the rectangle [-eps, R] x [-R, R] at fixed dense samples (clustered
+    near the real axis for a root at lam = 0).  R = e^(eps*(tau+delta)) times
+    the Cauchy-type bound 1 + max |coefficient| holds every such root."""
+    R = math.exp(eps * (tau + delta)) * (1.0 + max(
+        abs(cc.l), abs(cc.m) + abs(cc.l1), abs(cc.n) + abs(cc.m1) + abs(cc.n1)))
+    up = np.unique(np.concatenate([np.linspace(0.0, R, 40001), np.geomspace(1e-12, 1e-2, 400)]))
+    path = np.concatenate([R + 1j * np.linspace(0.0, R, 4001),
+                           np.linspace(R, -eps, 4001) + 1j * R,
+                           -eps + 1j * up[::-1]])
+    F = (path**3 + cc.l * path**2 + cc.m * path + cc.n
+         + (cc.l1 * path + cc.m1) * np.exp(-path * tau) + cc.n1 * np.exp(-path * (tau + delta)))
+    turn = np.angle(F[1:] / F[:-1])
+    assert np.abs(turn).max() < np.pi / 2, "contour under-sampled"
+    return round(turn.sum() / np.pi)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [load_preset(name).model for name in PRESET_NAMES] + random_models(15),
+    ids=lambda m: m.content_hash(),
+)
+def test_oracle_returns_every_root_right_of_minus_eps(model):
+    """The root list's contract: every root has |F| <= 1e-9, and the roots
+    with Re > -EPS, conjugates counted, are as many as the winding number."""
+    own = (model.params.tau, model.params.delta)
+    for eq in all_equilibria(model):
+        cc = char_coeffs(jacobian_coeffs(model, eq))
+        for tau, delta in (own, (7.0, 0.0), (3.0, 2.0)):
+            roots = char_roots_scan(cc, tau, delta)
+            assert max(abs(char_value(cc, tau, delta, z)) for z in roots) <= 1e-9
+            found = sum(1 if z.imag == 0.0 else 2 for z in roots if z.real > -EPS)
+            assert found == winding_count(cc, tau, delta, EPS), (eq, tau, delta, roots)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sirdelay.charroots import max_real_part
 from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -65,6 +66,18 @@ def test_ex5_1_report():
     assert rep.oracle_crossing_tau == pytest.approx(1.3745, abs=0.02)
 
 
+@pytest.mark.parametrize("name,top", [("sec6_followup", 10.0), ("ex5_1", 3.0), ("ex5_3", 0.5)])
+def test_inconclusive_delay_free_point_flags_its_unstable_root(name, top):
+    rep = report_for(name, "disease_free")
+    assert rep.delay_free.verdict == "not_established"
+    # no delayed terms, so the unstable root is there at every delay pair
+    for tau, delta in ((0.0, 0.0), (7.0, 0.0), (3.0, 2.0)):
+        assert max_real_part(rep.cc, tau, delta) == pytest.approx(top, abs=1e-9)
+    assert (f"delay-free criterion inconclusive; zero-delay root scan finds an unstable "
+            f"root (max Re = {top:g})") in rep.annotations
+    assert not any("all roots stable" in a for a in rep.annotations)
+
+
 def test_report_json_serializes():
     rep = report_for("ex5_5", "endemic")
     doc = report_to_json(rep)
@@ -114,6 +127,11 @@ def assert_same_json(got, want, path="$"):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_stability_json_matches_golden(name, capsys):
+    """Each preset's stability JSON is pinned.  A golden file is rewritten,
+    from the repository root, with
+
+        PYTHONPATH=src python -m sirdelay stability --preset NAME --format json > tests/golden/NAME.json
+    """
     assert main(["stability", "--preset", name, "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"{name}.json").read_text())
