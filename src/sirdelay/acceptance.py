@@ -23,12 +23,12 @@ from functools import cache
 
 import numpy as np
 
-from .analytics import CONVERGED, DAMPED, SUSTAINED, sweep
+from .analytics import CONVERGED, DAMPED, SUSTAINED, convergence_bar, sweep
 from .charroots import char_roots_scan, max_real_part
 from .cubic import solve_cubic_real
 from .equilibria import all_equilibria, is_bilinear_special_case
 from .errors import IntegrationError
-from .integrator import ConstantHistory, default_step, integrate
+from .integrator import ConstantHistory, dense_eval, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
 from .presets import load_preset
 from .responses import Linear, Zero
@@ -282,18 +282,13 @@ def _tail_rate(model, target):
 def _computed_part(model, history, horizon):
     """Integrate over [0, horizon]; returns (trajectory, error).
 
-    On an IntegrationError the run is repeated up to one step short of the
-    failure time, so the trajectory holds the part that was computed
-    (None if the failure came in the first step).
+    On an IntegrationError the trajectory is the part computed before the
+    failing step (None if the failure came in the first step).
     """
     try:
         return integrate(model, history, horizon), None
     except IntegrationError as exc:
-        err = exc
-    h = default_step(model.params.tau, model.params.delta)
-    if err.time - h <= 0.0:
-        return None, err
-    return integrate(model, history, err.time - h, step=h), err
+        return exc.trajectory, exc
 
 
 def _stays_away(traj, err, target, bar):
@@ -324,7 +319,7 @@ def _judge_7(traj, err, target, max_re, tail_rate):
     if final < CONVERGED_TOL_7:
         return True, f"final deviation {final:.3e}"
     if max_re >= -ORACLE_BAND and tail_rate is not None:
-        mid = traj.eval(traj.horizon / 2.0).max_abs_diff(target)
+        mid = dense_eval(traj, traj.horizon / 2.0).max_abs_diff(target)
         gain = 1.0 / final - 1.0 / mid
         need = TAIL_LAW_SHARE * tail_rate * traj.horizon / 2.0
         return gain >= need, (
@@ -494,9 +489,7 @@ def criterion_10():
                                     params=cfg.model.params.with_delays(row.tau, row.delta))
                 traj, err = _computed_part(row_model, cfg.history, horizon)
                 target = row.candidate.state
-                # classify's default convergence bar
-                bar = 1e-2 * (1.0 + target.norm_inf())
-                ok, info = _stays_away(traj, err, target, bar)
+                ok, info = _stays_away(traj, err, target, convergence_bar(target))
                 subs.append(SubCheck(f"{label} => not converged", ok, info))
             else:
                 subs.append(SubCheck(f"{label} in band: unconstrained", True, classified))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charroots import max_real_part
 from .equilibria import Equilibrium, all_equilibria
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 from .integrator import HistorySpec, Trajectory, integrate
 from .model import ModelSpec, State, jacobian_coeffs
 from .stability import char_coeffs
@@ -43,10 +43,17 @@ SUSTAINED = "sustained_oscillation"
 DIVERGED = "diverged"
 UNCLASSIFIED = "unclassified"
 
+#: share of the horizon, at its end, that classification looks at
+TAIL_FRACTION = 0.5
 #: peak-amplitude ratio band separating damped from sustained oscillation
 RATIO_BAND = (0.9, 1.1)
 MIN_PEAKS = 3
 DIVERGENCE_BOUND = 1e6
+
+
+def convergence_bar(target: State) -> float:
+    """Largest tail deviation from ``target`` that still counts as converged."""
+    return 1e-2 * (1.0 + target.norm_inf())
 
 
 @dataclass(frozen=True)
@@ -72,23 +79,15 @@ class Classification:
         return self.kind
 
 
-def classify(
-    traj: Trajectory,
-    candidate: Equilibrium | State | None = None,
-    tail_fraction: float = 0.5,
-    tol_conv: float | None = None,
-    ratio_band=RATIO_BAND,
-    min_peaks: int = MIN_PEAKS,
-    divergence_bound: float = DIVERGENCE_BOUND,
-) -> Classification:
+def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> Classification:
     """Classify the trailing portion of a trajectory.
 
-    The analysis window is the last ``tail_fraction`` of the horizon.
-    Order of tests: convergence to ``candidate`` (within tol_conv,
-    defaulting to 1e-2 * (1 + ||candidate||)); then successive maxima of
-    y(t) relative to the tail mean, with last/first amplitude ratio below
-    the band meaning damped and inside the band (with >= min_peaks peaks)
-    meaning sustained; then the divergence bound; else unclassified.
+    The analysis window is the last TAIL_FRACTION of the horizon.
+    Order of tests: convergence to ``candidate`` (within its
+    ``convergence_bar``); then successive maxima of y(t) relative to the
+    tail mean, with last/first amplitude ratio below RATIO_BAND meaning
+    damped and inside it (with >= MIN_PEAKS peaks) meaning sustained; then
+    DIVERGENCE_BOUND; else unclassified.
 
     Precondition: horizon >= 10x the larger delay and >= 50 time units.
     """
@@ -97,7 +96,7 @@ def classify(
         raise ValueError(
             f"horizon {horizon} too short to classify: need >= 50 and >= 10x max delay"
         )
-    t0 = horizon * (1.0 - tail_fraction)
+    t0 = horizon * (1.0 - TAIL_FRACTION)
     window = (t0, horizon)
     sel = traj.times >= t0
     tail = traj.states[sel]
@@ -105,9 +104,7 @@ def classify(
     target = getattr(candidate, "state", candidate)
     if target is not None:
         dev = float(np.max(np.abs(tail - np.array(target.as_tuple()))))
-        if tol_conv is None:
-            tol_conv = 1e-2 * (1.0 + target.norm_inf())
-        if dev < tol_conv:
+        if dev < convergence_bar(target):
             return Classification(CONVERGED, window, target=target, max_deviation=dev)
 
     ys = tail[:, 1]
@@ -120,9 +117,9 @@ def classify(
     amp_floor = 1e-3 * (1.0 + abs(mean_y))
     if len(peak_idx) >= 2 and amps[0] > amp_floor:
         ratio = amps[-1] / amps[0]
-        if ratio < ratio_band[0]:
+        if ratio < RATIO_BAND[0]:
             return Classification(DAMPED, window, decay_ratio=ratio)
-        if ratio <= ratio_band[1] and len(peak_idx) >= min_peaks:
+        if ratio <= RATIO_BAND[1] and len(peak_idx) >= MIN_PEAKS:
             times = traj.times[sel]
             spacing = (times[peak_idx[-1]] - times[peak_idx[0]]) / (len(peak_idx) - 1)
             return Classification(
@@ -130,7 +127,7 @@ def classify(
                 period=float(spacing),
                 amplitude=float(np.mean(amps)),
             )
-    if float(np.max(np.abs(tail))) > divergence_bound:
+    if float(np.max(np.abs(tail))) > DIVERGENCE_BOUND:
         return Classification(DIVERGED, window)
     return Classification(UNCLASSIFIED, window)
 
@@ -152,8 +149,8 @@ class SweepRow:
 
 def nearest_equilibrium(traj: Trajectory, eqs) -> Equilibrium:
     """The equilibrium nearest, in the max norm, to the mean state over the
-    second half of the trajectory."""
-    mean = np.mean(traj.states[traj.times >= traj.horizon * 0.5], axis=0)
+    trajectory's last TAIL_FRACTION."""
+    mean = np.mean(traj.states[traj.times >= traj.horizon * (1.0 - TAIL_FRACTION)], axis=0)
     return min(eqs, key=lambda e: float(np.max(np.abs(mean - np.array(e.state.as_tuple())))))
 
 
@@ -171,7 +168,8 @@ def sweep(
     equilibrium nearest the trajectory tail; for rows whose integration
     fails, the endemic equilibrium when one exists, else the disease-free
     one).  Integration failures, including a step that does not suit a
-    row's delays, are recorded in the row and the sweep continues.
+    row's delays, and oracle failures are recorded in the row (an oracle
+    failure leaves max_re_lambda None) and the sweep continues.
     """
     if not delay_grid:
         raise ValueError("delay grid must be nonempty")
@@ -180,21 +178,7 @@ def sweep(
     if step is not None and step <= 0.0:
         raise ValueError("step must be positive")
     eqs = all_equilibria(model)
-    cc_cache = {}
-
-    def cc_for(eq):
-        key = eq.state.as_tuple()
-        if key not in cc_cache:
-            cc_cache[key] = char_coeffs(jacobian_coeffs(model, eq))
-        return cc_cache[key]
-
-    fallback = None
-    endemics = [e for e in eqs if e.kind == "endemic"]
-    if endemics:
-        fallback = endemics[0]
-    elif eqs:
-        fallback = eqs[0]
-
+    fallback = next((e for e in eqs if e.kind == "endemic"), eqs[0] if eqs else None)
     rows = []
     for tau, delta in delay_grid:
         row_model = replace(model, params=model.params.with_delays(tau, delta))
@@ -214,7 +198,10 @@ def sweep(
                 error = str(exc)
         max_re = None
         if cand is not None:
-            max_re = max_real_part(cc_for(cand), tau, delta)
+            try:
+                max_re = max_real_part(char_coeffs(jacobian_coeffs(model, cand)), tau, delta)
+            except DomainError as exc:  # e.g. delays too long to certify the roots
+                error = error or str(exc)
         rows.append(SweepRow(
             tau=tau, delta=delta,
             classification=classification,

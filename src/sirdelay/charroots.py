@@ -37,6 +37,7 @@ EPS = 1e-6
 NODES = 12
 DOUBLINGS = 3
 RESOLVED_TOL = 1e-3
+NEWTON_MAX_ITER = 80
 
 
 def char_value(cc, tau: float, delta: float, lam: complex) -> complex:
@@ -57,9 +58,9 @@ def char_deriv(cc, tau: float, delta: float, lam: complex) -> complex:
     )
 
 
-def _newton(cc, tau, delta, z, max_iter=80):
+def _newton(cc, tau, delta, z):
     try:
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             d = char_deriv(cc, tau, delta, z)
             if d == 0:
                 break

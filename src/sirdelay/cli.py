@@ -146,6 +146,8 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_scenario(args)
+    if not args.stride > 0:  # also rejects NaN
+        raise ConfigError("stride must be positive", field="stride")
     model = cfg.model
     if args.tau is not None or args.delta is not None:
         tau = args.tau if args.tau is not None else model.params.tau

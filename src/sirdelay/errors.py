@@ -9,12 +9,14 @@ class IntegrationError(RuntimeError):
     """Raised when a numerical integration fails (negativity violation or blow-up).
 
     The attribute ``time`` holds the integration time at which the failure
-    was detected.
+    was detected, and ``trajectory`` the part computed before the failing
+    step (None when the first step failed).
     """
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time, trajectory):
         super().__init__(message)
         self.time = time
+        self.trajectory = trajectory
 
 
 class ConfigError(ValueError):

@@ -135,7 +135,6 @@ class Trajectory:
     step: float
     tau: float
     delta: float
-    model_hash: str
 
     @property
     def horizon(self) -> float:
@@ -144,9 +143,6 @@ class Trajectory:
     def final_state(self) -> State:
         x, y, z = self.states[-1]
         return State(float(x), float(y), float(z))
-
-    def eval(self, t: float) -> State:
-        return dense_eval(self, t)
 
 
 def _hermite(ys, fs, h, t, top):
@@ -199,7 +195,8 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     lookups never run ahead of computed segments); with both delays zero
     it must not exceed horizon/100, and it must reach the horizon within
     MAX_STEPS steps.  Raises IntegrationError when a state component falls
-    below -1e-6 (negativity violation) or stops being finite (blow-up).
+    below -1e-6 (negativity violation) or stops being finite (blow-up); its
+    ``trajectory`` holds the steps accepted before the failing one.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -244,6 +241,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     half = 0.5 * h
     sixth = h / 6.0
     isfinite = math.isfinite
+    failure = cause = None
     try:
         for k in range(n):
             # k1 = (kx, ky, kz) is the derivative stored at t; the delayed
@@ -272,12 +270,12 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
             # a non-finite stage reaches the new state through its own loss
             # term (d*x, d1*y, alpha*z), so this one check catches it
             if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                raise IntegrationError(f"blow-up: non-finite state at t = {tn:.6g}", time=tn)
+                failure = f"blow-up: non-finite state at t = {tn:.6g}"
+                break
             if x < NEGATIVITY_TOL or y < NEGATIVITY_TOL or z < NEGATIVITY_TOL:
-                raise IntegrationError(
-                    f"negativity violation at t = {tn:.6g}: state = ({x:.6g}, {y:.6g}, {z:.6g})",
-                    time=tn,
-                )
+                failure = (f"negativity violation at t = {tn:.6g}: "
+                           f"state = ({x:.6g}, {y:.6g}, {z:.6g})")
+                break
             kx, ky, kz = rhs(x, y, z, xe if use_xt else x, ye if use_yd else y)
             xs.append(x)
             ys.append(y)
@@ -286,24 +284,19 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
             dys.append(ky)
             dzs.append(kz)
     except (DomainError, OverflowError, ZeroDivisionError) as exc:
-        raise IntegrationError(
-            f"blow-up: state left the finite range during the step at t = {tn:.6g}",
-            time=tn,
-        ) from exc
+        failure = f"blow-up: state left the finite range during the step at t = {tn:.6g}"
+        cause = exc
 
-    times = np.arange(n + 1, dtype=float) * h
-    times[-1] = horizon  # n*h can round below the horizon
-    states = np.column_stack([xs, ys, zs])
-    derivs = np.column_stack([dxs, dys, dzs])
-    return Trajectory(
-        times=times,
-        states=states,
-        derivatives=derivs,
-        step=h,
-        tau=tau,
-        delta=delta,
-        model_hash=model.content_hash(),
-    )
+    # the whole run, or the steps accepted before the failing one
+    times = np.arange(len(xs), dtype=float) * h
+    if failure is None:
+        times[-1] = horizon  # n*h can round below the horizon
+    traj = Trajectory(times=times, states=np.column_stack([xs, ys, zs]),
+                      derivatives=np.column_stack([dxs, dys, dzs]),
+                      step=h, tau=tau, delta=delta)
+    if failure is None:
+        return traj
+    raise IntegrationError(failure, time=tn, trajectory=traj if len(xs) > 1 else None) from cause
 
 
 def trajectory_to_csv(traj: Trajectory, fh, stride: float = 0.1) -> None:

@@ -31,6 +31,9 @@ __all__ = [
     "jacobian_coeffs_fd",
 ]
 
+#: relative central-difference step of jacobian_coeffs_fd
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class Params:
@@ -248,7 +251,7 @@ def jacobian_coeffs(model: ModelSpec, eq) -> JacCoeffs:
     )
 
 
-def jacobian_coeffs_fd(model: ModelSpec, eq, h: float = 1e-6) -> JacCoeffs:
+def jacobian_coeffs_fd(model: ModelSpec, eq) -> JacCoeffs:
     """Central-finite-difference version of :func:`jacobian_coeffs`.
 
     Differentiates eval_rhs directly, treating current and delayed
@@ -262,8 +265,8 @@ def jacobian_coeffs_fd(model: ModelSpec, eq, h: float = 1e-6) -> JacCoeffs:
     def rhs(xc, yc, zc, xt, yd):
         return eval_rhs(model, State(xc, yc, zc), xt, yd)
 
-    hx = h * (1.0 + abs(x))
-    hy = h * (1.0 + abs(y))
+    hx = FD_STEP * (1.0 + abs(x))
+    hy = FD_STEP * (1.0 + abs(y))
     # A: d(dx)/dx with the delayed argument held fixed
     A = (rhs(x + hx, y, z, x, y)[0] - rhs(x - hx, y, z, x, y)[0]) / (2 * hx)
     B = (rhs(x, y + hy, z, x, y)[0] - rhs(x, y - hy, z, x, y)[0]) / (2 * hy)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass
 
 from .charroots import char_roots_scan, max_real_part
-from .equilibria import Equilibrium, all_equilibria
+from .equilibria import Equilibrium
 from .model import JacCoeffs, ModelSpec, State, jacobian_coeffs
 from .stability import (
     ENDEMIC_GAS,
@@ -123,18 +123,19 @@ def _fmt_poly(coeffs) -> str:
 def build_stability_report(
     model: ModelSpec,
     eq: Equilibrium,
-    equilibria=None,
+    equilibria,
     name: str | None = None,
     reference: dict | None = None,
 ) -> StabilityReport:
     """Assemble the full stability report for one equilibrium.
 
-    ``reference`` may carry published values (char_poly, pseudo_delay_cubic,
-    tau_plus, roots, note); any disagreement with the computed pipeline is
-    annotated rather than resolved.  When the zero-delay scan finds every
-    root stable, the exact first crossing in tau (delta = 0) is computed
-    and checked by the scan on both sides of it; it audits the
-    pseudo-delay prediction.
+    ``equilibria`` lists all of the model's equilibria; the global verdict
+    needs the endemic ones.  ``reference`` may carry published values
+    (char_poly, pseudo_delay_cubic, tau_plus, roots, note); any disagreement
+    with the computed pipeline is annotated rather than resolved.  When the
+    zero-delay scan finds every root stable, the exact first crossing in tau
+    (delta = 0) is computed and checked by the scan on both sides of it; it
+    audits the pseudo-delay prediction.
     """
     p = model.params
     jac = jacobian_coeffs(model, eq)
@@ -148,11 +149,7 @@ def build_stability_report(
     delta_only = delta_analysis(cc)
     combined = general_delay_analysis(cc, p.tau, p.delta)
 
-    if equilibria is None:
-        equilibria = all_equilibria(model)
-    df = next((e for e in equilibria if e.kind == "disease_free"), None)
-    endemics = [e for e in equilibria if e.kind == "endemic"]
-    glob = global_verdict(model, df, endemics)
+    glob = global_verdict(model, [e for e in equilibria if e.kind == "endemic"])
 
     roots_here = tuple(char_roots_scan(cc, p.tau, p.delta))
     roots_zero = tuple(char_roots_scan(cc, 0.0, 0.0))

@@ -67,8 +67,8 @@ class ResponseFn:
     @property
     def formula(self):
         """The value without the argument check, for loops that check their
-        results; a subclass that overrides value() keeps its own."""
-        return self._value if type(self).value is ResponseFn.value else self.value
+        results."""
+        return self._value
 
     def _value(self, *args: float) -> float:
         raise NotImplementedError

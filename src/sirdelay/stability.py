@@ -192,7 +192,7 @@ def delay_free_stable(cc: CharCoeffs, jac: JacCoeffs | None = None) -> DelayFree
             and jac.C <= EQ_TOL * scale
             and jac.A <= EQ_TOL * scale
         )
-        checks.append(check("D = 0 (no delayed terms)", jac.D, ">=" if jac.D >= 0 else "<=", 0.0))
+        checks.append(check("D = 0 (no delayed terms)", abs(jac.D), "<=", 0.0))
     else:
         equivalent = max(abs(cc.l1), abs(cc.m1), abs(cc.n1)) <= EQ_TOL * max(
             1.0, abs(cc.l), abs(cc.m), abs(cc.n)
@@ -471,8 +471,8 @@ def delta_analysis(cc: CharCoeffs) -> DeltaResult:
             continue
         candidates.append(DeltaCandidate(
             nu=nu, T=T,
-            delta=(2.0 / nu) * math.atan(nu * T),
-            delta_next=(2.0 / nu) * (math.atan(nu * T) + math.pi),
+            delta=tau_from_pseudo_delay(T, nu, 0),
+            delta_next=tau_from_pseudo_delay(T, nu, 1),
         ))
     candidates.sort(key=lambda cand: cand.delta)
     if not roots:
@@ -609,7 +609,7 @@ class GlobalResult:
     checks: tuple
 
 
-def global_verdict(model: ModelSpec, disease_free, endemics) -> GlobalResult:
+def global_verdict(model: ModelSpec, endemics) -> GlobalResult:
     """Delay-independent global stability for the bilinear special case
     (f = x*y, V = x, P = y); any other response choice is out of the
     criterion's reach.

@@ -34,7 +34,7 @@ def synthetic_trajectory(fn, dfn, horizon=60.0, h=0.02):
     states = np.column_stack([np.ones_like(times), ys, np.ones_like(times)])
     derivs = np.column_stack([np.zeros_like(times), dys, np.zeros_like(times)])
     return Trajectory(times=times, states=states, derivatives=derivs,
-                      step=h, tau=0.0, delta=0.0, model_hash="synthetic")
+                      step=h, tau=0.0, delta=0.0)
 
 
 @pytest.mark.parametrize("target", [(5.0, 0.0, 0.0), (2.0, 6.0, 6.0)])
@@ -47,7 +47,7 @@ def test_nearest_equilibrium_follows_the_tail_mean(target):
     wobble = np.where(np.arange(201) % 2 == 0, 1.5, -1.5)[:, None]
     states = np.where(times[:, None] < 50.0, np.array(other), np.array(target) + wobble)
     traj = Trajectory(times=times, states=states, derivatives=np.zeros_like(states),
-                      step=0.5, tau=0.0, delta=0.0, model_hash="synthetic")
+                      step=0.5, tau=0.0, delta=0.0)
     assert nearest_equilibrium(traj, eqs).state.as_tuple() == pytest.approx(target, abs=1e-9)
 
 
@@ -153,6 +153,13 @@ def test_sweep_row_whose_step_does_not_suit_its_delays_is_an_error_row():
         assert second.error is not None and second.classification is None
     assert "MAX_STEPS" in rows[1].error
     assert "smallest positive delay" in rows[3].error
+
+
+def test_sweep_row_whose_roots_cannot_be_certified_is_an_error_row():
+    cfg = load_preset("ex5_3")
+    rows = sweep(cfg.model, [(1.0, 0.0), (1.0, 2e4)], cfg.history, horizon=60.0)
+    assert rows[0].error is None and rows[0].max_re_lambda is not None
+    assert rows[1].max_re_lambda is None and rows[1].error is not None
 
 
 def test_sweep_rejects_nonpositive_horizon_and_step():

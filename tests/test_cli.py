@@ -6,6 +6,8 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 from sirdelay import acceptance
 from sirdelay.cli import main
 from sirdelay.config import load_scenario
@@ -105,6 +107,15 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
                "--horizon", "100", "--out", str(tmp_path)])
     assert rc == 1
     assert "computation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_simulate_nonpositive_stride_exits_2_before_writing(tmp_path, capsys, stride):
+    rc = main(["simulate", "--preset", "ex5_2", "--horizon", "60", "--stride", stride,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error [stride]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -175,7 +175,6 @@ def test_determinism():
     b = integrate(model, hist, horizon=20.0)
     assert a.states.tobytes() == b.states.tobytes()
     assert a.derivatives.tobytes() == b.derivatives.tobytes()
-    assert a.model_hash == b.model_hash
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -201,22 +200,42 @@ class _ConstantDrain(ResponseFn):
 
     arity = 1
 
-    def value(self, u):
+    def _value(self, u):
         return 1.0
 
-    def partial(self, index, u):
+    def _partial(self, index, u):
         return 0.0
 
 
-def test_negativity_violation_detected():
+def _drain_model():
     # constant drain c*V = 5 exceeds the inflow a = 1, so x crosses zero
-    model = ModelSpec(
+    return ModelSpec(
         params=Params(a=1.0, b=1.0, b1=1.0, c=5.0, d=1.0, d1=1.0, r=0.0, alpha=1.0),
         f=Zero(), V=_ConstantDrain(), P=Zero(),
     )
+
+
+def test_negativity_violation_detected():
+    model = _drain_model()
     with pytest.raises(IntegrationError) as exc:
         integrate(model, ConstantHistory(State(0.5, 0.0, 0.0)), horizon=10.0, step=0.05)
     assert "negativity" in str(exc.value)
+
+
+def test_integration_error_carries_the_part_computed_before_the_failing_step():
+    model = load_preset("ex5_1").model
+    model = replace(model, params=model.params.with_delays(1.0, 1.0))
+    with pytest.raises(IntegrationError) as exc:
+        integrate(model, ConstantHistory(State(1.0, 1.0, 1.0)), horizon=300.0)
+    part = exc.value.trajectory
+    assert exc.value.time == pytest.approx(11.98, abs=1e-9)
+    assert np.isfinite(part.states).all() and np.isfinite(part.derivatives).all()
+    assert part.horizon == pytest.approx(exc.value.time - part.step, abs=1e-9)
+    assert part.states[0].tolist() == [1.0, 1.0, 1.0]
+    # from x = 0 the drain takes x below zero in the first step: nothing was computed
+    with pytest.raises(IntegrationError, match="negativity") as exc:
+        integrate(_drain_model(), ConstantHistory(State(0.0, 0.0, 0.0)), horizon=10.0, step=0.05)
+    assert exc.value.time == pytest.approx(0.05) and exc.value.trajectory is None
 
 
 def test_trajectory_csv_round_trip():

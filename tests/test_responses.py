@@ -118,13 +118,13 @@ def test_formula_is_value_without_the_check(fn):
     assert fn.formula(*args) == fn.value(*args)
 
 
-def test_formula_skips_the_check_unless_value_is_overridden():
+def test_formula_skips_the_check():
     assert math.isnan(Bilinear().formula(math.inf, 0.0))  # inf * 0
 
     class Half(ResponseFn):
         arity = 1
 
-        def value(self, u):
+        def _value(self, u):
             return 0.5 * u
 
     assert Half().formula(3.0) == 1.5

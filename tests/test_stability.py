@@ -100,6 +100,17 @@ def test_delay_free_ex5_2_equivalent_branch():
     assert res.boundary  # n + m1 + n1 sits exactly at zero
 
 
+def test_delay_free_d_check_does_not_hold_for_nonzero_d():
+    model = load_preset("ex5_3").model
+    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
+    jac = jacobian_coeffs(model, eq)
+    assert jac.D == pytest.approx(2.0)
+    res = delay_free_stable(char_coeffs(jac), jac)
+    d_check = next(c for c in res.checks if c.name == "D = 0 (no delayed terms)")
+    assert (d_check.lhs, d_check.op, d_check.rhs) == (abs(jac.D), "<=", 0.0)
+    assert not d_check.holds and not res.delay_free_equivalent
+
+
 def test_delay_free_fails_on_negative_l():
     res = delay_free_stable(CharCoeffs(-1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
     assert res.verdict == NOT_ESTABLISHED
@@ -274,9 +285,7 @@ def test_combined_preservation_criterion_is_sufficient_only_in_name():
 def global_of(name):
     model = load_preset(name).model
     eqs = all_equilibria(model)
-    df = next((e for e in eqs if e.kind == "disease_free"), None)
-    endemics = [e for e in eqs if e.kind == "endemic"]
-    return global_verdict(model, df, endemics)
+    return global_verdict(model, [e for e in eqs if e.kind == "endemic"])
 
 
 def test_global_ex5_1_endemic():
@@ -308,8 +317,7 @@ def test_global_disease_free_branch():
     from dataclasses import replace
     model = load_preset("ex5_2").model
     model = replace(model, params=replace(model.params, r=6.0))
-    eqs = all_equilibria(model)
-    res = global_verdict(model, eqs[0], [])
+    res = global_verdict(model, [])
     assert res.verdict == DISEASE_FREE_GAS
 
 
