@@ -5,13 +5,16 @@ Delayed terms are read from cubic Hermite dense output over segments the
 integrator has already computed, so a fixed step no larger than the
 smallest positive delay keeps everything causal.  On a model whose
 response terms are switched off, the dynamics reduce to linear equations
-with a closed-form solution, giving an exact yardstick.
+with a closed-form solution, giving an exact yardstick.  With a delay,
+RK4 keeps its fourth order only on a mesh that holds the breaking points
+k*tau, which is why the mesh step divides the delay.
 """
 
 import math
+from dataclasses import replace
 
 from sirdelay import ConstantHistory, ModelSpec, Params, State, integrate, load_preset
-from sirdelay.integrator import dense_eval
+from sirdelay.integrator import SampledHistory, dense_eval
 from sirdelay.equilibria import all_equilibria
 from sirdelay.responses import Linear, Zero
 
@@ -43,7 +46,33 @@ for step in (0.1, 0.05, 0.025, 0.0125):
 print("  a ratio of ~16 per halving is the fourth-order signature")
 print()
 
-print("dense output between mesh points (same run, step 0.01):")
+print("with one delay (ex5_3, tau = 0.93, horizon 11*tau; error against step tau/800):")
+cfg = load_preset("ex5_3")
+tau = 0.93
+delayed = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))
+ref = integrate(delayed, cfg.history, 11.0 * tau, step=tau / 800.0)
+# the same constant history as a two-sample table takes the general mesh
+# rule, h = horizon/ceil(horizon/step), which does not hold k*tau
+as_table = SampledHistory(times=(-tau, 0.0), states=(cfg.history.state,) * 2)
+
+
+def delayed_error(traj):
+    return max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
+               for t, s in zip(traj.times, traj.states))
+
+
+print("  requested step     aligned mesh tau/N         misaligned mesh")
+prev = None
+for n in (25, 50, 100):
+    errs = (delayed_error(integrate(delayed, cfg.history, 11.0 * tau, step=tau / (n - 0.63))),
+            delayed_error(integrate(delayed, as_table, 11.0 * tau, step=tau / (n + 0.37))))
+    ratios = ("", "") if prev is None else tuple(f"ratio {a / b:5.2f}" for a, b in zip(prev, errs))
+    print(f"  ~tau/{n:<3d}          {errs[0]:.3e} {ratios[0]:11s}   {errs[1]:.3e} {ratios[1]}")
+    prev = errs
+print("  aligned: ~16 per halving (fourth order); misaligned: ~4 (second order)")
+print()
+
+print("dense output between mesh points (linear reduction, step 0.01):")
 traj = integrate(model, ConstantHistory(State(x0, y0, z0)), horizon=20.0, step=0.01)
 for t in (0.335, 2.5005, 12.345):
     got = dense_eval(traj, t)

@@ -376,10 +376,12 @@ def criterion_7():
         "the root scan finds roots with positive real part and the persistence "
         "coefficient a0 = -36 < 0 predicts the switch, yet global_verdict still "
         "reports it globally stable (b1 = 1 < min(b(d1+r)/r, c+d) = 2).  Its runs "
-        "there stop at t ~ 10-19 because fixed-step RK4 leaves its stability "
-        "region (h*(b*y + c + d) passes ~2.79 once the growing oscillation drives "
-        "y past ~280), not because the model blows up: x <= max(x(0), "
-        "(a + alpha*max z)/(c+d)).",
+        "there stop because fixed-step RK4 leaves its stability region "
+        "(h*(b*y + c + d) passes ~2.79 once the growing oscillation drives y "
+        "past ~68 at h = 0.04, the default with the single delay of (1,1), "
+        "or ~280 at h = 0.01, the default with the two delays of (5,2)): at "
+        "t ~ 9-16 and t ~ 10-13.  The model itself does not blow up: x <= "
+        "max(x(0), (a + alpha*max z)/(c+d)).",
         "ex5_2 sits on its threshold a/(c+d) = (d1+r)/b1 = 5 with roots {0, -1, -2} "
         "at every delay; along the zero root dev ~ 8/t, so the 1e-2 bar needs "
         "t ~ 800 and runs that miss it at horizon 300 are held to that tail law.",
@@ -413,8 +415,8 @@ def _linear_reduction_model(tau=0.0, delta=0.0):
 
 
 def criterion_9():
-    """Fourth-order convergence on the linear reduction; equilibrium-start
-    drift < 1e-8 over horizon 100 on every preset."""
+    """Fourth-order convergence on the linear reduction and on ex5_3 with one
+    delay; equilibrium-start drift < 1e-8 over horizon 100 on every preset."""
     t0 = time.perf_counter()
     subs = []
     model = _linear_reduction_model()
@@ -440,6 +442,27 @@ def criterion_9():
         ratio = errors[i] / errors[i + 1]
         subs.append(SubCheck(
             f"halving {steps[i]:g} -> {steps[i + 1]:g}: error ratio in [14, 18]",
+            14.0 <= ratio <= 18.0,
+            f"errors {errors[i]:.3e} -> {errors[i + 1]:.3e}, ratio {ratio:.2f}"))
+
+    # with a delay RK4 keeps its order only if the mesh holds the breaking
+    # points k*tau (a misaligned mesh gives ratios near 4); the requested
+    # steps tau/(N - 0.63) do not divide tau, and the mesh rule makes them tau/N
+    cfg = load_preset("ex5_3")
+    tau = 0.93
+    delayed = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))
+    ref = integrate(delayed, cfg.history, 11.0 * tau, step=tau / 800.0)
+    divisions = (25, 50, 100)
+    errors = []
+    for n in divisions:
+        traj = integrate(delayed, cfg.history, 11.0 * tau, step=tau / (n - 0.63))
+        errors.append(max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, st)))
+                          for t, st in zip(traj.times, traj.states)))
+    for i in range(len(errors) - 1):
+        ratio = errors[i] / errors[i + 1]
+        subs.append(SubCheck(
+            f"ex5_3 tau = {tau:g}, mesh tau/{divisions[i]} -> tau/{divisions[i + 1]}: "
+            f"error ratio in [14, 18]",
             14.0 <= ratio <= 18.0,
             f"errors {errors[i]:.3e} -> {errors[i + 1]:.3e}, ratio {ratio:.2f}"))
 

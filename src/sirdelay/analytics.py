@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,7 +88,10 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     ``convergence_bar``); then successive maxima of y(t) relative to the
     tail mean, with last/first amplitude ratio below RATIO_BAND meaning
     damped and inside it (with >= MIN_PEAKS peaks) meaning sustained; then
-    DIVERGENCE_BOUND; else unclassified.
+    DIVERGENCE_BOUND; else unclassified.  A sustained oscillation's period
+    is the mean spacing of its peaks, each placed at the maximum of the
+    Hermite dense output rather than at a mesh point, so it does not
+    depend on the step to within the step's own error.
 
     Precondition: horizon >= 10x the larger delay and >= 50 time units.
     """
@@ -120,8 +124,9 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
         if ratio < RATIO_BAND[0]:
             return Classification(DAMPED, window, decay_ratio=ratio)
         if ratio <= RATIO_BAND[1] and len(peak_idx) >= MIN_PEAKS:
-            times = traj.times[sel]
-            spacing = (times[peak_idx[-1]] - times[peak_idx[0]]) / (len(peak_idx) - 1)
+            times, slopes = traj.times[sel], traj.derivatives[sel, 1]
+            first, last = (_peak_time(times, ys, slopes, i) for i in (peak_idx[0], peak_idx[-1]))
+            spacing = (last - first) / (len(peak_idx) - 1)
             return Classification(
                 SUSTAINED, window,
                 period=float(spacing),
@@ -130,6 +135,29 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     if float(np.max(np.abs(tail))) > DIVERGENCE_BOUND:
         return Classification(DIVERGED, window)
     return Classification(UNCLASSIFIED, window)
+
+
+def _peak_time(times, ys, slopes, i) -> float:
+    """Time of the maximum of y's cubic Hermite interpolant next to the mesh
+    maximum ``i``: the zero of its derivative on the interval, either side
+    of t_i, where the stored slope y' changes sign (t_i itself if none)."""
+    j = i if slopes[i] > 0.0 else i - 1
+    if not slopes[j] > 0.0 >= slopes[j + 1]:
+        return float(times[i])
+    h = times[j + 1] - times[j]
+    y0, y1, f0, f1 = ys[j], ys[j + 1], h * slopes[j], h * slopes[j + 1]
+    # d/dw of the Hermite cubic on [0, 1] is a*w^2 + b*w + f0, positive at
+    # w = 0 and not positive at w = 1; bisect for its root
+    a = 6.0 * (y0 - y1) + 3.0 * (f0 + f1)
+    b = 6.0 * (y1 - y0) - 4.0 * f0 - 2.0 * f1
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        w = 0.5 * (lo + hi)
+        if (a * w + b) * w + f0 > 0.0:
+            lo = w
+        else:
+            hi = w
+    return float(times[j] + w * h)
 
 
 @dataclass(frozen=True)
@@ -173,10 +201,10 @@ def sweep(
     """
     if not delay_grid:
         raise ValueError("delay grid must be nonempty")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if step is not None and step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     eqs = all_equilibria(model)
     fallback = next((e for e in eqs if e.kind == "endemic"), eqs[0] if eqs else None)
     rows = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,10 +35,12 @@ __all__ = ["main"]
 
 
 def _parse_values(text: str, what: str):
-    """Parse '2.5' or 'A:B:STEP' into a list of floats."""
+    """Parse '2.5' or 'A:B:STEP' into a list of finite floats."""
     try:
+        parts = [float(v) for v in text.split(":")]
+        if not all(map(math.isfinite, parts)):
+            raise ValueError("values must be finite")
         if ":" in text:
-            parts = [float(v) for v in text.split(":")]
             if len(parts) != 3:
                 raise ValueError("ranges take the form A:B:STEP")
             lo, hi, step = parts
@@ -49,7 +52,7 @@ def _parse_values(text: str, what: str):
                 out.append(round(v, 12))
                 v += step
             return out
-        return [float(text)]
+        return parts
     except ValueError as exc:
         raise ConfigError(f"bad {what} value {text!r}: {exc}", field=what) from exc
 
@@ -62,12 +65,12 @@ def _resolve_scenario(args) -> ScenarioConfig:
     else:
         raise ConfigError("one of --preset or --config is required", field="preset")
     if getattr(args, "horizon", None) is not None:
-        if args.horizon <= 0:
-            raise ConfigError("horizon must be positive", field="horizon")
+        if not 0 < args.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite", field="horizon")
         cfg = replace(cfg, horizon=args.horizon)
     if getattr(args, "step", None) is not None:
-        if args.step <= 0:
-            raise ConfigError("step must be positive", field="step")
+        if not 0 < args.step < math.inf:
+            raise ConfigError("step must be positive and finite", field="step")
         cfg = replace(cfg, step=args.step)
     return cfg
 
@@ -152,8 +155,9 @@ def cmd_simulate(args) -> int:
     if args.tau is not None or args.delta is not None:
         tau = args.tau if args.tau is not None else model.params.tau
         delta = args.delta if args.delta is not None else model.params.delta
-        if tau < 0 or delta < 0:
-            raise ConfigError("delays must be nonnegative", field="tau")
+        for name, v in (("tau", tau), ("delta", delta)):
+            if not 0 <= v < math.inf:
+                raise ConfigError("delays must be nonnegative and finite", field=name)
         model = replace(model, params=model.params.with_delays(tau, delta))
         cfg = replace(cfg, model=model)
     _maybe_dump_config(cfg, args)

@@ -13,7 +13,12 @@ JSON layout (the model block alone is also accepted and gets defaults):
       },
       "history": {"kind": "constant", "state": [1.0, 1.0, 1.0]},
       "horizon": 100.0,
-      "step": 0.01,            // optional; defaults from the delays
+      "step": 0.04,            // optional requested RK4 step; by default
+                               // 0.04 (at most the delay) with a constant
+                               // history and one distinct delay, whose
+                               // multiples the mesh then holds, or none;
+                               // else min(0.01, smallest delay / 20).  The
+                               // mesh rule is in sirdelay.integrator
       "reference": {...}       // optional published values for cross-checks
     }
 
@@ -24,6 +29,7 @@ fractional_mix | saturating_unary(k) | power_sum(p1, p2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
@@ -80,11 +86,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         history = ConstantHistory(State(1.0, 1.0, 1.0))
 
     horizon = d.get("horizon", 100.0)
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        raise ConfigError(f"horizon must be a positive number, got {horizon!r}", field="horizon")
+    if not isinstance(horizon, (int, float)) or not 0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be a positive finite number, got {horizon!r}",
+                          field="horizon")
     step = d.get("step")
-    if step is not None and (not isinstance(step, (int, float)) or step <= 0):
-        raise ConfigError(f"step must be a positive number, got {step!r}", field="step")
+    if step is not None and (not isinstance(step, (int, float)) or not 0 < step < math.inf):
+        raise ConfigError(f"step must be a positive finite number, got {step!r}", field="step")
     name = d.get("name")
     reference = d.get("reference", {})
     if not isinstance(reference, dict):

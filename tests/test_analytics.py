@@ -126,6 +126,20 @@ def test_sustained_period_invariant_under_horizon_doubling():
     assert p400.period == pytest.approx(p200.period, rel=0.05)
 
 
+def test_sustained_period_does_not_depend_on_the_step():
+    # peaks sit at the maxima of the dense output, not at mesh points, so
+    # the period is not quantized to the step (24.34 at 0.01, 24.333 at 0.04)
+    cfg = load_preset("ex5_3")
+    eq = [e for e in all_equilibria(cfg.model) if e.kind == "endemic"][0]
+    for tau in (5.0, 6.0, 7.0, 8.0, 9.0):
+        model = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))
+        fine, default = (integrate(model, cfg.history, horizon=200.0, step=s)
+                         for s in (0.01, None))
+        assert default.step == pytest.approx(0.04, rel=0.05)
+        periods = [classify(t, candidate=eq).period for t in (fine, default)]
+        assert abs(periods[0] - periods[1]) <= 1e-3, (tau, periods)
+
+
 def test_sweep_rows_and_error_capture():
     cfg = load_preset("ex5_1")
     grid = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
@@ -168,6 +182,11 @@ def test_sweep_rejects_nonpositive_horizon_and_step():
         sweep(cfg.model, [(1.0, 0.0)], cfg.history, horizon=0.0)
     with pytest.raises(ValueError, match="step"):
         sweep(cfg.model, [(1.0, 0.0)], cfg.history, horizon=100.0, step=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            sweep(cfg.model, [(1.0, 0.0)], cfg.history, horizon=bad)
+        with pytest.raises(ValueError, match="step"):
+            sweep(cfg.model, [(1.0, 0.0)], cfg.history, horizon=100.0, step=bad)
 
 
 def test_sweep_empty_grid_rejected():

@@ -102,7 +102,8 @@ def test_simulate_delay_overrides(tmp_path, capsys):
 def test_simulate_blowup_exits_1(tmp_path, capsys):
     # ex5_1's endemic point is unstable at (1, 1); the growing oscillation
     # drives fixed-step RK4 out of its stability region (h*(b*y + c + d)
-    # passes ~2.79 near t = 11) and the integrator reports a blow-up
+    # passes ~2.79 near t = 10 at the default step) and the integrator
+    # reports a blow-up
     rc = main(["simulate", "--preset", "ex5_1", "--tau", "1", "--delta", "1",
                "--horizon", "100", "--out", str(tmp_path)])
     assert rc == 1
@@ -115,6 +116,23 @@ def test_simulate_nonpositive_stride_exits_2_before_writing(tmp_path, capsys, st
                "--out", str(tmp_path)])
     assert rc == 2
     assert "config error [stride]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--preset", "ex5_2", "--horizon", "nan"], "horizon"),
+    (["simulate", "--preset", "ex5_2", "--horizon", "inf"], "horizon"),
+    (["simulate", "--preset", "ex5_2", "--step", "nan"], "step"),
+    (["simulate", "--preset", "ex5_2", "--tau", "nan"], "tau"),
+    (["simulate", "--preset", "ex5_2", "--delta", "inf"], "delta"),
+    (["sweep", "--preset", "ex5_3", "--tau", "0:1:nan", "--delta", "0", "--horizon", "60"], "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau", "nan:1:0.5", "--delta", "0", "--horizon", "60"],
+     "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau", "1", "--delta", "inf", "--horizon", "60"], "delta"),
+])
+def test_non_finite_input_exits_2_before_writing(tmp_path, capsys, argv, field):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"config error [{field}]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -39,10 +39,20 @@ def exact_linear(t, x0=8.0, y0=3.0, z0=4.0):
 
 
 def test_default_step():
-    assert default_step(0.0, 0.0) == 0.01
-    assert default_step(1.0, 0.0) == 0.01
-    assert default_step(0.1, 0.0) == pytest.approx(0.005)
-    assert default_step(0.1, 0.04) == pytest.approx(0.002)
+    const = ConstantHistory(State(1.0, 1.0, 1.0))
+    sampled = SampledHistory(times=(-1.0, 0.0), states=(State(1, 1, 1), State(1, 1, 1)))
+    # every breaking point on the mesh: one distinct delay, or none
+    assert default_step(1.0, 0.0, const, 200.0) == integrator.ALIGNED_STEP == 0.04
+    assert default_step(0.0, 0.1, const, 200.0) == 0.04
+    assert default_step(0.3, 0.3, const, 200.0) == 0.04
+    assert default_step(0.0, 0.0, sampled, 200.0) == 0.04
+    assert default_step(0.0, 0.0, const, 2.0) == pytest.approx(0.02)  # horizon/100
+    assert default_step(0.01, 0.0, const, 200.0) == 0.01  # the one delay
+    # otherwise min(FINE_STEP, smallest positive delay / 20)
+    assert default_step(1.0, 0.0, sampled, 200.0) == integrator.FINE_STEP == 0.01
+    assert default_step(0.1, 0.0, sampled, 200.0) == pytest.approx(0.005)
+    assert default_step(1.0, 0.5, const, 200.0) == 0.01
+    assert default_step(0.1, 0.04, const, 200.0) == pytest.approx(0.002)
 
 
 def test_step_validation():
@@ -52,6 +62,11 @@ def test_step_validation():
         integrate(model, hist, horizon=10.0, step=2.0)  # step > min delay
     with pytest.raises(ValueError):
         integrate(model, hist, horizon=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            integrate(model, hist, horizon=bad)
+        with pytest.raises(ValueError, match="step"):
+            integrate(model, hist, horizon=10.0, step=bad)
     delay_free = linear_reduction()
     with pytest.raises(ValueError):
         integrate(delay_free, hist, horizon=10.0, step=0.5)  # > horizon/100
@@ -132,6 +147,61 @@ def test_fourth_order_convergence():
         assert 14.0 <= a / b <= 18.0
 
 
+def _ex5_3(tau, delta=0.0):
+    cfg = load_preset("ex5_3")
+    return replace(cfg.model, params=cfg.model.params.with_delays(tau, delta)), cfg.history
+
+
+def test_fourth_order_with_one_delay_at_misaligned_requested_steps():
+    # requested steps tau/(N - 0.63) do not divide tau; the mesh rule turns
+    # each into tau/N, so the breaking points k*tau are mesh points and the
+    # error ratio per halving is 16, not the 4 of a misaligned mesh
+    tau = 0.93
+    model, hist = _ex5_3(tau)
+    ref = integrate(model, hist, 11.0 * tau, step=tau / 800.0)
+    errors = []
+    for n in (25, 50, 100):
+        traj = integrate(model, hist, 11.0 * tau, step=tau / (n - 0.63))
+        assert traj.step == pytest.approx(tau / n, rel=1e-12)
+        errors.append(float(np.max(np.abs(traj.states - ref.states[::800 // n]))))
+    for a, b in zip(errors, errors[1:]):
+        assert 14.0 <= a / b <= 18.0
+
+
+@pytest.mark.parametrize("tau, delta, horizon, step", [
+    (0.93, 0.0, 60.0, None),
+    (0.0, 2.37, 60.0, None),
+    (0.7, 0.7, 50.0, None),
+    (0.93, 0.0, 61.0, 0.05),
+    (5.37, 0.0, 200.0, 0.0123),
+])
+def test_mesh_holds_every_multiple_of_the_delay(tau, delta, horizon, step):
+    model, hist = _ex5_3(tau, delta)
+    traj = integrate(model, hist, horizon, step=step)
+    d = max(tau, delta)
+    assert traj.step <= (step or integrator.ALIGNED_STEP)
+    assert d / traj.step == pytest.approx(round(d / traj.step), abs=1e-9)
+    for k in range(1, int(horizon / d) + 1):
+        assert float(np.min(np.abs(traj.times - k * d))) <= 1e-12 * k * d
+    # the last step ends on the horizon, no longer than the others
+    assert traj.times[-1] == horizon == traj.horizon
+    assert 0.0 < traj.times[-1] - traj.times[-2] <= traj.step * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("tau", [0.93, 2.37, 5.37])
+def test_default_step_meets_the_stated_tolerance(tau):
+    # the bound the integrator's module docstring states for one delay
+    model, hist = _ex5_3(tau)
+    ref = integrate(model, hist, 60.0, step=0.001)
+    traj = integrate(model, hist, 60.0)
+    err = max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
+              for t, s in zip(traj.times, traj.states))
+    assert err <= 2e-5
+    # dense output on the short last interval, which has its own length
+    t = 0.5 * (traj.times[-2] + traj.times[-1])
+    assert dense_eval(traj, t).max_abs_diff(dense_eval(ref, t)) <= 2e-5
+
+
 def test_equilibrium_start_is_fixed():
     model = load_preset("ex5_1").model
     eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
@@ -191,6 +261,17 @@ def test_blow_up_raises_with_time():
     model = replace(model, params=model.params.with_delays(1.0, 1.0))
     for start, when in (((8.0, 5.0, 2.0), 1.59), ((1.0, 1.0, 1.0), 11.98)):
         with pytest.raises(IntegrationError, match="blow-up") as exc:
+            integrate(model, ConstantHistory(State(*start)), horizon=100.0, step=0.01)
+        assert exc.value.time == pytest.approx(when, abs=1e-9)
+
+
+def test_blow_up_time_at_the_default_step():
+    # the blow-up time belongs to the step: the default 0.04 leaves RK4's
+    # stability region at a different y than 0.01 does
+    model = load_preset("ex5_1").model
+    model = replace(model, params=model.params.with_delays(1.0, 1.0))
+    for start, when in (((8.0, 5.0, 2.0), 1.72), ((1.0, 1.0, 1.0), 9.68)):
+        with pytest.raises(IntegrationError, match="blow-up") as exc:
             integrate(model, ConstantHistory(State(*start)), horizon=100.0)
         assert exc.value.time == pytest.approx(when, abs=1e-9)
 
@@ -226,7 +307,7 @@ def test_integration_error_carries_the_part_computed_before_the_failing_step():
     model = load_preset("ex5_1").model
     model = replace(model, params=model.params.with_delays(1.0, 1.0))
     with pytest.raises(IntegrationError) as exc:
-        integrate(model, ConstantHistory(State(1.0, 1.0, 1.0)), horizon=300.0)
+        integrate(model, ConstantHistory(State(1.0, 1.0, 1.0)), horizon=300.0, step=0.01)
     part = exc.value.trajectory
     assert exc.value.time == pytest.approx(11.98, abs=1e-9)
     assert np.isfinite(part.states).all() and np.isfinite(part.derivatives).all()
@@ -321,7 +402,7 @@ def test_step_budget_fails_fast(monkeypatch):
     tiny = replace(model, params=model.params.with_delays(1e-6, 0.0))
     hist = ConstantHistory(State(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="MAX_STEPS"):
-        integrate(tiny, hist, horizon=200.0)  # default step 5e-8: 4e9 steps
+        integrate(tiny, hist, horizon=200.0)  # default step 1e-6: 2e8 steps
     monkeypatch.setattr(integrator, "MAX_STEPS", 100)
     assert len(integrate(model, hist, horizon=1.0, step=0.01).times) == 101
     with pytest.raises(ValueError, match="MAX_STEPS"):

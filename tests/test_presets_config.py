@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,16 @@ def test_bad_horizon_rejected():
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(blob)
     assert exc.value.field == "horizon"
+
+
+@pytest.mark.parametrize("field", ["horizon", "step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_horizon_and_step_rejected(field, bad):
+    blob = load_preset("ex5_1").to_dict()
+    blob[field] = bad
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict(blob)
+    assert exc.value.field == field
 
 
 def test_bad_history_rejected():
