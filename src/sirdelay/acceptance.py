@@ -30,7 +30,7 @@ from .equilibria import all_equilibria, is_bilinear_special_case
 from .errors import IntegrationError
 from .integrator import ConstantHistory, dense_eval, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
-from .presets import load_preset
+from .presets import PRESET_NAMES, load_preset
 from .responses import Linear, Zero
 from .stability import (
     STABLE,
@@ -84,26 +84,25 @@ def _eq_of_kind(model, kind):
 
 
 def criterion_1():
-    """Equilibrium closed forms of the seven presets, each within 1e-9."""
+    """Each preset's equilibrium against its published one, within 1e-9.
+    sec6_followup's published z = 20/9 conflicts with the steady-state
+    equations, which give z = 2y = 40/9; its check expects that conflict."""
     t0 = time.perf_counter()
-    targets = {
-        "ex5_1": ("endemic", (2.0, 6.0, 6.0)),
-        "ex5_2": ("disease_free", (5.0, 0.0, 0.0)),
-        "ex5_3": ("endemic", (2.0, 2.0, 2.0)),
-        "ex5_4": ("disease_free", (2.5, 0.0, 0.0)),
-        "ex5_5": ("endemic", (200.0 / 21.0, 10.0 / 21.0, 30.0 / 21.0)),
-        "ex5_6": ("disease_free", ((math.sqrt(41.0) - 1.0) / 2.0, 0.0, 0.0)),
-        "ex5_7": ("disease_free", ((math.sqrt(57.0) - 3.0) / 4.0, 0.0, 0.0)),
-    }
     subs = []
-    for name, (kind, want) in targets.items():
-        model = load_preset(name).model
-        eq = _eq_of_kind(model, kind)
+    for name in PRESET_NAMES:
+        cfg = load_preset(name)
+        want = list(cfg.reference["equilibrium"])
+        kind = "endemic" if want[1] > 0.0 else "disease_free"
+        label = f"{name} {kind}"
+        if name == "sec6_followup":
+            label += f" with z = 2y, not the published {want[2]:.6g}"
+            want[2] = 2.0 * want[1]
+        eq = _eq_of_kind(cfg.model, kind)
         if eq is None:
-            subs.append(SubCheck(f"{name} {kind}", False, "no equilibrium found"))
+            subs.append(SubCheck(label, False, "no equilibrium found"))
             continue
         err = max(abs(a - b) for a, b in zip(eq.state.as_tuple(), want))
-        subs.append(SubCheck(f"{name} {kind}", err < 1e-9, f"max coordinate error {err:.2e}"))
+        subs.append(SubCheck(label, err < 1e-9, f"max coordinate error {err:.2e}"))
     subs.append(_runtime_sub(t0, 1.0))
     return _result(1, "equilibrium closed forms", t0, subs)
 
@@ -149,28 +148,37 @@ def criterion_2():
     return _result(2, "delay-free verdicts", t0, subs)
 
 
+def _cubic_text(c3, c2, c1, c0):
+    return f"{c3:g}T^3{c2:+g}T^2{c1:+g}T{c0:+g}"
+
+
 def criterion_3():
-    """Cubic solver on the two published pseudo-delay cubics."""
+    """Cubic solver on the two published pseudo-delay cubics: ex5_3's has
+    one positive root, its published T+; ex5_1's has none."""
     t0 = time.perf_counter()
     subs = []
-    roots = solve_cubic_real(42.0, -46.0, -117.0, -8.0)
-    pos = [r for r in roots if r > 0]
-    ok = len(pos) == 1 and abs(pos[0] - 2.325) <= 0.005
-    subs.append(SubCheck("42T^3-46T^2-117T-8: one positive root = 2.325 +- 0.005", ok,
-                         f"positive roots {[f'{v:.6g}' for v in pos]}"))
-    roots2 = solve_cubic_real(756.0, 1488.0, 500.0, 84.0)
-    pos2 = [r for r in roots2 if r > 0]
-    subs.append(SubCheck("756T^3+1488T^2+500T+84: no positive root", len(pos2) == 0,
-                         f"real roots {[f'{v:.6g}' for v in roots2]}"))
+    ref = load_preset("ex5_3").reference
+    cubic = ref["pseudo_delay_cubic"]
+    pos = [r for r in solve_cubic_real(*cubic) if r > 0]
+    ok = len(pos) == 1 and abs(pos[0] - ref["T_plus"]) <= 0.005
+    subs.append(SubCheck(
+        f"ex5_3 {_cubic_text(*cubic)}: one positive root = T+ = {ref['T_plus']:g} +- 0.005", ok,
+        f"positive roots {[f'{v:.6g}' for v in pos]}"))
+    cubic = load_preset("ex5_1").reference["pseudo_delay_cubic"]
+    roots = solve_cubic_real(*cubic)
+    subs.append(SubCheck(f"ex5_1 {_cubic_text(*cubic)}: no positive root",
+                         all(r <= 0 for r in roots), f"real roots {[f'{v:.6g}' for v in roots]}"))
     return _result(3, "cubic solver", t0, subs)
 
 
 def criterion_4():
-    """tau+ formula on injected (T+, nu+) = (2.325, 0.2125)."""
+    """tau+ formula on ex5_3's published (T+, nu+) gives its published tau+."""
     t0 = time.perf_counter()
-    tau = tau_from_pseudo_delay(2.325, 0.2125)
-    ok = abs(tau - 4.32) <= 0.01
-    subs = [SubCheck("(2/0.2125)*arctan(0.2125*2.325) = 4.32 +- 0.01", ok, f"got {tau:.6f}")]
+    ref = load_preset("ex5_3").reference
+    T, nu, want = ref["T_plus"], ref["nu_plus"], ref["tau_plus"]
+    tau = tau_from_pseudo_delay(T, nu)
+    subs = [SubCheck(f"(2/{nu:g})*arctan({nu:g}*{T:g}) = tau+ = {want:g} +- 0.01",
+                     abs(tau - want) <= 0.01, f"got {tau:.6f}")]
     return _result(4, "critical-delay formula consistency", t0, subs)
 
 

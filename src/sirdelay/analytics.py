@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charroots import max_real_part
+from .cubic import solve_cubic_real
 from .equilibria import Equilibrium, all_equilibria
 from .errors import DomainError, IntegrationError
 from .integrator import HistorySpec, Trajectory, integrate
@@ -90,8 +91,8 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     damped and inside it (with >= MIN_PEAKS peaks) meaning sustained; then
     DIVERGENCE_BOUND; else unclassified.  A sustained oscillation's period
     is the mean spacing of its peaks, each placed at the maximum of the
-    Hermite dense output rather than at a mesh point, so it does not
-    depend on the step to within the step's own error.
+    Hermite dense output (the exact root of its slope, a quadratic) rather
+    than at a mesh point, so it does not depend on the step beyond its error.
 
     Precondition: horizon >= 10x the larger delay and >= 50 time units.
     """
@@ -147,16 +148,11 @@ def _peak_time(times, ys, slopes, i) -> float:
     h = times[j + 1] - times[j]
     y0, y1, f0, f1 = ys[j], ys[j + 1], h * slopes[j], h * slopes[j + 1]
     # d/dw of the Hermite cubic on [0, 1] is a*w^2 + b*w + f0, positive at
-    # w = 0 and not positive at w = 1; bisect for its root
+    # w = 0 and not positive at w = 1; its smallest positive root is the
+    # peak, clamped to 1 where rounding moves or drops a root at w = 1
     a = 6.0 * (y0 - y1) + 3.0 * (f0 + f1)
     b = 6.0 * (y1 - y0) - 4.0 * f0 - 2.0 * f1
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        w = 0.5 * (lo + hi)
-        if (a * w + b) * w + f0 > 0.0:
-            lo = w
-        else:
-            hi = w
+    w = min([r for r in solve_cubic_real(0.0, a, b, f0) if r > 0.0] + [1.0])
     return float(times[j] + w * h)
 
 

@@ -35,11 +35,11 @@ __all__ = ["main"]
 
 
 def _parse_values(text: str, what: str):
-    """Parse '2.5' or 'A:B:STEP' into a list of finite floats."""
+    """Parse a delay, '2.5' or 'A:B:STEP', into a list of finite, nonnegative floats."""
     try:
         parts = [float(v) for v in text.split(":")]
-        if not all(map(math.isfinite, parts)):
-            raise ValueError("values must be finite")
+        if not all(0.0 <= v < math.inf for v in parts):
+            raise ValueError("delays must be nonnegative and finite")
         if ":" in text:
             if len(parts) != 3:
                 raise ValueError("ranges take the form A:B:STEP")

@@ -13,12 +13,8 @@ JSON layout (the model block alone is also accepted and gets defaults):
       },
       "history": {"kind": "constant", "state": [1.0, 1.0, 1.0]},
       "horizon": 100.0,
-      "step": 0.04,            // optional requested RK4 step; by default
-                               // 0.04 (at most the delay) with a constant
-                               // history and one distinct delay, whose
-                               // multiples the mesh then holds, or none;
-                               // else min(0.01, smallest delay / 20).  The
-                               // mesh rule is in sirdelay.integrator
+      "step": 0.04,            // optional requested RK4 step; the default
+                               // is set by sirdelay.integrator
       "reference": {...}       // optional published values for cross-checks
     }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cubic import bisect
 from .model import ModelSpec, State, eval_rhs
 from .responses import Bilinear, Linear
 
@@ -46,32 +47,6 @@ class Equilibrium:
         return f"{self.kind}({s.x:.10g}, {s.y:.10g}, {s.z:.10g})"
 
 
-def _bisect(g, lo, hi):
-    """A root of g on [lo, hi] by bisection, or None when g(lo) and g(hi)
-    are nonzero and share a sign.
-
-    Stops once |g| < 1e-12 or the bracket is narrower than
-    1e-15 * max(1, hi).
-    """
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
-        return None
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) < 1e-12 or hi - lo < 1e-15 * max(1.0, hi):
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _susceptible_balance(model: ModelSpec):
     """G(x) = a - d*x - c*V(x), which decreases on [0, a/d] as V does not."""
     p = model.params
@@ -88,7 +63,7 @@ def find_disease_free(model: ModelSpec):
     """
     if not model.supports_disease_free:
         return None
-    xbar = _bisect(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
+    xbar = bisect(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
     if xbar is None:
         return None
     st = State(xbar, 0.0, 0.0)
@@ -155,7 +130,7 @@ def find_endemic(model: ModelSpec):
 
     def x_of(y):
         k = K(y)
-        x = _bisect(lambda x: G(x) - k, 0.0, p.a / p.d)
+        x = bisect(lambda x: G(x) - k, 0.0, p.a / p.d)
         return 0.0 if x is None else x  # K(y) passes G(0) only within Y's tolerance
 
     def H(y):
@@ -163,13 +138,13 @@ def find_endemic(model: ModelSpec):
 
     # K(y) >= (b/b1)*d1*y reaches G(0) by yhi; None means only at yhi, within rounding
     yhi = p.b1 * g0 / (p.b * p.d1)
-    ymax = _bisect(lambda y: K(y) - g0, 0.0, yhi)
+    ymax = bisect(lambda y: K(y) - g0, 0.0, yhi)
     ymax = yhi if ymax is None else ymax
     steps = (ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1))
     ys = [MIN_ENDEMIC_Y] + [y for y in steps if y > MIN_ENDEMIC_Y]
     hs = [H(y) for y in ys]
     roots = [y for y, h in zip(ys, hs) if h == 0.0]
-    roots += [_bisect(H, y0, y1) for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
+    roots += [bisect(H, y0, y1) for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
 
     found = []
     for y in roots:

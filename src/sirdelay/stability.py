@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cubic import solve_cubic_real
+from .cubic import bisect, solve_cubic_real
 from .equilibria import is_bilinear_special_case
 from .errors import DomainError
 from .model import JacCoeffs, ModelSpec
@@ -555,28 +555,17 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
     theta_given = tau + delta
     # bracket the smallest positive root of Psi on a log-spaced grid
     nu_max = 10.0 + 2.0 * max(abs(l), abs(m), abs(n), abs(l1), abs(m1), abs(n1))
-    grid = [10.0 ** e for e in _logspace(-6, math.log10(nu_max), 600)]
+    stepw = (math.log10(nu_max) + 6) / 599
     prev_nu, prev_val = 0.0, _psi(cc, theta_given, 0.0)
-    bracket = None
-    for nu in grid:
+    for nu in (10.0 ** (-6 + i * stepw) for i in range(600)):
         val = _psi(cc, theta_given, nu)
         if prev_val < 0.0 <= val:
-            bracket = (prev_nu, nu)
             break
         prev_nu, prev_val = nu, val
-    if bracket is None:
+    else:
         diagnostics.append("Psi has no sign change on the search grid")
         return CombinedResult(INCONCLUSIVE, None, None, None, tuple(checks), tuple(diagnostics))
-    lo, hi = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _psi(cc, theta_given, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    nu_plus = 0.5 * (lo + hi)
+    nu_plus = bisect(lambda nu: _psi(cc, theta_given, nu), prev_nu, nu)
 
     num = m * nu_plus - nu_plus**3
     den = n - l * nu_plus * nu_plus
@@ -591,11 +580,6 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
     theta_pos = q_pos / nu_plus
     return CombinedResult(SWITCH_POSSIBLE, theta, theta_pos, nu_plus,
                           tuple(checks), tuple(diagnostics))
-
-
-def _logspace(lo_exp, hi_exp, count):
-    stepw = (hi_exp - lo_exp) / (count - 1)
-    return [lo_exp + i * stepw for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

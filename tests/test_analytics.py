@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,8 @@ from sirdelay.analytics import (
     DIVERGED,
     SUSTAINED,
     UNCLASSIFIED,
+    TAIL_FRACTION,
+    _peak_time,
     classify,
     nearest_equilibrium,
     sweep,
@@ -20,7 +23,7 @@ from sirdelay.analytics import (
     sweep_to_json,
 )
 from sirdelay.equilibria import all_equilibria
-from sirdelay.integrator import ConstantHistory, Trajectory, integrate
+from sirdelay.integrator import ConstantHistory, Trajectory, dense_eval, integrate
 from sirdelay.model import State, eval_rhs
 from sirdelay.presets import load_preset
 
@@ -138,6 +141,32 @@ def test_sustained_period_does_not_depend_on_the_step():
         assert default.step == pytest.approx(0.04, rel=0.05)
         periods = [classify(t, candidate=eq).period for t in (fine, default)]
         assert abs(periods[0] - periods[1]) <= 1e-3, (tau, periods)
+
+
+def test_peak_time_at_a_zero_right_end_slope_is_the_right_end():
+    # with y'(t1) = 0 the Hermite slope vanishes at w = 1, where rounding can
+    # push its root just past 1 or, for a double root, drop it
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        h, s0, y0 = rng.choice([0.04, 0.5, 1.0]), rng.uniform(0.01, 5.0), rng.uniform(-3.0, 3.0)
+        rise = h * s0 * rng.choice([1.0 / 3.0, rng.uniform(1.0 / 3.0, 0.5)])  # 1/3: double root
+        t = _peak_time(np.array([0.0, h]), np.array([y0, y0 + rise]), np.array([s0, 0.0]), 1)
+        assert t == pytest.approx(h, rel=1e-9)
+
+
+def test_peak_times_are_the_maxima_of_the_dense_output():
+    cfg = load_preset("ex5_3")
+    model = replace(cfg.model, params=cfg.model.params.with_delays(7.0, 0.0))
+    traj = integrate(model, cfg.history, horizon=200.0)
+    sel = traj.times >= traj.horizon * (1.0 - TAIL_FRACTION)
+    times, ys, slopes = traj.times[sel], traj.states[sel, 1], traj.derivatives[sel, 1]
+    peaks = [i for i in range(1, len(ys) - 1) if ys[i - 1] < ys[i] >= ys[i + 1]]
+    assert len(peaks) >= 3
+    offsets = np.arange(-100, 101) * 1e-6
+    for i in peaks:
+        t = _peak_time(times, ys, slopes, i)
+        sampled = [dense_eval(traj, t + dt).y for dt in offsets]
+        assert abs(offsets[int(np.argmax(sampled))]) <= 1e-5, (i, t)
 
 
 def test_sweep_rows_and_error_capture():

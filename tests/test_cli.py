@@ -136,6 +136,19 @@ def test_non_finite_input_exits_2_before_writing(tmp_path, capsys, argv, field):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", "--preset", "ex5_3", "--tau=-1", "--horizon", "60"], "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau=-1:1:1", "--horizon", "60"], "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau", "1", "--delta=-0.5", "--horizon", "60"], "delta"),
+    (["simulate", "--preset", "ex5_3", "--tau=-1", "--horizon", "60"], "tau"),
+    (["simulate", "--preset", "ex5_3", "--delta=-0.5", "--horizon", "60"], "delta"),
+])
+def test_negative_delay_exits_2_before_writing(tmp_path, capsys, argv, field):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"config error [{field}]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_csv(tmp_path, capsys):
     assert main(["sweep", "--preset", "ex5_3", "--tau", "0:7:7", "--delta", "0",
                  "--horizon", "200", "--out", str(tmp_path)]) == 0

@@ -86,3 +86,30 @@ def test_random_root_reconstruction():
         for got, want in zip(roots, r):
             assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
         assert_residuals((c3, c2, c1, c0), roots)
+
+
+def test_double_root_at_zero_is_one_root():
+    # x^2 * (c3*x - c3*a): Newton reaches a double root only linearly, and
+    # left to it the two copies at zero stay just over the dedup bar apart
+    assert len(solve_cubic_real(1.0, 9.553557779573524, 0.0, 0.0)) == 2
+    assert len(solve_cubic_real(1.0, -8.602050298899076, 0.0, 0.0)) == 2
+    rng = random.Random(20261018)
+    for _ in range(10000):
+        a = rng.uniform(-10.0, 10.0)
+        c3 = rng.choice([1.0, -1.0, 2.0, 0.5])
+        roots = solve_cubic_real(c3, -c3 * a, 0.0, 0.0)
+        assert len(roots) == 2
+        assert min(abs(r) for r in roots) <= 1e-9
+        assert max(roots, key=abs) == pytest.approx(a, rel=1e-12)
+
+
+def test_quadratic_double_root_is_not_polished_away():
+    # at a double root Newton's slope is round-off, and a step from it once
+    # landed 2% away from the root
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        r = rng.uniform(-10.0, 10.0)
+        k = rng.choice([1.0, -1.0, 2.0, 0.5, 3.7])
+        roots = solve_cubic_real(0.0, k, -2.0 * k * r, k * r * r)
+        assert len(roots) <= 1
+        assert all(abs(x - r) <= 1e-12 * max(1.0, abs(r)) for x in roots)
