@@ -5,16 +5,17 @@ Delayed terms are read from cubic Hermite dense output over segments the
 integrator has already computed, so a fixed step no larger than the
 smallest positive delay keeps everything causal.  On a model whose
 response terms are switched off, the dynamics reduce to linear equations
-with a closed-form solution, giving an exact yardstick.  With a delay,
+with a closed-form solution, giving an exact yardstick.  With delays,
 RK4 keeps its fourth order only on a mesh that holds the breaking points
-k*tau, which is why the mesh step divides the delay.
+s + k*tau + j*delta, which is why every step ends on the next of them.
 """
 
 import math
 from dataclasses import replace
 
 from sirdelay import ConstantHistory, ModelSpec, Params, State, integrate, load_preset
-from sirdelay.integrator import SampledHistory, dense_eval
+from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
+from sirdelay.integrator import dense_eval
 from sirdelay.equilibria import all_equilibria
 from sirdelay.responses import Linear, Zero
 
@@ -46,30 +47,28 @@ for step in (0.1, 0.05, 0.025, 0.0125):
 print("  a ratio of ~16 per halving is the fourth-order signature")
 print()
 
-print("with one delay (ex5_3, tau = 0.93, horizon 11*tau; error against step tau/800):")
-cfg = load_preset("ex5_3")
-tau = 0.93
-delayed = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))
-ref = integrate(delayed, cfg.history, 11.0 * tau, step=tau / 800.0)
-# the same constant history as a two-sample table takes the general mesh
-# rule, h = horizon/ceil(horizon/step), which does not hold k*tau
-as_table = SampledHistory(times=(-tau, 0.0), states=(cfg.history.state,) * 2)
-
-
-def delayed_error(traj):
-    return max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
-               for t, s in zip(traj.times, traj.states))
-
-
-print("  requested step     aligned mesh tau/N         misaligned mesh")
-prev = None
-for n in (25, 50, 100):
-    errs = (delayed_error(integrate(delayed, cfg.history, 11.0 * tau, step=tau / (n - 0.63))),
-            delayed_error(integrate(delayed, as_table, 11.0 * tau, step=tau / (n + 0.37))))
-    ratios = ("", "") if prev is None else tuple(f"ratio {a / b:5.2f}" for a, b in zip(prev, errs))
-    print(f"  ~tau/{n:<3d}          {errs[0]:.3e} {ratios[0]:11s}   {errs[1]:.3e} {ratios[1]}")
-    prev = errs
-print("  aligned: ~16 per halving (fourth order); misaligned: ~4 (second order)")
+print("with delays (horizon 10; error against a run at step 0.00125):")
+ex5_3, ex5_5 = load_preset("ex5_3"), load_preset("ex5_5")
+cases = (
+    ("ex5_3 tau = 0.93", ex5_3.model.params.with_delays(0.93, 0.0), ex5_3),
+    ("ex5_5 (0.93, 0.61)", ex5_5.model.params.with_delays(0.93, 0.61), ex5_5),
+)
+runs = [(label, replace(cfg.model, params=params), cfg.history) for label, params, cfg in cases]
+runs.append(("ex5_5 sampled history", runs[1][1], EX5_5_SAMPLED_HISTORY))
+steps = (0.04, 0.02, 0.01)
+errors = []
+for label, delayed, history in runs:
+    ref = integrate(delayed, history, 10.0, step=steps[-1] / 8.0)
+    errors.append([max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
+                       for t, s in zip(traj.times, traj.states))
+                   for traj in (integrate(delayed, history, 10.0, step=h) for h in steps)])
+print("  step    " + "".join(f"{label:24s}" for label, _, _ in runs))
+for i, step in enumerate(steps):
+    cells = (f"{e[i]:.3e}" + ("" if i == 0 else f" ratio {e[i - 1] / e[i]:5.2f}")
+             for e in errors)
+    print(f"  {step:<6g}  " + "".join(f"{c:24s}" for c in cells))
+print("  ~16 per halving (fourth order) with one delay, two delays and a sampled")
+print("  history alike: the mesh holds every breaking point s + k*tau + j*delta")
 print()
 
 print("dense output between mesh points (linear reduction, step 0.01):")

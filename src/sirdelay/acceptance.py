@@ -28,7 +28,7 @@ from .charroots import char_roots_scan, max_real_part
 from .cubic import solve_cubic_real
 from .equilibria import all_equilibria, is_bilinear_special_case
 from .errors import IntegrationError
-from .integrator import ConstantHistory, dense_eval, integrate
+from .integrator import ConstantHistory, SampledHistory, dense_eval, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
 from .presets import PRESET_NAMES, load_preset
 from .responses import Linear, Zero
@@ -115,7 +115,8 @@ def criterion_2():
 
     model1 = load_preset("ex5_1").model
     eq1 = _eq_of_kind(model1, "endemic")
-    res1 = delay_free_stable(char_coeffs(jacobian_coeffs(model1, eq1)), jacobian_coeffs(model1, eq1))
+    jac1 = jacobian_coeffs(model1, eq1)
+    res1 = delay_free_stable(char_coeffs(jac1), jac1)
     subs.append(SubCheck("ex5_1 delay-free stable", res1.verdict == STABLE,
                          "; ".join(c.describe() for c in res1.checks[:3])))
 
@@ -305,7 +306,7 @@ def _stays_away(traj, err, target, bar):
     is judged where the oracle finds the target unstable."""
     if traj is None:
         return False, f"no trajectory computed: {err}"
-    half = len(traj.times) // 2
+    half = int(np.searchsorted(traj.times, traj.horizon / 2.0))  # steps need not be equal
     dev = np.max(np.abs(traj.states[half:] - np.array(target.as_tuple())), axis=1)
     closest = float(dev.min())
     ran = "ran to the horizon" if err is None else f"integrator stopped: {err}"
@@ -383,13 +384,14 @@ def criterion_7():
         "ex5_1's endemic point (2,6,6) is linearly unstable at (1,1) and (5,2): "
         "the root scan finds roots with positive real part and the persistence "
         "coefficient a0 = -36 < 0 predicts the switch, yet global_verdict still "
-        "reports it globally stable (b1 = 1 < min(b(d1+r)/r, c+d) = 2).  Its runs "
-        "there stop because fixed-step RK4 leaves its stability region "
-        "(h*(b*y + c + d) passes ~2.79 once the growing oscillation drives y "
-        "past ~68 at h = 0.04, the default with the single delay of (1,1), "
-        "or ~280 at h = 0.01, the default with the two delays of (5,2)): at "
-        "t ~ 9-16 and t ~ 10-13.  The model itself does not blow up: x <= "
-        "max(x(0), (a + alpha*max z)/(c+d)).",
+        "reports it globally stable (b1 = 1 < min(b(d1+r)/r, c+d) = 2).  The "
+        "solutions there grow without bound, against the published claim: at "
+        "(1,1) from (1,1,1), at step 1e-4, y peaks at 24.1, 85.7 and 967.6 at "
+        "t = 3.67, 7.59 and 11.31 (about 86,400 near t = 14.91 at step 2e-5), "
+        "so no bound x <= max(x(0), (a + alpha*max z)/(c+d)) holds.  At the "
+        "default step 0.04 the runs stop once h*(b*y + c + d) passes RK4's "
+        "limit of ~2.79 (y past ~68): at t ~ 9-16 at (1,1) and t ~ 10.9-13.3 "
+        "at (5,2).",
         "ex5_2 sits on its threshold a/(c+d) = (d1+r)/b1 = 5 with roots {0, -1, -2} "
         "at every delay; along the zero root dev ~ 8/t, so the 1e-2 bar needs "
         "t ~ 800 and runs that miss it at horizon 300 are held to that tail law.",
@@ -422,59 +424,61 @@ def _linear_reduction_model(tau=0.0, delta=0.0):
     )
 
 
+#: a sampled history near ex5_5's endemic point, kinked at five times
+EX5_5_SAMPLED_HISTORY = SampledHistory(
+    (-0.93, -0.7, -0.41, -0.2, 0.0),
+    tuple(State(9.0 + i % 2, 0.5 - 0.05 * i, 1.4 + 0.1 * i) for i in range(5)),
+)
+
+
+def _order_subs(label, model, history, horizon, steps, exact=None):
+    """Error ratio per halving of the requested step, in [14, 18] for fourth
+    order; each run is measured at its mesh times against ``exact`` (t ->
+    State), by default the dense output of a run 8x finer than the finest."""
+    if exact is None:
+        ref = integrate(model, history, horizon, step=steps[-1] / 8.0)
+        exact = lambda t: dense_eval(ref, t)
+    errors = [max(exact(float(t)).max_abs_diff(State(*map(float, st)))
+                  for t, st in zip(traj.times, traj.states))
+              for traj in (integrate(model, history, horizon, step=s) for s in steps)]
+    return [SubCheck(f"{label}, step {steps[i]:.4g} -> {steps[i + 1]:.4g}: "
+                     f"error ratio in [14, 18]", 14.0 <= errors[i] / errors[i + 1] <= 18.0,
+                     f"errors {errors[i]:.3e} -> {errors[i + 1]:.3e}, "
+                     f"ratio {errors[i] / errors[i + 1]:.2f}")
+            for i in range(len(steps) - 1)]
+
+
 def criterion_9():
-    """Fourth-order convergence on the linear reduction and on ex5_3 with one
-    delay; equilibrium-start drift < 1e-8 over horizon 100 on every preset."""
+    """Fourth-order convergence on the linear reduction, on ex5_3 with one
+    delay and on ex5_5 with two, from a constant and from a sampled history;
+    equilibrium-start drift < 1e-8 over horizon 100 on every preset."""
     t0 = time.perf_counter()
-    subs = []
-    model = _linear_reduction_model()
     x0, y0, z0 = 8.0, 3.0, 4.0
-    horizon = 20.0
 
     def exact(t):
         # x' = 10 - 2x + z with z = z0*exp(-t)
-        return (5.0 + z0 * math.exp(-t) + (x0 - 5.0 - z0) * math.exp(-2.0 * t),
-                y0 * math.exp(-1.0 * t),
-                z0 * math.exp(-1.0 * t))
+        return State(5.0 + z0 * math.exp(-t) + (x0 - 5.0 - z0) * math.exp(-2.0 * t),
+                     y0 * math.exp(-t), z0 * math.exp(-t))
 
-    steps = (0.1, 0.05, 0.025, 0.0125)
-    errors = []
-    for step in steps:
-        traj = integrate(model, ConstantHistory(State(x0, y0, z0)), horizon, step=step)
-        err = 0.0
-        for i, t in enumerate(traj.times):
-            ex = exact(float(t))
-            err = max(err, max(abs(traj.states[i, k] - ex[k]) for k in range(3)))
-        errors.append(err)
-    for i in range(len(errors) - 1):
-        ratio = errors[i] / errors[i + 1]
-        subs.append(SubCheck(
-            f"halving {steps[i]:g} -> {steps[i + 1]:g}: error ratio in [14, 18]",
-            14.0 <= ratio <= 18.0,
-            f"errors {errors[i]:.3e} -> {errors[i + 1]:.3e}, ratio {ratio:.2f}"))
+    subs = _order_subs("linear reduction", _linear_reduction_model(),
+                       ConstantHistory(State(x0, y0, z0)), 20.0, (0.1, 0.05, 0.025, 0.0125),
+                       exact)
 
-    # with a delay RK4 keeps its order only if the mesh holds the breaking
-    # points k*tau (a misaligned mesh gives ratios near 4); the requested
-    # steps tau/(N - 0.63) do not divide tau, and the mesh rule makes them tau/N
+    # with delays RK4 keeps its order only if the mesh holds the breaking
+    # points s + k*tau + j*delta (a mesh that misses them gives ratios near
+    # 4); the requested steps tau/(N - 0.63) do not divide tau, and the mesh
+    # cuts each gap between breaking points into equal steps
     cfg = load_preset("ex5_3")
     tau = 0.93
     delayed = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))
-    ref = integrate(delayed, cfg.history, 11.0 * tau, step=tau / 800.0)
-    divisions = (25, 50, 100)
-    errors = []
-    for n in divisions:
-        traj = integrate(delayed, cfg.history, 11.0 * tau, step=tau / (n - 0.63))
-        errors.append(max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, st)))
-                          for t, st in zip(traj.times, traj.states)))
-    for i in range(len(errors) - 1):
-        ratio = errors[i] / errors[i + 1]
-        subs.append(SubCheck(
-            f"ex5_3 tau = {tau:g}, mesh tau/{divisions[i]} -> tau/{divisions[i + 1]}: "
-            f"error ratio in [14, 18]",
-            14.0 <= ratio <= 18.0,
-            f"errors {errors[i]:.3e} -> {errors[i + 1]:.3e}, ratio {ratio:.2f}"))
+    subs += _order_subs(f"ex5_3 tau = {tau:g}", delayed, cfg.history, 11.0 * tau,
+                        tuple(tau / (n - 0.63) for n in (25, 50, 100)))
+    cfg = load_preset("ex5_5")
+    delayed = replace(cfg.model, params=cfg.model.params.with_delays(0.93, 0.61))
+    for kind, history in (("constant", cfg.history), ("sampled", EX5_5_SAMPLED_HISTORY)):
+        subs += _order_subs(f"ex5_5 (tau,delta)=(0.93,0.61) {kind} history", delayed,
+                            history, 10.0, (0.04, 0.02, 0.01))
 
-    from .presets import PRESET_NAMES
     for name in PRESET_NAMES:
         m = load_preset(name).model
         for eq in all_equilibria(m):

@@ -13,8 +13,10 @@ JSON layout (the model block alone is also accepted and gets defaults):
       },
       "history": {"kind": "constant", "state": [1.0, 1.0, 1.0]},
       "horizon": 100.0,
-      "step": 0.04,            // optional requested RK4 step; the default
-                               // is set by sirdelay.integrator
+      "step": 0.04,            // optional requested RK4 step, default 0.04
+                               // (at most the smallest positive delay, or
+                               // horizon/100 with none); no mesh step of
+                               // sirdelay.integrator is longer
       "reference": {...}       // optional published values for cross-checks
     }
 

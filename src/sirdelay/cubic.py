@@ -94,11 +94,16 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     disc_tol = 1e-10 * max(1.0, abs(p) ** 3, q * q)
     half_q = q / 2.0
     inner = half_q * half_q + p**3 / 27.0  # -disc / 108
+    polish = True
     if abs(p) < 1e-14 * max(1.0, b * b) and abs(q) < 1e-14 * max(1.0, abs(d), 1.0):
         roots = [0.0]
-    elif disc > disc_tol or inner < 0.0:
-        # three real roots, distinct or with a nearly coincident pair:
-        # trigonometric form (p < 0 here)
+    elif abs(disc) <= disc_tol and p != 0.0:
+        # a double root within round-off, where Newton's slope is noise: the
+        # depressed cubic is (t - t2)^2 (t + 2*t2) with t2 = -3q/(2p) (Kahan,
+        # "To solve a real cubic equation", 1986; Blinn, IEEE CG&A 2006-07)
+        roots, polish = [-1.5 * q / p, 3.0 * q / p], False
+    elif inner < 0.0:
+        # three distinct real roots: trigonometric form (p < 0 here)
         m = 2.0 * math.sqrt(-p / 3.0)
         arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
         theta = math.acos(arg)
@@ -108,13 +113,11 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
         u = math.copysign(abs(-half_q + s) ** (1.0 / 3.0), -half_q + s)
         v = math.copysign(abs(-half_q - s) ** (1.0 / 3.0), -half_q - s)
         roots = [u + v]
-        if abs(disc) <= disc_tol and p != 0.0:
-            roots.append(-roots[0] / 2.0)  # double-root partner of the single root
 
     out = []
     bound = 1e-9 * max(1.0, scale)
     for t in roots:
-        x = _polish(c3, c2, c1, c0, t - shift)
+        x = _polish(c3, c2, c1, c0, t - shift) if polish else t - shift
         if abs(((c3 * x + c2) * x + c1) * x + c0) >= bound:
             continue  # near-degenerate partner that is not actually a root
         if not any(abs(x - w) <= 1e-9 * max(1.0, abs(x)) for w in out):

@@ -1,4 +1,4 @@
-"""Fixed-step method-of-steps integration of the delayed model.
+"""Method-of-steps integration of the delayed model on a breaking-point mesh.
 
 Classical fourth-order Runge-Kutta advances the state; delayed arguments
 are read from cubic Hermite dense output over already-computed mesh
@@ -9,30 +9,26 @@ needed.  The result is deterministic: identical inputs give a
 byte-identical trajectory.
 
 The mesh.  The solution's derivatives jump at the breaking points
-k*tau + j*delta, where the jump at t = 0 between history and solution
-propagates through the delays; RK4 stays fourth order only if every
-breaking point is a mesh point (Bellen & Zennaro, *Numerical Methods for
-Delay Differential Equations*, 2003).  From a requested step s:
+s + k*tau + j*delta: the jump at s propagates through the delays, where
+s is 0 (history meets solution) or a sample time <= 0 of a sampled
+history (the history kinks there).  RK4 stays fourth order only if
+every breaking point that leaves the low derivatives rough is a mesh
+point (Bellen & Zennaro, *Numerical Methods for Delay Differential
+Equations*, 2003).  One rule builds the mesh for every call: the
+breaking points in (0, horizon) with 1 <= k + j <= 4, merged where they
+lie within 1e-9 * horizon of each other (or of 0 or the horizon), cut
+the run into gaps, and each gap is cut into ceil(gap / step) equal
+steps.  The requested step defaults to DEFAULT_STEP, at most the
+smallest positive delay (or horizon/100 with no delay), and no mesh
+step is longer.
 
-* with a constant history and one distinct positive delay d (tau = 0,
-  delta = 0 or tau = delta) every breaking point is a multiple k*d, and
-  the step is h = d / ceil(d / s), so the mesh holds them all; the
-  default s is ALIGNED_STEP;
-* with no delay there are no breaking points and h = horizon /
-  ceil(horizon / s); the default s is ALIGNED_STEP, at most horizon/100;
-* otherwise (a sampled history, which kinks at every sample, or two
-  distinct delays) h = horizon / ceil(horizon / s) as well; the
-  breaking points then fall inside steps and the order drops to two, so
-  the default s is the finer min(FINE_STEP, smallest positive delay / 20).
-
-Every step has length h except the last, which ends on the horizon and
-is shorter where h does not divide it; no state is computed past it.
-
-Stated tolerance: with the default step and one delay, ex5_3 (endemic
-point (2, 2, 2)) from its constant history stays within 2e-5 of a
-step-0.001 reference over [0, 60] at tau = 0.93, 2.37 and 5.37.  Over
-longer runs of a sustained oscillation the error grows with the phase
-drift (about 1e-3 at tau = 8 over [0, 200]).
+Stated tolerance: with the default step, ex5_3 (endemic point (2, 2, 2))
+from its constant history stays within 2e-5 of a step-0.001 reference
+over [0, 60] at tau = 0.93, 2.37 and 5.37, and ex5_5 at (tau, delta) =
+(0.93, 0.61) within 2e-5 from its constant history and from criterion
+9's five-sample history.
+Over longer runs of a sustained oscillation the error grows with the
+phase drift (about 1e-3 at tau = 8 over [0, 200]).
 """
 
 from __future__ import annotations
@@ -55,17 +51,14 @@ __all__ = [
     "integrate",
     "dense_eval",
     "trajectory_to_csv",
-    "default_step",
 ]
 
 #: states dipping below this trigger a negativity-violation error
 NEGATIVITY_TOL = -1e-6
 #: most steps one integrate call may take; more fails fast with ValueError
 MAX_STEPS = 2_000_000
-#: default requested step where every breaking point lies on the mesh
-ALIGNED_STEP = 0.04
-#: default requested step otherwise, capped at 1/20 of the smallest positive delay
-FINE_STEP = 0.01
+#: default requested step, capped at the smallest positive delay (horizon/100 with none)
+DEFAULT_STEP = 0.04
 
 
 def _valid_history_state(s: State) -> bool:
@@ -158,13 +151,11 @@ def history_from_dict(d: dict) -> HistorySpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense-output solution from 0 to the horizon on a mesh of step ``step``;
-    the last interval ends on the horizon and may be shorter."""
+    """Dense-output solution on the mesh ``times``, from 0 to the horizon."""
 
     times: np.ndarray
     states: np.ndarray      # shape (n, 3)
     derivatives: np.ndarray  # shape (n, 3), for Hermite dense output
-    step: float
     tau: float
     delta: float
 
@@ -177,13 +168,12 @@ class Trajectory:
         return State(float(x), float(y), float(z))
 
 
-def _hermite(ys, fs, h, t, top):
-    """Cubic Hermite interpolation at t > 0 through mesh values ``ys`` with
-    slopes ``fs`` on the mesh of step h, in interval int(t/h) capped at ``top``."""
-    i = int(t / h)
-    if i > top:
-        i = top
-    w = (t - i * h) / h
+def _hermite(ys, fs, ts, i, t):
+    """Cubic Hermite interpolation at t on the mesh interval [ts[i], ts[i + 1]]
+    through the values ``ys`` and slopes ``fs`` at its ends."""
+    t0 = ts[i]
+    h = ts[i + 1] - t0
+    w = (t - t0) / h
     w2 = w * w
     w3 = w2 * w
     j = i + 1
@@ -201,99 +191,80 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     Mesh points reproduce the stored states exactly.
     """
     times = traj.times
-    horizon = traj.horizon
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"time {t} outside trajectory range [0, {horizon}]")
-    h = traj.step
-    j = int(round(t / h))
-    if 0 <= j < len(times) and abs(t - j * h) <= 1e-9 * h:
-        x, y, z = traj.states[j]
-        return State(float(x), float(y), float(z))
-    last = len(times) - 2  # the last interval, which has its own length
-    if t < times[last]:
-        x, y, z = _hermite(traj.states, traj.derivatives, h, t, last - 1)
-    else:
-        x, y, z = _hermite(traj.states[last:], traj.derivatives[last:],
-                           horizon - times[last], t - times[last], 0)
+    if not 0.0 <= t <= times[-1]:
+        raise ValueError(f"time {t} outside trajectory range [0, {traj.horizon}]")
+    i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+    x, y, z = _hermite(traj.states, traj.derivatives, times, i, t)
     return State(float(x), float(y), float(z))
 
 
-def _aligned_delay(tau: float, delta: float, history: HistorySpec) -> float | None:
-    """The delay d whose multiples hold every breaking point (0.0 with no
-    delay), or None when a uniform mesh cannot hold them all."""
-    positive = {v for v in (tau, delta) if v > 0.0}
-    if not positive:
-        return 0.0
-    if len(positive) == 1 and isinstance(history, ConstantHistory):
-        return positive.pop()
-    return None
+def _breaking_points(tau: float, delta: float, history: HistorySpec,
+                     horizon: float) -> np.ndarray:
+    """0, the breaking points s + k*tau + j*delta in (0, horizon) with
+    1 <= k + j <= 4, and the horizon, sorted; s is 0 or a sample time <= 0
+    of a sampled history.  Of points within 1e-9 * horizon of each other
+    the first is kept, and 0 and the horizon absorb their neighbours."""
+    shifts = {k * tau + j * delta for k in range(5) for j in range(5 - k)} - {0.0}
+    starts = np.asarray(history.times if isinstance(history, SampledHistory) else ())
+    starts = np.append(starts[starts <= 0.0], 0.0)
+    tol = 1e-9 * horizon
+    points = (starts[:, None] + np.array(sorted(shifts))).ravel()
+    points = points[(points > tol) & (points < horizon - tol)]
+    points.sort()
+    points = points[np.diff(points, prepend=-math.inf) > tol]
+    return np.concatenate(([0.0], points, [horizon]))
 
 
-def default_step(tau: float, delta: float, history: HistorySpec, horizon: float) -> float:
-    """The step ``integrate`` requests when given none.
-
-    Where the mesh holds every breaking point, ALIGNED_STEP, at most the
-    one delay d (a constant history with one distinct positive delay) or
-    horizon/100 (no delay).  Elsewhere min(FINE_STEP, smallest positive
-    delay / 20).  The mesh step follows from the requested one: h =
-    d / ceil(d / s) with the one delay, else horizon / ceil(horizon / s);
-    see the module docstring.
-    """
-    d = _aligned_delay(tau, delta, history)
-    if d is None:
-        return min(FINE_STEP, min(v for v in (tau, delta) if v > 0.0) / 20.0)
-    return min(ALIGNED_STEP, d or horizon / 100.0)
+def _mesh(points, counts) -> array:
+    """The mesh times: 0, then each gap between neighbouring ``points`` cut
+    into its count of equal steps, the last one ending on the point itself."""
+    ts = array("d", (0.0,))
+    for a, b, n in zip(points, points[1:], counts):
+        g = (b - a) / n
+        ts.extend(a + m * g for m in range(1, n))
+        ts.append(b)
+    return ts
 
 
 def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
               step: float | None = None) -> Trajectory:
     """Integrate the delayed system from its history over [0, horizon].
 
-    ``step`` is the requested step (default ``default_step``); the mesh
-    step follows from it by the rule in the module docstring.  The
-    requested step must not exceed the smallest positive delay (so delayed
-    lookups never run ahead of computed segments); with both delays zero
-    it must not exceed horizon/100, and the mesh must reach the horizon
-    within MAX_STEPS steps.  Raises IntegrationError when a state component
-    falls below -1e-6 (negativity violation) or stops being finite
-    (blow-up); its ``trajectory`` holds the steps accepted before the
-    failing one.
+    ``step`` is the requested step (default DEFAULT_STEP, capped as the
+    module docstring says); the mesh follows from it by the one rule there.
+    The requested step must not exceed the smallest positive delay (so
+    delayed lookups never run ahead of computed segments); with both
+    delays zero it must not exceed horizon/100, and the mesh must reach the
+    horizon within MAX_STEPS steps.  Raises IntegrationError when a state
+    component falls below -1e-6 (negativity violation) or stops being
+    finite (blow-up); its ``trajectory`` holds the steps accepted before
+    the failing one.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     p = model.params
     tau, delta = p.tau, p.delta
+    positive = [v for v in (tau, delta) if v > 0.0]
+    cap = min(positive) if positive else horizon / 100.0
     if step is None:
-        step = default_step(tau, delta, history, horizon)
+        step = min(DEFAULT_STEP, cap)
     if not 0.0 < step < math.inf:
         raise ValueError("step must be positive and finite")
-    positive = [v for v in (tau, delta) if v > 0.0]
-    if positive and step > min(positive) + 1e-15:
-        raise ValueError(
-            f"step {step} exceeds the smallest positive delay {min(positive)}"
-        )
-    if not positive and step > horizon / 100.0 + 1e-15:
-        raise ValueError("with no delays the step must not exceed horizon/100")
+    if step > cap + 1e-15:
+        raise ValueError(f"step {step} exceeds the smallest positive delay {cap}" if positive
+                         else "with no delays the step must not exceed horizon/100")
     span_needed = max(tau, delta)
     if history.span() < span_needed - 1e-12:
         raise ValueError(
             f"history covers {history.span()}, but delays need {span_needed}"
         )
 
-    # the mesh step divides the one delay, so every breaking point k*d is a
-    # mesh point, or else the horizon
-    unit = _aligned_delay(tau, delta, history) or horizon
-    h = unit / math.ceil(unit / step - 1e-9)
-    n = max(1, math.ceil(horizon / h - 1e-9))
+    points = _breaking_points(tau, delta, history, horizon)
+    counts = np.maximum(np.ceil(np.diff(points) / step - 1e-9), 1.0)
+    n = int(counts.sum())
     if n > MAX_STEPS:
-        raise ValueError(f"step budget exceeded: {n} steps of {h} to reach {horizon}, "
-                         f"more than MAX_STEPS = {MAX_STEPS}")
-    # the last step ends on the horizon: shorter than h where h does not
-    # divide it, h itself where it does up to rounding (so a mesh that
-    # divides the horizon takes n equal steps)
-    h_last = horizon - (n - 1) * h
-    if abs(h_last - h) <= 1e-9 * h:
-        h_last = h
+        raise ValueError(f"step budget exceeded: {n} steps of at most {step} to reach "
+                         f"{horizon}, more than MAX_STEPS = {MAX_STEPS}")
 
     rhs = model.rhs
     use_xt = tau > 0.0
@@ -305,44 +276,63 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     s0 = history.value(0.0)
     x, y, z = s0.x, s0.y, s0.z
     kx, ky, kz = rhs(x, y, z, hist_x(-tau) if use_xt else x, hist_y(-delta) if use_yd else y)
+    ts = _mesh(points.tolist(), counts.astype(int).tolist())
     xs, ys, zs = array("d", (x,)), array("d", (y,)), array("d", (z,))
     dxs, dys, dzs = array("d", (kx,)), array("d", (ky,)), array("d", (kz,))
     add_x, add_y, add_z, add_dx, add_dy, add_dz = (
         b.append for b in (xs, ys, zs, dxs, dys, dzs))
 
-    hk = h
-    last_k = n - 1
-    half = 0.5 * h
-    sixth = h / 6.0
+    t = 0.0
+    ix = iy = 0
     isfinite = math.isfinite
     failure = cause = None
     try:
         for k in range(n):
-            # k1 = (kx, ky, kz) is the derivative stored at t; the delayed
-            # arguments of k2 and k3 (mid-step) and of k4 and the next k1
-            # (step end) are looked up once each
-            if k == last_k:
-                hk = h_last
-                half = 0.5 * hk
-                sixth = hk / 6.0
-            t = k * h
-            top = k - 1  # the last computed interval
+            # k1 = (kx, ky, kz) is the derivative stored at t = ts[k]; the
+            # delayed arguments of k2 and k3 (mid-step) and of k4 and the next
+            # k1 (step end) are looked up once each, in the intervals before
+            # t.  Lookup times only grow, so each delay's interval index
+            # (ix, iy) walks forward instead of searching the whole mesh.
+            tn = ts[k + 1]
+            hk = tn - t
+            half = 0.5 * hk
             tm = t + half
-            tn = t + hk
+            top = k - 1
             if use_xt:
                 sm, se = tm - tau, tn - tau
-                xm = _hermite(xs, dxs, h, sm, top) if sm > 0.0 else hist_x(sm)
-                xe = _hermite(xs, dxs, h, se, top) if se > 0.0 else hist_x(se)
+                if sm > 0.0:
+                    while ts[ix + 1] < sm:
+                        ix += 1
+                    xm = _hermite(xs, dxs, ts, ix, sm)
+                else:
+                    xm = hist_x(sm)
+                if se > 0.0:
+                    while ix < top and ts[ix + 1] < se:
+                        ix += 1
+                    xe = _hermite(xs, dxs, ts, ix, se)
+                else:
+                    xe = hist_x(se)
             if use_yd:
                 sm, se = tm - delta, tn - delta
-                ym = _hermite(ys, dys, h, sm, top) if sm > 0.0 else hist_y(sm)
-                ye = _hermite(ys, dys, h, se, top) if se > 0.0 else hist_y(se)
+                if sm > 0.0:
+                    while ts[iy + 1] < sm:
+                        iy += 1
+                    ym = _hermite(ys, dys, ts, iy, sm)
+                else:
+                    ym = hist_y(sm)
+                if se > 0.0:
+                    while iy < top and ts[iy + 1] < se:
+                        iy += 1
+                    ye = _hermite(ys, dys, ts, iy, se)
+                else:
+                    ye = hist_y(se)
             x2, y2, z2 = x + half * kx, y + half * ky, z + half * kz
             k2x, k2y, k2z = rhs(x2, y2, z2, xm if use_xt else x2, ym if use_yd else y2)
             x3, y3, z3 = x + half * k2x, y + half * k2y, z + half * k2z
             k3x, k3y, k3z = rhs(x3, y3, z3, xm if use_xt else x3, ym if use_yd else y3)
             x4, y4, z4 = x + hk * k3x, y + hk * k3y, z + hk * k3z
             k4x, k4y, k4z = rhs(x4, y4, z4, xe if use_xt else x4, ye if use_yd else y4)
+            sixth = hk / 6.0
             x = x + sixth * (kx + 2.0 * (k2x + k3x) + k4x)
             y = y + sixth * (ky + 2.0 * (k2y + k3y) + k4y)
             z = z + sixth * (kz + 2.0 * (k2z + k3z) + k4z)
@@ -356,6 +346,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
                            f"state = ({x:.6g}, {y:.6g}, {z:.6g})")
                 break
             kx, ky, kz = rhs(x, y, z, xe if use_xt else x, ye if use_yd else y)
+            t = tn
             add_x(x)
             add_y(y)
             add_z(z)
@@ -367,12 +358,8 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
         cause = exc
 
     # the whole run, or the steps accepted before the failing one
-    times = np.arange(len(xs), dtype=float) * h
-    if failure is None:
-        times[-1] = horizon  # where the last step ends
-    traj = Trajectory(times=times, states=_columns(xs, ys, zs),
-                      derivatives=_columns(dxs, dys, dzs),
-                      step=h, tau=tau, delta=delta)
+    traj = Trajectory(times=np.frombuffer(ts)[:len(xs)], states=_columns(xs, ys, zs),
+                      derivatives=_columns(dxs, dys, dzs), tau=tau, delta=delta)
     if failure is None:
         return traj
     raise IntegrationError(failure, time=tn, trajectory=traj if len(xs) > 1 else None) from cause

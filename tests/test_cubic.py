@@ -113,3 +113,24 @@ def test_quadratic_double_root_is_not_polished_away():
         roots = solve_cubic_real(0.0, k, -2.0 * k * r, k * r * r)
         assert len(roots) <= 1
         assert all(abs(x - r) <= 1e-12 * max(1.0, abs(r)) for x in roots)
+
+
+def test_double_root_is_kept_once():
+    # k*(x - r)^2*(x - s): Newton polish started at the double root used to
+    # jump away from it (losing r) or split it (three roots); a pair within
+    # 1e-3 is nearly a triple root, whose roots move by the cube root of the
+    # coefficients' rounding, and is skipped
+    assert solve_cubic_real(1.0, -16.118863200181774, 60.570197077576324,
+                            35.91199907127776) == pytest.approx([-0.5189, 8.3189], abs=1e-4)
+    rng = random.Random(0)
+    for _ in range(10000):
+        r, s = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+        k = rng.choice([1.0, -1.0, 2.0, 0.5])
+        if abs(r - s) < 1e-3:
+            continue
+        coeffs = (k, -k * (2.0 * r + s), k * (r * r + 2.0 * r * s), -k * r * r * s)
+        roots = solve_cubic_real(*coeffs)
+        assert len(roots) == 2
+        assert len([x for x in roots if abs(x - r) <= 1e-6 * abs(r)]) == 1, (r, s, k, roots)
+        assert any(abs(x - s) <= 1e-6 * max(1.0, abs(s)) for x in roots)
+        assert_residuals(coeffs, roots)

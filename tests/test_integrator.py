@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from sirdelay import integrator
+from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
 from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import IntegrationError
 from sirdelay.integrator import (
     ConstantHistory,
     SampledHistory,
-    default_step,
     dense_eval,
     integrate,
     trajectory_to_csv,
@@ -39,20 +39,26 @@ def exact_linear(t, x0=8.0, y0=3.0, z0=4.0):
 
 
 def test_default_step():
+    # DEFAULT_STEP, capped at the smallest positive delay (horizon/100 with
+    # none), for every delay and history; no mesh step is longer
     const = ConstantHistory(State(1.0, 1.0, 1.0))
-    sampled = SampledHistory(times=(-1.0, 0.0), states=(State(1, 1, 1), State(1, 1, 1)))
-    # every breaking point on the mesh: one distinct delay, or none
-    assert default_step(1.0, 0.0, const, 200.0) == integrator.ALIGNED_STEP == 0.04
-    assert default_step(0.0, 0.1, const, 200.0) == 0.04
-    assert default_step(0.3, 0.3, const, 200.0) == 0.04
-    assert default_step(0.0, 0.0, sampled, 200.0) == 0.04
-    assert default_step(0.0, 0.0, const, 2.0) == pytest.approx(0.02)  # horizon/100
-    assert default_step(0.01, 0.0, const, 200.0) == 0.01  # the one delay
-    # otherwise min(FINE_STEP, smallest positive delay / 20)
-    assert default_step(1.0, 0.0, sampled, 200.0) == integrator.FINE_STEP == 0.01
-    assert default_step(0.1, 0.0, sampled, 200.0) == pytest.approx(0.005)
-    assert default_step(1.0, 0.5, const, 200.0) == 0.01
-    assert default_step(0.1, 0.04, const, 200.0) == pytest.approx(0.002)
+    sampled = SampledHistory(times=(-1.0, -0.37, 0.0), states=(State(1, 1, 1),) * 3)
+    assert integrator.DEFAULT_STEP == 0.04
+    for tau, delta, hist, horizon, want in [
+        (1.0, 0.0, const, 200.0, 0.04),
+        (0.0, 0.1, const, 200.0, 0.04),
+        (0.3, 0.3, const, 200.0, 0.04),
+        (0.0, 0.0, sampled, 200.0, 0.04),
+        (1.0, 0.0, sampled, 200.0, 0.04),
+        (1.0, 0.5, const, 200.0, 0.04),
+        (0.0, 0.0, const, 2.0, 0.02),  # horizon/100
+        (0.01, 0.0, const, 200.0, 0.01),  # the smallest delay
+        (0.1, 0.03, sampled, 20.0, 0.03),
+    ]:
+        model, _ = _ex5_3(tau, delta)
+        steps = np.diff(integrate(model, hist, horizon).times)
+        assert steps.max() == pytest.approx(want, rel=1e-3), (tau, delta, horizon)
+        assert steps.max() <= want * (1.0 + 1e-9)
 
 
 def test_step_validation():
@@ -153,19 +159,41 @@ def _ex5_3(tau, delta=0.0):
 
 
 def test_fourth_order_with_one_delay_at_misaligned_requested_steps():
-    # requested steps tau/(N - 0.63) do not divide tau; the mesh rule turns
-    # each into tau/N, so the breaking points k*tau are mesh points and the
-    # error ratio per halving is 16, not the 4 of a misaligned mesh
+    # requested steps tau/(N - 0.63) do not divide tau; the mesh rule cuts
+    # each gap between breaking points k*tau into equal steps (tau/N up to
+    # 4*tau), so the error ratio per halving is 16, not the 4 of a
+    # misaligned mesh
     tau = 0.93
     model, hist = _ex5_3(tau)
     ref = integrate(model, hist, 11.0 * tau, step=tau / 800.0)
     errors = []
     for n in (25, 50, 100):
         traj = integrate(model, hist, 11.0 * tau, step=tau / (n - 0.63))
-        assert traj.step == pytest.approx(tau / n, rel=1e-12)
-        errors.append(float(np.max(np.abs(traj.states - ref.states[::800 // n]))))
+        np.testing.assert_allclose(np.diff(traj.times[:4 * n + 1]), tau / n, rtol=1e-9)
+        errors.append(_max_error(traj, ref))
     for a, b in zip(errors, errors[1:]):
         assert 14.0 <= a / b <= 18.0
+
+
+def _max_error(traj, ref):
+    """Largest deviation of the mesh states of ``traj`` from the dense output of ``ref``."""
+    return max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, st)))
+               for t, st in zip(traj.times, traj.states))
+
+
+def _assert_mesh_holds_the_breaking_points(traj, starts, tau, delta, step):
+    """Every s + k*tau + j*delta in (0, horizon) with 1 <= k + j <= 4 is a mesh
+    time, the mesh runs from 0 to the horizon, and no step exceeds ``step``."""
+    times, horizon = traj.times, traj.horizon
+    assert times[0] == 0.0 and times[-1] == horizon
+    steps = np.diff(times)
+    assert 0.0 < steps.min() and steps.max() <= step * (1.0 + 1e-9)
+    for s in starts:
+        for k in range(5):
+            for j in range(5 - k):
+                p = s + k * tau + j * delta
+                if k + j >= 1 and 0.0 < p < horizon:
+                    assert float(np.min(np.abs(times - p))) <= 1e-9 * horizon, (s, k, j)
 
 
 @pytest.mark.parametrize("tau, delta, horizon, step", [
@@ -174,18 +202,24 @@ def test_fourth_order_with_one_delay_at_misaligned_requested_steps():
     (0.7, 0.7, 50.0, None),
     (0.93, 0.0, 61.0, 0.05),
     (5.37, 0.0, 200.0, 0.0123),
+    (0.93, 0.61, 60.0, None),
+    (2.0, 0.3, 30.0, 0.07),
 ])
 def test_mesh_holds_every_multiple_of_the_delay(tau, delta, horizon, step):
     model, hist = _ex5_3(tau, delta)
     traj = integrate(model, hist, horizon, step=step)
-    d = max(tau, delta)
-    assert traj.step <= (step or integrator.ALIGNED_STEP)
-    assert d / traj.step == pytest.approx(round(d / traj.step), abs=1e-9)
-    for k in range(1, int(horizon / d) + 1):
-        assert float(np.min(np.abs(traj.times - k * d))) <= 1e-12 * k * d
-    # the last step ends on the horizon, no longer than the others
-    assert traj.times[-1] == horizon == traj.horizon
-    assert 0.0 < traj.times[-1] - traj.times[-2] <= traj.step * (1.0 + 1e-9)
+    _assert_mesh_holds_the_breaking_points(traj, (0.0,), tau, delta,
+                                           step or min(integrator.DEFAULT_STEP, tau or delta))
+
+
+@pytest.mark.parametrize("tau, delta, step", [(1.0, 0.0, None), (0.93, 0.61, None),
+                                              (0.93, 0.61, 0.013)])
+def test_mesh_holds_every_breaking_point_of_a_sampled_history(tau, delta, step):
+    model, _ = _ex5_3(tau, delta)
+    hist = _zigzag_history(n=7, span=1.0)
+    traj = integrate(model, hist, 40.0, step=step)
+    _assert_mesh_holds_the_breaking_points(traj, hist.times, tau, delta,
+                                           step or integrator.DEFAULT_STEP)
 
 
 @pytest.mark.parametrize("tau", [0.93, 2.37, 5.37])
@@ -194,12 +228,20 @@ def test_default_step_meets_the_stated_tolerance(tau):
     model, hist = _ex5_3(tau)
     ref = integrate(model, hist, 60.0, step=0.001)
     traj = integrate(model, hist, 60.0)
-    err = max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
-              for t, s in zip(traj.times, traj.states))
-    assert err <= 2e-5
-    # dense output on the short last interval, which has its own length
+    assert _max_error(traj, ref) <= 2e-5
+    # dense output inside the last interval
     t = 0.5 * (traj.times[-2] + traj.times[-1])
     assert dense_eval(traj, t).max_abs_diff(dense_eval(ref, t)) <= 2e-5
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_default_step_meets_the_stated_tolerance_with_two_delays(sampled):
+    # the bound the module docstring states for ex5_5 at (0.93, 0.61)
+    cfg = load_preset("ex5_5")
+    model = replace(cfg.model, params=cfg.model.params.with_delays(0.93, 0.61))
+    hist = EX5_5_SAMPLED_HISTORY if sampled else cfg.history
+    ref = integrate(model, hist, 60.0, step=0.001)
+    assert _max_error(integrate(model, hist, 60.0), ref) <= 2e-5
 
 
 def test_equilibrium_start_is_fixed():
@@ -311,7 +353,9 @@ def test_integration_error_carries_the_part_computed_before_the_failing_step():
     part = exc.value.trajectory
     assert exc.value.time == pytest.approx(11.98, abs=1e-9)
     assert np.isfinite(part.states).all() and np.isfinite(part.derivatives).all()
-    assert part.horizon == pytest.approx(exc.value.time - part.step, abs=1e-9)
+    # beyond 4*tau the steps are equal, so the failing one is as long as the last
+    last_step = part.times[-1] - part.times[-2]
+    assert part.horizon == pytest.approx(exc.value.time - last_step, abs=1e-9)
     assert part.states[0].tolist() == [1.0, 1.0, 1.0]
     # from x = 0 the drain takes x below zero in the first step: nothing was computed
     with pytest.raises(IntegrationError, match="negativity") as exc:
@@ -344,8 +388,7 @@ def test_uses_sampled_history_values():
     a = integrate(model, ramp, horizon=3.0)
     b = integrate(model, flat, horizon=3.0)
     # delayed lookups differ over [0, 1], so the paths must split early
-    i = int(0.5 / a.step)
-    assert abs(a.states[i, 1] - b.states[i, 1]) > 1e-4
+    assert abs(dense_eval(a, 0.5).y - dense_eval(b, 0.5).y) > 1e-4
 
 
 def test_histories_reject_non_finite_input():
@@ -407,6 +450,21 @@ def test_step_budget_fails_fast(monkeypatch):
     assert len(integrate(model, hist, horizon=1.0, step=0.01).times) == 101
     with pytest.raises(ValueError, match="MAX_STEPS"):
         integrate(model, hist, horizon=1.01, step=0.01)
+
+
+def test_long_sampled_history_fails_the_step_budget_before_the_mesh(monkeypatch):
+    # 200,000 samples and two delays give about 2.7 million breaking points,
+    # each a mesh time: the budget is checked on their count, and no mesh
+    # time or state is computed
+    def no_mesh(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(integrator, "_mesh", no_mesh)
+    model, _ = _ex5_3(0.93, 0.61)
+    times = np.linspace(-0.93, 0.0, 200_000).tolist()
+    hist = SampledHistory(times=tuple(times), states=(State(2.0, 2.0, 2.0),) * len(times))
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(model, hist, horizon=200.0)
 
 
 def _assert_derivatives_are_eval_rhs(model, history, traj):
