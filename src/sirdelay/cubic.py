@@ -90,19 +90,26 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     p = c - b * b / 3.0
     q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
     disc = -4.0 * p**3 - 27.0 * q * q
-    # band around zero discriminant: repeated real roots up to round-off
-    disc_tol = 1e-10 * max(1.0, abs(p) ** 3, q * q)
+    # band around zero discriminant: 16 unit round-offs (2**-53) of p's, q's
+    # and disc's terms, so a double root lands inside it, and distinct roots
+    # only as close as their own round-off (about 6e-8 relative, centred)
+    err_p = abs(c) + b * b / 3.0
+    err_q = 2.0 * abs(b) ** 3 / 27.0 + abs(b * c) / 3.0 + abs(d)
+    disc_tol = 1.78e-15 * (12.0 * p * p * err_p + 54.0 * abs(q) * err_q
+                           + 4.0 * abs(p) ** 3 + 27.0 * q * q)
     half_q = q / 2.0
     inner = half_q * half_q + p**3 / 27.0  # -disc / 108
-    polish = True
-    if abs(p) < 1e-14 * max(1.0, b * b) and abs(q) < 1e-14 * max(1.0, abs(d), 1.0):
-        roots = [0.0]
-    elif abs(disc) <= disc_tol and p != 0.0:
-        # a double root within round-off, where Newton's slope is noise: the
-        # depressed cubic is (t - t2)^2 (t + 2*t2) with t2 = -3q/(2p) (Kahan,
-        # "To solve a real cubic equation", 1986; Blinn, IEEE CG&A 2006-07)
-        roots, polish = [-1.5 * q / p, 3.0 * q / p], False
-    elif inner < 0.0:
+    # multiple roots are not polished: Newton's slope there is round-off
+    if abs(p) < 1e-14 * b * b and abs(q) < 1e-14 * max(abs(b) ** 3, abs(d)):
+        return _checked(c3, c2, c1, c0, [-shift])  # a triple root
+    if abs(disc) <= disc_tol and p != 0.0:
+        # a double root: the depressed cubic is (t - t2)^2 (t + 2*t2) with
+        # t2 = -3q/(2p) (Kahan, "To solve a real cubic equation", 1986;
+        # Blinn, IEEE CG&A 2006-07)
+        t2 = -1.5 * q / p
+        return _checked(c3, c2, c1, c0,
+                        [t2 - shift, _polish(c3, c2, c1, c0, -2.0 * t2 - shift)])
+    if inner < 0.0:
         # three distinct real roots: trigonometric form (p < 0 here)
         m = 2.0 * math.sqrt(-p / 3.0)
         arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
@@ -113,11 +120,15 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
         u = math.copysign(abs(-half_q + s) ** (1.0 / 3.0), -half_q + s)
         v = math.copysign(abs(-half_q - s) ** (1.0 / 3.0), -half_q - s)
         roots = [u + v]
+    return _checked(c3, c2, c1, c0, [_polish(c3, c2, c1, c0, t - shift) for t in roots])
 
+
+def _checked(c3, c2, c1, c0, xs):
+    """The candidate roots ``xs`` whose residual is below the documented
+    bound, sorted, with near-duplicates kept once."""
     out = []
-    bound = 1e-9 * max(1.0, scale)
-    for t in roots:
-        x = _polish(c3, c2, c1, c0, t - shift) if polish else t - shift
+    bound = 1e-9 * max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
+    for x in xs:
         if abs(((c3 * x + c2) * x + c1) * x + c0) >= bound:
             continue  # near-degenerate partner that is not actually a root
         if not any(abs(x - w) <= 1e-9 * max(1.0, abs(x)) for w in out):

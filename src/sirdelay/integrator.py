@@ -11,14 +11,15 @@ byte-identical trajectory.
 The mesh.  The solution's derivatives jump at the breaking points
 s + k*tau + j*delta: the jump at s propagates through the delays, where
 s is 0 (history meets solution) or a sample time <= 0 of a sampled
-history (the history kinks there).  RK4 stays fourth order only if
-every breaking point that leaves the low derivatives rough is a mesh
-point (Bellen & Zennaro, *Numerical Methods for Delay Differential
-Equations*, 2003).  One rule builds the mesh for every call: the
-breaking points in (0, horizon) with 1 <= k + j <= 4, merged where they
-lie within 1e-9 * horizon of each other (or of 0 or the horizon), cut
-the run into gaps, and each gap is cut into ceil(gap / step) equal
-steps.  The requested step defaults to DEFAULT_STEP, at most the
+history (the history kinks there).  A kink at s < 0 reaches the
+solution only where s plus the largest delay the point uses is
+positive.  RK4 stays fourth order only if every breaking point that
+leaves the low derivatives rough is a mesh point (Bellen & Zennaro,
+*Numerical Methods for Delay Differential Equations*, 2003).  One rule
+builds the mesh for every call: the breaking points in (0, horizon)
+with 1 <= k + j <= 4, merged where they lie within 1e-9 * horizon of
+each other (or of 0 or the horizon), cut the run into gaps, and each
+gap is cut into ceil(gap / step) equal steps.  The requested step defaults to DEFAULT_STEP, at most the
 smallest positive delay (or horizon/100 with no delay), and no mesh
 step is longer.
 
@@ -202,28 +203,37 @@ def _breaking_points(tau: float, delta: float, history: HistorySpec,
                      horizon: float) -> np.ndarray:
     """0, the breaking points s + k*tau + j*delta in (0, horizon) with
     1 <= k + j <= 4, and the horizon, sorted; s is 0 or a sample time <= 0
-    of a sampled history.  Of points within 1e-9 * horizon of each other
-    the first is kept, and 0 and the horizon absorb their neighbours."""
-    shifts = {k * tau + j * delta for k in range(5) for j in range(5 - k)} - {0.0}
+    of a sampled history and s plus the largest delay the point uses is
+    positive.  Of points within 1e-9 * horizon of each other the first is
+    kept, and 0 and the horizon absorb their neighbours.  Counted before
+    merging, more than MAX_STEPS of them fail the step budget unbuilt."""
+    # each shift k*tau + j*delta with the largest delay it uses
+    reach = {(k * tau + j * delta, max((k > 0) * tau, (j > 0) * delta))
+             for k in range(5) for j in range(5 - k) if k + j}
     starts = np.asarray(history.times if isinstance(history, SampledHistory) else ())
-    starts = np.append(starts[starts <= 0.0], 0.0)
+    starts = np.append(starts[starts < 0.0], 0.0)
     tol = 1e-9 * horizon
-    points = (starts[:, None] + np.array(sorted(shifts))).ravel()
-    points = points[(points > tol) & (points < horizon - tol)]
-    points.sort()
+    windows = [(shift, np.searchsorted(starts, max(-r, tol - shift), side="right"),
+                np.searchsorted(starts, horizon - tol - shift))
+               for shift, r in reach]
+    count = sum(max(0, int(hi - lo)) for _, lo, hi in windows)
+    if count > MAX_STEPS:
+        raise ValueError(f"step budget exceeded: {count} breaking points before {horizon}, "
+                         f"each a mesh time, more than MAX_STEPS = {MAX_STEPS}")
+    points = np.concatenate([starts[lo:hi] + shift for shift, lo, hi in windows])
+    points = np.sort(points[(points > tol) & (points < horizon - tol)])
     points = points[np.diff(points, prepend=-math.inf) > tol]
     return np.concatenate(([0.0], points, [horizon]))
 
 
-def _mesh(points, counts) -> array:
+def _mesh(points: np.ndarray, counts: np.ndarray) -> array:
     """The mesh times: 0, then each gap between neighbouring ``points`` cut
     into its count of equal steps, the last one ending on the point itself."""
-    ts = array("d", (0.0,))
-    for a, b, n in zip(points, points[1:], counts):
-        g = (b - a) / n
-        ts.extend(a + m * g for m in range(1, n))
-        ts.append(b)
-    return ts
+    ends = np.cumsum(counts)
+    m = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)  # 1..n in each gap
+    ts = np.repeat(points[:-1], counts) + m * np.repeat(np.diff(points) / counts, counts)
+    ts[ends - 1] = points[1:]
+    return array("d", np.concatenate(([0.0], ts)).tobytes())
 
 
 def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
@@ -260,7 +270,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
         )
 
     points = _breaking_points(tau, delta, history, horizon)
-    counts = np.maximum(np.ceil(np.diff(points) / step - 1e-9), 1.0)
+    counts = np.maximum(np.ceil(np.diff(points) / step - 1e-9), 1.0).astype(int)
     n = int(counts.sum())
     if n > MAX_STEPS:
         raise ValueError(f"step budget exceeded: {n} steps of at most {step} to reach "
@@ -276,7 +286,7 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     s0 = history.value(0.0)
     x, y, z = s0.x, s0.y, s0.z
     kx, ky, kz = rhs(x, y, z, hist_x(-tau) if use_xt else x, hist_y(-delta) if use_yd else y)
-    ts = _mesh(points.tolist(), counts.astype(int).tolist())
+    ts = _mesh(points, counts)
     xs, ys, zs = array("d", (x,)), array("d", (y,)), array("d", (z,))
     dxs, dys, dzs = array("d", (kx,)), array("d", (ky,)), array("d", (kz,))
     add_x, add_y, add_z, add_dx, add_dy, add_dz = (

@@ -115,7 +115,8 @@ def test_quadratic_double_root_is_not_polished_away():
         assert all(abs(x - r) <= 1e-12 * max(1.0, abs(r)) for x in roots)
 
 
-def test_double_root_is_kept_once():
+@pytest.mark.parametrize("scale", [1.0, 1e-2])
+def test_double_root_is_kept_once(scale):
     # k*(x - r)^2*(x - s): Newton polish started at the double root used to
     # jump away from it (losing r) or split it (three roots); a pair within
     # 1e-3 is nearly a triple root, whose roots move by the cube root of the
@@ -128,9 +129,33 @@ def test_double_root_is_kept_once():
         k = rng.choice([1.0, -1.0, 2.0, 0.5])
         if abs(r - s) < 1e-3:
             continue
+        r, s = r * scale, s * scale
         coeffs = (k, -k * (2.0 * r + s), k * (r * r + 2.0 * r * s), -k * r * r * s)
         roots = solve_cubic_real(*coeffs)
         assert len(roots) == 2
         assert len([x for x in roots if abs(x - r) <= 1e-6 * abs(r)]) == 1, (r, s, k, roots)
-        assert any(abs(x - s) <= 1e-6 * max(1.0, abs(s)) for x in roots)
+        assert any(abs(x - s) <= 1e-6 * abs(s) for x in roots)
         assert_residuals(coeffs, roots)
+
+
+def test_close_roots_of_a_small_cubic_stay_distinct():
+    # the double-root band is relative to the coefficients' rounding, so
+    # roots 0.01 apart are three roots whatever the cubic's scale
+    assert solve_cubic_real(1.0, 0.0, -1e-4, 0.0) == pytest.approx([-0.01, 0.0, 0.01], abs=1e-15)
+    assert solve_cubic_real(1.0, 0.0, -1e-16, 0.0) == pytest.approx([-1e-8, 0.0, 1e-8],
+                                                                   abs=1e-20)
+    for e in (1e-3, 1e-5):
+        r1, r2, s = 0.01 * (1.0 - e), 0.01 * (1.0 + e), -0.02
+        roots = solve_cubic_real(1.0, -(r1 + r2 + s), r1 * r2 + r1 * s + r2 * s, -r1 * r2 * s)
+        assert roots == pytest.approx([s, r1, r2], rel=1e-9)
+
+
+def test_triple_root_is_kept():
+    # Newton polish started at a triple root used to jump away from it, and
+    # the residual filter then dropped it
+    rng = random.Random(2)
+    for _ in range(10000):
+        a = rng.uniform(-10.0, 10.0)
+        k = rng.choice([1.0, -1.0, 2.0, 0.5])
+        roots = solve_cubic_real(k, -3.0 * k * a, 3.0 * k * a * a, -k * a ** 3)
+        assert roots == pytest.approx([a], rel=1e-12), (a, k)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,18 +183,26 @@ def _max_error(traj, ref):
 
 
 def _assert_mesh_holds_the_breaking_points(traj, starts, tau, delta, step):
-    """Every s + k*tau + j*delta in (0, horizon) with 1 <= k + j <= 4 is a mesh
-    time, the mesh runs from 0 to the horizon, and no step exceeds ``step``."""
+    """Every s + k*tau + j*delta in (0, horizon) with 1 <= k + j <= 4 that a
+    kink at s reaches (s plus the largest delay the point uses is positive)
+    is a mesh time up to the rounding of its sum, or was merged into such a
+    point (or 0 or the horizon) within 1e-9 * horizon; the mesh runs from 0
+    to the horizon, and no step exceeds ``step``."""
     times, horizon = traj.times, traj.horizon
     assert times[0] == 0.0 and times[-1] == horizon
     steps = np.diff(times)
     assert 0.0 < steps.min() and steps.max() <= step * (1.0 + 1e-9)
+    points = []
     for s in starts:
         for k in range(5):
             for j in range(5 - k):
                 p = s + k * tau + j * delta
-                if k + j >= 1 and 0.0 < p < horizon:
-                    assert float(np.min(np.abs(times - p))) <= 1e-9 * horizon, (s, k, j)
+                used = max(tau if k else 0.0, delta if j else 0.0)
+                if k + j >= 1 and s + used > 0.0 and 0.0 < p < horizon:
+                    points.append((p, 1e-12 * (abs(s) + k * tau + j * delta), (s, k, j)))
+    held = [0.0, horizon] + [p for p, r, _ in points if np.min(np.abs(times - p)) <= r]
+    for p, _, where in points:
+        assert min(abs(p - q) for q in held) <= 1e-9 * horizon, where
 
 
 @pytest.mark.parametrize("tau, delta, horizon, step", [
@@ -220,6 +229,17 @@ def test_mesh_holds_every_breaking_point_of_a_sampled_history(tau, delta, step):
     traj = integrate(model, hist, 40.0, step=step)
     _assert_mesh_holds_the_breaking_points(traj, hist.times, tau, delta,
                                            step or integrator.DEFAULT_STEP)
+
+
+def test_kinks_that_no_delay_carries_past_zero_add_no_mesh_time():
+    # a kink at s <= -max(tau, delta) lands before 0 through either delay,
+    # so s + k*tau + j*delta is no breaking point even where it is positive
+    model, const = _ex5_3(0.93, 0.61)
+    state = const.state
+    hist = SampledHistory(times=(-2.0, -0.95, 0.0), states=(state, State(1.0, 3.0, 2.0), state))
+    assert -2.0 + 4 * 0.93 > 0.0 and -0.95 + 2 * 0.93 > 0.0
+    np.testing.assert_array_equal(integrate(model, hist, 20.0).times,
+                                  integrate(model, const, 20.0).times)
 
 
 @pytest.mark.parametrize("tau", [0.93, 2.37, 5.37])
@@ -452,19 +472,21 @@ def test_step_budget_fails_fast(monkeypatch):
         integrate(model, hist, horizon=1.01, step=0.01)
 
 
-def test_long_sampled_history_fails_the_step_budget_before_the_mesh(monkeypatch):
-    # 200,000 samples and two delays give about 2.7 million breaking points,
-    # each a mesh time: the budget is checked on their count, and no mesh
-    # time or state is computed
-    def no_mesh(*args):
-        raise AssertionError("the mesh was built")
-
-    monkeypatch.setattr(integrator, "_mesh", no_mesh)
+def test_long_sampled_history_fails_the_step_budget_before_the_mesh():
+    # 200,000 samples and two delays give about 2.5 million breaking points,
+    # each a mesh time: the budget is checked on their count before they or
+    # the mesh are built (2.5 million points alone would take 20 MB)
     model, _ = _ex5_3(0.93, 0.61)
     times = np.linspace(-0.93, 0.0, 200_000).tolist()
     hist = SampledHistory(times=tuple(times), states=(State(2.0, 2.0, 2.0),) * len(times))
-    with pytest.raises(ValueError, match="MAX_STEPS"):
-        integrate(model, hist, horizon=200.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(model, hist, horizon=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def _assert_derivatives_are_eval_rhs(model, history, traj):
