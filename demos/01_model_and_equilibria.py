@@ -38,7 +38,7 @@ print("  right-hand side at (1, 1, 1):")
 print("   ", eval_rhs(model, State(1.0, 1.0, 1.0), 1.0, 1.0))
 print()
 
-print("steady states (disease-free solved by bisection, endemic in closed")
+print("steady states (disease-free solved by Brent's method, endemic in closed")
 print("form for this bilinear case, otherwise by bracketing sign changes of")
 print("one equation in y):")
 for eq in all_equilibria(model):

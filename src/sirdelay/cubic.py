@@ -1,5 +1,5 @@
 """Real roots of scalar equations: closed-form cubics (and degenerate
-lower-degree polynomials), and bisection on a sign-changing bracket."""
+lower-degree polynomials), and Brent-Dekker on a sign-changing bracket."""
 
 from __future__ import annotations
 
@@ -7,30 +7,50 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["bisect", "solve_cubic_real"]
+__all__ = ["brent", "solve_cubic_real"]
 
 
-def bisect(g, lo, hi):
-    """A root of g on [lo, hi] by bisection, stopping once |g| < 1e-12 or the
-    bracket is narrower than 1e-15 * max(1, hi); None when g(lo) and g(hi)
-    are nonzero and share a sign."""
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
+def brent(g, lo, hi):
+    """A root of g on [lo, hi] by Brent-Dekker: inverse quadratic or secant
+    steps, bisection where they fall short (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).  Stops only where g is
+    exactly 0 or the bracket is narrower than 1e-15 * max(1, hi); None when
+    g(lo) and g(hi) are nonzero and share a sign."""
+    a, b, fa, fb = lo, hi, g(lo), g(hi)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
         return None
+    tol = 0.5e-15 * max(1.0, hi)  # half the width bound
+    c, fc, d, e = a, fa, b - a, b - a  # d and e: the last two steps
     for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) < 1e-12 or hi - lo < 1e-15 * max(1.0, hi):
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo = mid
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol:
+            return b
+        num = den = 0.0
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                num, den = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                num = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            num, den = abs(num), -den if num > 0.0 else den
+        if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
+            d, e = num / den, d
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = m  # bisect: interpolation would leave the bracket or stall
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
+    return b
 
 
 def _polish(c3, c2, c1, c0, x):
@@ -125,13 +145,14 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
 
 def _checked(c3, c2, c1, c0, xs):
     """The candidate roots ``xs`` whose residual is below the documented
-    bound, sorted, with near-duplicates kept once."""
+    bound, sorted, with roots within 1e-9 of each other, relative to the
+    larger, kept once."""
     out = []
     bound = 1e-9 * max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
     for x in xs:
         if abs(((c3 * x + c2) * x + c1) * x + c0) >= bound:
             continue  # near-degenerate partner that is not actually a root
-        if not any(abs(x - w) <= 1e-9 * max(1.0, abs(x)) for w in out):
+        if not any(abs(x - w) <= 1e-9 * max(abs(x), abs(w)) for w in out):
             out.append(x)
     out.sort()
     return out

@@ -1,10 +1,10 @@
-"""Equilibrium computation: disease-free bisection and endemic root finding."""
+"""Equilibrium computation: disease-free and endemic roots by Brent's method."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubic import bisect
+from .cubic import brent
 from .model import ModelSpec, State, eval_rhs
 from .responses import Bilinear, Linear
 
@@ -57,13 +57,13 @@ def _susceptible_balance(model: ModelSpec):
 def find_disease_free(model: ModelSpec):
     """Locate the disease-free steady state (xbar, 0, 0), if one exists.
 
-    Solves G(x) = a - d*x - c*V(x) = 0 by bisection on [0, a/d].  Returns
-    None when the incidence does not vanish at y = 0 (no disease-free state
-    can exist) or when the bracket carries no sign change.
+    Solves G(x) = a - d*x - c*V(x) = 0 by ``cubic.brent`` on [0, a/d].
+    Returns None when the incidence does not vanish at y = 0 (no disease-free
+    state can exist) or when the bracket carries no sign change.
     """
     if not model.supports_disease_free:
         return None
-    xbar = bisect(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
+    xbar = brent(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
     if xbar is None:
         return None
     st = State(xbar, 0.0, 0.0)
@@ -105,12 +105,14 @@ def find_endemic(model: ModelSpec):
     closed form.  Otherwise, with z = r*P(y)/alpha and b1*f = r*P(y) + d1*y,
     the x equation reads G(x) = K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y).
     Contract: V and P do not decrease (``ModelSpec`` checks it), so with
-    b1 <= b, G falls and K rises; x(y) is one bisection on [0, a/d] for y
-    in (0, Y], where K(Y) = G(0).  The endemic points are the sign changes
-    of H(y) = b1*f(x(y), y) - r*P(y) - d1*y, sampled at MIN_ENDEMIC_Y (so a
-    point just above threshold, next to the disease-free root y = 0, is
-    bracketed) and at ENDEMIC_SAMPLES equal steps of (0, Y]; each is refined
-    by bisection and verified to residual < 1e-10.  A tangential root at a
+    b1 <= b, G falls and K rises, so x(y) is one root on [0, a/d] for y in
+    (0, Y], where K(Y) = G(0), and falls strictly in y.  The endemic points
+    are the sign changes of H(y) = b1*f(x(y), y) - r*P(y) - d1*y, sampled
+    at MIN_ENDEMIC_Y (so a point just above threshold, next to the
+    disease-free root y = 0, is bracketed) and at ENDEMIC_SAMPLES equal
+    steps of (0, Y], bracketing x(y) by [0, x(previous sample)] where that
+    changes sign.  Each sign change is refined by ``cubic.brent``, x(y) on
+    [0, a/d], and verified to residual < 1e-10.  A tangential root at a
     fold (or two roots within one step) changes no sign and is not reported.
     """
     if is_bilinear_special_case(model):
@@ -128,23 +130,29 @@ def find_endemic(model: ModelSpec):
         rp = p.r * P(y)
         return (p.b / p.b1) * (rp + p.d1 * y) - rp
 
-    def x_of(y):
+    def x_of(y, hi=p.a / p.d):
         k = K(y)
-        x = bisect(lambda x: G(x) - k, 0.0, p.a / p.d)
+        x = brent(lambda x: G(x) - k, 0.0, hi)
+        if x is None and hi < p.a / p.d:  # the warm bracket missed x(y)
+            return x_of(y)
         return 0.0 if x is None else x  # K(y) passes G(0) only within Y's tolerance
 
-    def H(y):
-        return p.b1 * f(x_of(y), y) - p.r * P(y) - p.d1 * y
+    def H(y, x):
+        return p.b1 * f(x, y) - p.r * P(y) - p.d1 * y
 
     # K(y) >= (b/b1)*d1*y reaches G(0) by yhi; None means only at yhi, within rounding
     yhi = p.b1 * g0 / (p.b * p.d1)
-    ymax = bisect(lambda y: K(y) - g0, 0.0, yhi)
+    ymax = brent(lambda y: K(y) - g0, 0.0, yhi)
     ymax = yhi if ymax is None else ymax
     steps = (ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1))
     ys = [MIN_ENDEMIC_Y] + [y for y in steps if y > MIN_ENDEMIC_Y]
-    hs = [H(y) for y in ys]
+    hs, x = [], p.a / p.d
+    for y in ys:
+        x = x_of(y, x)
+        hs.append(H(y, x))
     roots = [y for y, h in zip(ys, hs) if h == 0.0]
-    roots += [bisect(H, y0, y1) for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
+    roots += [brent(lambda y: H(y, x_of(y)), y0, y1)
+              for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
 
     found = []
     for y in roots:

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cubic import bisect, solve_cubic_real
+from .cubic import brent, solve_cubic_real
 from .equilibria import is_bilinear_special_case
 from .errors import DomainError
 from .model import JacCoeffs, ModelSpec
@@ -565,7 +565,7 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
     else:
         diagnostics.append("Psi has no sign change on the search grid")
         return CombinedResult(INCONCLUSIVE, None, None, None, tuple(checks), tuple(diagnostics))
-    nu_plus = bisect(lambda nu: _psi(cc, theta_given, nu), prev_nu, nu)
+    nu_plus = brent(lambda nu: _psi(cc, theta_given, nu), prev_nu, nu)
 
     num = m * nu_plus - nu_plus**3
     den = n - l * nu_plus * nu_plus

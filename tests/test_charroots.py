@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 
 from sirdelay.charroots import (
@@ -6,7 +9,7 @@ from sirdelay.charroots import (
     char_value,
     max_real_part,
 )
-from sirdelay.stability import CharCoeffs, tau_crossing
+from sirdelay.stability import CharCoeffs, _crossing_cubic, tau_crossing
 
 CC_EX5_2 = CharCoeffs(l=3.0, m=2.0, n=0.0, l1=0.0, m1=0.0, n1=0.0)
 CC_EX5_3 = CharCoeffs(l=7.0, m=6.0, n=0.0, l1=4.0, m1=4.0, n1=-2.0)
@@ -74,3 +77,23 @@ def test_ex5_3_crossing_bracket():
     g5 = max_real_part(CC_EX5_3, 5.0, 0.0)
     assert g4 < 0.0 < g5
     assert 4.5 < tau_crossing(CC_EX5_3) < 4.65  # the exact switch lies inside
+
+
+def test_tangential_crossing_at_a_double_root_of_the_crossing_cubic():
+    # choose l, l1 and the crossing cubic (s - s0)^2 (s - s1) in s = nu^2,
+    # then solve a2 = l^2 - 2m, a1 = m^2 - 2ln - l1^2, a0 = n^2 - m1^2 for
+    # m, n, m1 (n1 = 0): the rounded coefficients give a cubic whose double
+    # root s0 is double only within round-off
+    l, l1, s0, s1 = 3.0, 0.7, 2.3, -0.4
+    a2, a1, a0 = -(2.0 * s0 + s1), s0 * s0 + 2.0 * s0 * s1, -s0 * s0 * s1
+    m = (l * l - a2) / 2.0
+    n = (m * m - l1 * l1 - a1) / (2.0 * l)
+    cc = CharCoeffs(l=l, m=m, n=n, l1=l1, m1=math.sqrt(n * n - a0), n1=0.0)
+    assert _crossing_cubic(cc) == pytest.approx((a0, a1, a2), rel=1e-14)
+    nu0 = math.sqrt(s0)
+    P = complex(n - l * s0, nu0 * (m - s0))
+    Q = complex(cc.m1, l1 * nu0)
+    want = (-cmath.phase(-P / Q)) % (2.0 * math.pi) / nu0
+    tau = tau_crossing(cc)
+    assert tau == pytest.approx(want, rel=1e-12)
+    assert abs(char_value(cc, tau, 0.0, 1j * nu0)) < 1e-9

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sirdelay.cubic import solve_cubic_real
+from sirdelay.cubic import brent, solve_cubic_real
 from sirdelay.errors import DomainError
 
 
@@ -159,3 +159,47 @@ def test_triple_root_is_kept():
         k = rng.choice([1.0, -1.0, 2.0, 0.5])
         roots = solve_cubic_real(k, -3.0 * k * a, 3.0 * k * a * a, -k * a ** 3)
         assert roots == pytest.approx([a], rel=1e-12), (a, k)
+
+
+def _three_root_family_losses(scale, seed=5, count=100000):
+    rng = random.Random(seed)
+    lost = 0
+    for _ in range(count):
+        r = [rng.uniform(-1.0, 1.0) * scale for _ in range(3)]
+        coeffs = (1.0, -(r[0] + r[1] + r[2]), r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
+                  -r[0] * r[1] * r[2])
+        lost += len(solve_cubic_real(*coeffs)) != 3
+    return lost
+
+
+def test_small_cubics_lose_no_more_roots_than_unit_ones():
+    # duplicates are merged relative to the roots' size, so the same seeded
+    # three-root family shrunk to [-1e-4, 1e-4] keeps as many roots as at
+    # scale 1 (an absolute bar below 1 used to merge roots 5e-10 apart)
+    assert _three_root_family_losses(1e-4) <= _three_root_family_losses(1.0)
+
+
+def test_brent_needs_a_sign_change():
+    assert brent(lambda x: x * x + 1.0, -1.0, 2.0) is None
+    assert brent(lambda x: x - 3.0, 0.0, 2.0) is None
+
+
+def test_brent_returns_exact_endpoint_zeros():
+    assert brent(lambda x: x - 1.0, 1.0, 4.0) == 1.0
+    assert brent(lambda x: x - 4.0, 1.0, 4.0) == 4.0
+    assert brent(lambda x: 0.0, -2.0, 5.0) == -2.0
+
+
+@pytest.mark.parametrize("hi", [1.0, 7.5])
+def test_brent_converges_to_a_jump_within_the_width_bound(hi):
+    # no interpolation step can land on a discontinuous sign change, so the
+    # bisection fallback must carry the bracket down to 1e-15 * max(1, hi)
+    jump = 0.3 * hi
+    root = brent(lambda x: -1.0 if x < jump else 2.0, 0.0, hi)
+    assert abs(root - jump) <= 1e-15 * max(1.0, hi)
+
+
+def test_brent_finds_smooth_roots_to_the_last_bits():
+    root = brent(lambda x: x ** 3 - 2.0, 0.0, 3.0)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 4.0 * math.ulp(2.0 ** (1.0 / 3.0))
+    assert brent(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=2e-15)

@@ -1,9 +1,13 @@
 import math
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
+from sirdelay import equilibria
 from sirdelay.equilibria import (
+    ENDEMIC_SAMPLES,
     all_equilibria,
     find_disease_free,
     find_endemic,
@@ -125,3 +129,53 @@ def test_equilibria_deterministic(name):
     first = all_equilibria(model)
     second = all_equilibria(model)
     assert [e.state.as_tuple() for e in first] == [e.state.as_tuple() for e in second]
+
+
+@pytest.mark.parametrize("name", ["ex5_6", "ex5_7"])
+def test_disease_free_root_has_the_exact_residual_of_a_last_bit(name):
+    # G(x) = a - d*x - c*V(x) evaluated exactly in Fraction (PowerSum and
+    # SaturatingUnary V are rational): the solver stops on the bracket
+    # width alone, so its root is within a few ulp of G's exact zero
+    model = load_preset(name).model
+    p, V = model.params, model.V
+    exact_V = replace(V, **{f.name: Fraction(getattr(V, f.name)) for f in fields(V)})
+    xbar = find_disease_free(model).state.x
+    X = Fraction(xbar)
+    G = Fraction(p.a) - Fraction(p.d) * X - Fraction(p.c) * exact_V.formula(X)
+    slope = p.d + p.c * V.partial(0, xbar)
+    assert abs(G) <= 4.0 * math.ulp(xbar) * slope
+
+
+@pytest.mark.parametrize("name", ["ex5_5", "ex5_6", "ex5_7"])
+def test_x_of_y_solves_stay_within_an_evaluation_budget(name, monkeypatch):
+    # an x(y) solve is a brent call each of whose evaluations evaluates G
+    # once (one that evaluates H solves x(y) inside); counting evaluations,
+    # not time, keeps the budget deterministic
+    g_calls = [0]
+    balance = equilibria._susceptible_balance
+
+    def counted_balance(model):
+        G = balance(model)
+
+        def counted(x):
+            g_calls[0] += 1
+            return G(x)
+        return counted
+
+    evals = Counter()
+    brent = equilibria.brent
+
+    def counting_brent(g, lo, hi):
+        def counted(x):
+            before = g_calls[0]
+            value = g(x)
+            if g_calls[0] - before == 1:
+                evals[g] += 1
+            return value
+        return brent(counted, lo, hi)
+
+    monkeypatch.setattr(equilibria, "_susceptible_balance", counted_balance)
+    monkeypatch.setattr(equilibria, "brent", counting_brent)
+    find_endemic(load_preset(name).model)
+    assert len(evals) >= ENDEMIC_SAMPLES
+    assert sum(evals.values()) / len(evals) <= 12.0
