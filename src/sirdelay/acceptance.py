@@ -475,8 +475,8 @@ def criterion_9():
                         tuple(tau / (n - 0.63) for n in (25, 50, 100)))
     cfg = load_preset("ex5_5")
     delayed = replace(cfg.model, params=cfg.model.params.with_delays(0.93, 0.61))
-    for kind, history in (("constant", cfg.history), ("sampled", EX5_5_SAMPLED_HISTORY)):
-        subs += _order_subs(f"ex5_5 (tau,delta)=(0.93,0.61) {kind} history", delayed,
+    for history in (cfg.history, EX5_5_SAMPLED_HISTORY):
+        subs += _order_subs(f"ex5_5 (tau,delta)=(0.93,0.61) {history.kind} history", delayed,
                             history, 10.0, (0.04, 0.02, 0.01))
 
     for name in PRESET_NAMES:

@@ -21,7 +21,7 @@ from .cubic import solve_cubic_real
 from .equilibria import Equilibrium, all_equilibria
 from .errors import DomainError, IntegrationError
 from .integrator import HistorySpec, Trajectory, integrate
-from .model import ModelSpec, State, jacobian_coeffs
+from .model import ModelSpec, State, jacobian_coeffs, to_jsonable
 from .stability import char_coeffs
 
 __all__ = [
@@ -266,6 +266,6 @@ def sweep_to_json(rows) -> str:
         if row.error is not None:
             entry["error"] = row.error
         if row.candidate is not None:
-            entry["equilibrium"] = list(row.candidate.state.as_tuple())
+            entry["equilibrium"] = to_jsonable(row.candidate.state)
         out.append(entry)
     return json.dumps(out, indent=2)

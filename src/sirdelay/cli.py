@@ -26,7 +26,7 @@ from .analytics import classify, nearest_equilibrium, sweep, sweep_to_csv, sweep
 from .config import ScenarioConfig, dump_scenario, load_scenario
 from .equilibria import all_equilibria
 from .errors import ConfigError, DomainError, IntegrationError
-from .integrator import dense_eval, integrate, trajectory_to_csv
+from .integrator import dense_eval, integrate, sample_times, trajectory_to_csv
 from .presets import PRESET_NAMES, load_preset
 from .report import build_stability_report, render_report, report_to_json
 from .svgchart import line_chart
@@ -46,12 +46,8 @@ def _parse_values(text: str, what: str):
             lo, hi, step = parts
             if step <= 0 or hi < lo:
                 raise ValueError("need A <= B and STEP > 0")
-            out = []
-            v = lo
-            while v <= hi + 1e-9 * max(1.0, step):
-                out.append(round(v, 12))
-                v += step
-            return out
+            count = math.floor((hi - lo) / step + 1e-9)
+            return [round(lo + k * step, 12) for k in range(count + 1)]
         return parts
     except ValueError as exc:
         raise ConfigError(f"bad {what} value {text!r}: {exc}", field=what) from exc
@@ -178,16 +174,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"classification skipped: {exc}")
     if args.plot:
-        stride = max(traj.horizon / 600.0, args.stride)
-        ts, xs, ys, zs = [], [], [], []
-        t = 0.0
-        while t <= traj.horizon + 1e-9:
-            s = dense_eval(traj, min(t, traj.horizon))
-            ts.append(t)
-            xs.append(s.x)
-            ys.append(s.y)
-            zs.append(s.z)
-            t += stride
+        ts = sample_times(traj.horizon, max(traj.horizon / 600.0, args.stride))
+        xs, ys, zs = zip(*(dense_eval(traj, min(t, traj.horizon)).as_tuple() for t in ts))
         svg = line_chart(
             ts, [("susceptible x", xs), ("infected y", ys), ("recovered z", zs)],
             title=f"{name}: tau={model.params.tau:g}, delta={model.params.delta:g}",

@@ -22,6 +22,9 @@ JSON layout (the model block alone is also accepted and gets defaults):
 
 Response kinds: zero | linear(k) | bilinear | saturating_incidence(k) |
 fractional_mix | saturating_unary(k) | power_sum(p1, p2).
+
+``dump_scenario`` writes this layout through ``sirdelay.model.to_jsonable``
+and leaves out a step, name or reference that is not set.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
 from .integrator import ConstantHistory, HistorySpec, history_from_dict
-from .model import ModelSpec, State
+from .model import ModelSpec, State, to_jsonable
 
 __all__ = ["ScenarioConfig", "scenario_from_dict", "load_scenario", "dump_scenario"]
 
@@ -45,20 +48,6 @@ class ScenarioConfig:
     step: float | None = None
     name: str | None = None
     reference: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "model": self.model.to_dict(),
-            "history": self.history.to_dict(),
-            "horizon": self.horizon,
-        }
-        if self.step is not None:
-            d["step"] = self.step
-        if self.name is not None:
-            d["name"] = self.name
-        if self.reference:
-            d["reference"] = self.reference
-        return d
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
@@ -113,5 +102,6 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def dump_scenario(cfg: ScenarioConfig, fh) -> None:
-    json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+    data = {k: v for k, v in to_jsonable(cfg).items() if v not in (None, {})}
+    json.dump(data, fh, indent=2, sort_keys=True)
     fh.write("\n")

@@ -51,6 +51,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "dense_eval",
+    "sample_times",
     "trajectory_to_csv",
 ]
 
@@ -70,6 +71,7 @@ def _valid_history_state(s: State) -> bool:
 class ConstantHistory:
     """Constant state on (-inf, 0]."""
 
+    kind = "constant"
     state: State
 
     def __post_init__(self):
@@ -82,15 +84,12 @@ class ConstantHistory:
     def span(self) -> float:
         return math.inf
 
-    def to_dict(self):
-        s = self.state
-        return {"kind": "constant", "state": [s.x, s.y, s.z]}
-
 
 @dataclass(frozen=True)
 class SampledHistory:
     """Piecewise-linear history through time-ordered samples ending at 0."""
 
+    kind = "sampled"
     times: tuple
     states: tuple  # of State
 
@@ -126,23 +125,16 @@ class SampledHistory:
             s0.z + w * (s1.z - s0.z),
         )
 
-    def to_dict(self):
-        return {
-            "kind": "sampled",
-            "times": list(self.times),
-            "states": [[s.x, s.y, s.z] for s in self.states],
-        }
-
 
 HistorySpec = ConstantHistory | SampledHistory
 
 
 def history_from_dict(d: dict) -> HistorySpec:
-    kind = d.get("kind", "constant")
-    if kind == "constant":
+    kind = d.get("kind", ConstantHistory.kind)
+    if kind == ConstantHistory.kind:
         x, y, z = d["state"]
         return ConstantHistory(State(float(x), float(y), float(z)))
-    if kind == "sampled":
+    if kind == SampledHistory.kind:
         return SampledHistory(
             times=tuple(float(t) for t in d["times"]),
             states=tuple(State(*map(float, s)) for s in d["states"]),
@@ -380,14 +372,21 @@ def _columns(*buffers) -> np.ndarray:
     return np.column_stack([np.frombuffer(b) for b in buffers])
 
 
-def trajectory_to_csv(traj: Trajectory, fh, stride: float = 0.1) -> None:
-    """Write the trajectory as RFC-4180 CSV rows t,x,y,z at the given stride."""
-    fh.write("t,x,y,z\r\n")
-    horizon = traj.horizon
-    count = int(math.floor(horizon / stride + 1e-9))
-    ts = [k * stride for k in range(count + 1)]
+def sample_times(horizon: float, stride: float) -> list:
+    """The output times k*stride for k = 0, 1, ... while k*stride is at most
+    the horizon (within 1e-9 of a stride), then the horizon itself when the
+    last of them falls short of it."""
+    ts = [k * stride for k in range(int(math.floor(horizon / stride + 1e-9)) + 1)]
     if ts[-1] < horizon - 1e-12:
         ts.append(horizon)
-    for t in ts:
+    return ts
+
+
+def trajectory_to_csv(traj: Trajectory, fh, stride: float = 0.1) -> None:
+    """Write the trajectory as RFC-4180 CSV rows t,x,y,z at the sample_times
+    of the given stride."""
+    fh.write("t,x,y,z\r\n")
+    horizon = traj.horizon
+    for t in sample_times(horizon, stride):
         s = dense_eval(traj, min(t, horizon))
         fh.write(f"{t:.10g},{s.x:.10g},{s.y:.10g},{s.z:.10g}\r\n")

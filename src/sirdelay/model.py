@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
 
 from .errors import DomainError
@@ -24,6 +24,7 @@ from .responses import ResponseFn, response_from_dict
 __all__ = [
     "Params",
     "State",
+    "to_jsonable",
     "ModelSpec",
     "JacCoeffs",
     "eval_rhs",
@@ -97,6 +98,24 @@ class State:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
 
+def to_jsonable(value):
+    """The JSON data of a record: dataclasses become dicts in field order,
+    led by ``"kind"`` when the class declares a ``kind`` tag that is not a
+    field; tuples and lists become lists, states [x, y, z] and complex
+    numbers [re, im]; every other value passes through unchanged."""
+    if isinstance(value, State):
+        return [value.x, value.y, value.z]
+    if is_dataclass(value):
+        d = {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
+        kind = getattr(type(value), "kind", None)
+        return {"kind": kind, **d} if isinstance(kind, str) and "kind" not in d else d
+    if isinstance(value, (tuple, list)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameter set plus the three response-function choices.
@@ -165,14 +184,6 @@ class ModelSpec:
         disease-free steady state."""
         return self.f.zero_when_y_zero
 
-    def to_dict(self) -> dict:
-        return {
-            "params": asdict(self.params),
-            "f": self.f.to_dict(),
-            "V": self.V.to_dict(),
-            "P": self.P.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         for key in ("params", "f", "V", "P"):
@@ -187,7 +198,7 @@ class ModelSpec:
 
     def content_hash(self) -> str:
         """Short deterministic hash of the model definition."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(to_jsonable(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 

@@ -10,11 +10,11 @@ criterion verdict, they expose both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 from .charroots import char_roots_scan, max_real_part
 from .equilibria import Equilibrium
-from .model import JacCoeffs, ModelSpec, State, jacobian_coeffs
+from .model import JacCoeffs, ModelSpec, jacobian_coeffs, to_jsonable
 from .stability import (
     ENDEMIC_GAS,
     INCONCLUSIVE,
@@ -267,38 +267,23 @@ def build_stability_report(
     )
 
 
-def _jsonable(value):
-    """Dataclasses become dicts in field order, tuples and lists become
-    lists, states [x, y, z] and complex numbers [re, im]; every other value
-    passes through unchanged."""
-    if isinstance(value, State):
-        return [value.x, value.y, value.z]
-    if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 def report_to_json(rep: StabilityReport) -> dict:
     """JSON-serializable dict with every inequality's left/right values."""
     roots, roots_zero = rep.oracle_roots, rep.oracle_roots_zero_delay
     return {
         "name": rep.name, "model_hash": rep.model_hash,
         "tau": rep.tau, "delta": rep.delta,
-        "equilibrium": _jsonable(rep.equilibrium),
-        "linearization": _jsonable(rep.jac),
-        "char_coeffs": _jsonable(rep.cc),
-        "delay_free": _jsonable(rep.delay_free),
-        "incubation_delay": _jsonable(rep.tau_only),
-        "recovery_delay": _jsonable(rep.delta_only),
-        "combined_delays": _jsonable(rep.combined),
-        "global_case": _jsonable(rep.global_case),
+        "equilibrium": to_jsonable(rep.equilibrium),
+        "linearization": to_jsonable(rep.jac),
+        "char_coeffs": to_jsonable(rep.cc),
+        "delay_free": to_jsonable(rep.delay_free),
+        "incubation_delay": to_jsonable(rep.tau_only),
+        "recovery_delay": to_jsonable(rep.delta_only),
+        "combined_delays": to_jsonable(rep.combined),
+        "global_case": to_jsonable(rep.global_case),
         "oracle": {
-            "roots": _jsonable(roots),
-            "roots_zero_delay": _jsonable(roots_zero),
+            "roots": to_jsonable(roots),
+            "roots_zero_delay": to_jsonable(roots_zero),
             "max_re": roots[0].real if roots else None,
             "max_re_zero_delay": roots_zero[0].real if roots_zero else None,
             "crossing_tau": rep.oracle_crossing_tau,

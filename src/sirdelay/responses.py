@@ -46,14 +46,12 @@ class ResponseFn:
     """Base class; concrete variants implement the formulas _value() and
     _partial(), and value() and partial() check the arguments first."""
 
+    #: the tag of the JSON form {kind, k?, p1?, p2?}, one per concrete class
+    kind = None
     #: number of arguments the function takes; None means either 1 or 2
     arity = None
     #: True when the function vanishes identically at y = 0 (binary forms)
     zero_when_y_zero = False
-
-    @property
-    def kind(self) -> str:
-        return _KIND_BY_CLASS[type(self)]
 
     def value(self, *args: float) -> float:
         _require_finite(*args)
@@ -76,17 +74,12 @@ class ResponseFn:
     def _partial(self, index: int, *args: float) -> float:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in getattr(self, "__dataclass_fields__", {}):
-            d[name] = getattr(self, name)
-        return d
-
 
 @dataclass(frozen=True)
 class Zero(ResponseFn):
     """Identically zero; usable in place of any response term."""
 
+    kind = "zero"
     arity = None
     zero_when_y_zero = True
 
@@ -101,6 +94,7 @@ class Zero(ResponseFn):
 class Linear(ResponseFn):
     """k * u."""
 
+    kind = "linear"
     k: float = 1.0
     arity = 1
 
@@ -119,6 +113,7 @@ class Linear(ResponseFn):
 class Bilinear(ResponseFn):
     """Mass-action incidence x * y."""
 
+    kind = "bilinear"
     arity = 2
     zero_when_y_zero = True
 
@@ -133,6 +128,7 @@ class Bilinear(ResponseFn):
 class SaturatingIncidence(ResponseFn):
     """(x / (x + k)) * y: incidence saturating in the susceptible pool."""
 
+    kind = "saturating_incidence"
     k: float
     arity = 2
     zero_when_y_zero = True
@@ -158,6 +154,7 @@ class FractionalMix(ResponseFn):
     incidence admit no disease-free steady state.
     """
 
+    kind = "fractional_mix"
     arity = 2
     zero_when_y_zero = False
 
@@ -180,6 +177,7 @@ class FractionalMix(ResponseFn):
 class SaturatingUnary(ResponseFn):
     """u / (k + u): saturating one-argument response."""
 
+    kind = "saturating_unary"
     k: float
     arity = 1
 
@@ -198,6 +196,7 @@ class SaturatingUnary(ResponseFn):
 class PowerSum(ResponseFn):
     """p1 * u + p2 * u**2 (e.g. quadratic vaccination effort)."""
 
+    kind = "power_sum"
     p1: float
     p2: float
     arity = 1
@@ -213,16 +212,8 @@ class PowerSum(ResponseFn):
         return self.p1 + 2.0 * self.p2 * u
 
 
-_KIND_BY_CLASS = {
-    Zero: "zero",
-    Linear: "linear",
-    Bilinear: "bilinear",
-    SaturatingIncidence: "saturating_incidence",
-    FractionalMix: "fractional_mix",
-    SaturatingUnary: "saturating_unary",
-    PowerSum: "power_sum",
-}
-_CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
+_CLASS_BY_KIND = {cls.kind: cls for cls in (
+    Zero, Linear, Bilinear, SaturatingIncidence, FractionalMix, SaturatingUnary, PowerSum)}
 
 
 def response_from_dict(d: dict) -> ResponseFn:

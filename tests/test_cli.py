@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from sirdelay import acceptance
-from sirdelay.cli import main
+from sirdelay import acceptance, cli
+from sirdelay.cli import _parse_values, main
 from sirdelay.config import load_scenario
+from sirdelay.model import to_jsonable
 from sirdelay.presets import load_preset
 
 
@@ -41,13 +42,13 @@ def test_missing_source_exits_2(capsys):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     del blob["model"]["params"]["alpha"]
     path.write_text(json.dumps(blob))
     assert main(["equilibria", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "model" in err and "alpha" in err
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     blob["history"]["state"][0] = float("nan")
     path.write_text(json.dumps(blob))
     assert main(["simulate", "--config", str(path), "--horizon", "5"]) == 2
@@ -56,7 +57,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 def test_decreasing_response_config_exits_2(tmp_path, capsys):
     path = tmp_path / "decreasing.json"
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     blob["model"]["V"] = {"kind": "power_sum", "p1": 1.0, "p2": -1.0}
     path.write_text(json.dumps(blob))
     assert main(["equilibria", "--config", str(path)]) == 2
@@ -90,6 +91,26 @@ def test_simulate_outputs(tmp_path, capsys):
     svg_path = tmp_path / "ex5_2_trajectory.svg"
     tree = ET.parse(svg_path)  # well-formed XML
     assert tree.getroot().tag.endswith("svg")
+
+
+def test_plot_samples_the_csv_times(tmp_path, capsys, monkeypatch):
+    charted = []
+    monkeypatch.setattr(cli, "line_chart", lambda ts, series, **kw: charted.extend(ts) or "<svg/>")
+    assert main(["simulate", "--preset", "ex5_3", "--horizon", "7", "--stride", "0.3",
+                 "--out", str(tmp_path), "--plot"]) == 0
+    with open(tmp_path / "ex5_3_timeseries.csv", newline="") as fh:
+        written = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    assert written[-1] == charted[-1] == 7.0
+    assert charted == pytest.approx(written, abs=1e-12)
+
+
+def test_grid_values_are_indexed_not_summed():
+    taus = _parse_values("0:100:0.01", "tau")
+    assert len(taus) == 10_001 and taus[2111] == 21.11 and taus[-1] == 100.0
+    assert all(t == round(t, 2) for t in taus)
+    fine = _parse_values("0:1000:0.001", "tau")
+    assert len(fine) == 1_000_001 and fine[-1] == 1000.0
+    assert _parse_values("0.5:2:0.5", "delta") == [0.5, 1.0, 1.5, 2.0]
 
 
 def test_simulate_delay_overrides(tmp_path, capsys):

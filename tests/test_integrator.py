@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -15,10 +16,11 @@ from sirdelay.integrator import (
     ConstantHistory,
     SampledHistory,
     dense_eval,
+    history_from_dict,
     integrate,
     trajectory_to_csv,
 )
-from sirdelay.model import ModelSpec, Params, State, eval_rhs
+from sirdelay.model import ModelSpec, Params, State, eval_rhs, to_jsonable
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import Linear, ResponseFn, Zero
 
@@ -100,6 +102,14 @@ def test_sampled_history_interpolation():
         SampledHistory(times=(0.0, -1.0), states=(State(1, 1, 1), State(1, 1, 1)))
     with pytest.raises(ValueError):
         SampledHistory(times=(-1.0, 0.0), states=(State(-1, 1, 1), State(1, 1, 1)))
+
+
+@pytest.mark.parametrize("history", [ConstantHistory(State(1.0, 2.5, 0.0)), EX5_5_SAMPLED_HISTORY],
+                         ids=lambda h: h.kind)
+def test_history_json_round_trip(history):
+    data = json.loads(json.dumps(to_jsonable(history)))
+    assert data["kind"] == history.kind
+    assert history_from_dict(data) == history
 
 
 def test_closed_form_accuracy_and_dense_midpoints():

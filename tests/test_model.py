@@ -12,6 +12,7 @@ from sirdelay.model import (
     eval_rhs,
     jacobian_coeffs,
     jacobian_coeffs_fd,
+    to_jsonable,
 )
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import Bilinear, Linear, PowerSum, Zero
@@ -138,7 +139,7 @@ def test_supports_disease_free_flag():
 
 def test_model_dict_round_trip_and_hash():
     model = load_preset("ex5_6").model
-    again = ModelSpec.from_dict(model.to_dict())
+    again = ModelSpec.from_dict(to_jsonable(model))
     assert again == model
     assert again.content_hash() == model.content_hash()
     other = load_preset("ex5_7").model

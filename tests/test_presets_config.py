@@ -1,11 +1,15 @@
+import io
 import json
 import math
+from importlib import resources
 
 import pytest
 
-from sirdelay.config import dump_scenario, load_scenario, scenario_from_dict
+from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
+from sirdelay.config import ScenarioConfig, dump_scenario, load_scenario, scenario_from_dict
 from sirdelay.errors import ConfigError
 from sirdelay.integrator import ConstantHistory
+from sirdelay.model import to_jsonable
 from sirdelay.presets import PRESET_NAMES, load_preset
 
 
@@ -34,8 +38,26 @@ def test_scenario_round_trip(tmp_path):
     assert again == cfg
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_dump_reproduces_the_shipped_preset(name):
+    buf = io.StringIO()
+    dump_scenario(load_preset(name), buf)
+    shipped = resources.files("sirdelay").joinpath(f"_presets/{name}.json").read_text()
+    assert json.loads(buf.getvalue()) == json.loads(shipped)
+
+
+def test_unnamed_scenario_without_step_dumps_only_its_set_fields(tmp_path):
+    cfg = ScenarioConfig(model=load_preset("ex5_5").model, history=EX5_5_SAMPLED_HISTORY,
+                         horizon=30.0)
+    path = tmp_path / "scenario.json"
+    with open(path, "w") as fh:
+        dump_scenario(cfg, fh)
+    assert sorted(json.loads(path.read_text())) == ["history", "horizon", "model"]
+    assert load_scenario(path) == cfg
+
+
 def test_bare_model_dict_gets_defaults():
-    blob = load_preset("ex5_1").model.to_dict()
+    blob = to_jsonable(load_preset("ex5_1").model)
     cfg = scenario_from_dict(blob)
     assert cfg.horizon == 100.0
     assert cfg.history.state.as_tuple() == (1.0, 1.0, 1.0)
@@ -48,7 +70,7 @@ def test_missing_model_field_named():
 
 
 def test_bad_param_field_named(tmp_path):
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     del blob["model"]["params"]["b"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(blob))
@@ -67,7 +89,7 @@ def test_malformed_json_named(tmp_path):
 
 
 def test_bad_horizon_rejected():
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     blob["horizon"] = -3.0
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(blob)
@@ -77,7 +99,7 @@ def test_bad_horizon_rejected():
 @pytest.mark.parametrize("field", ["horizon", "step"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_horizon_and_step_rejected(field, bad):
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     blob[field] = bad
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(blob)
@@ -85,7 +107,7 @@ def test_non_finite_horizon_and_step_rejected(field, bad):
 
 
 def test_bad_history_rejected():
-    blob = load_preset("ex5_1").to_dict()
+    blob = to_jsonable(load_preset("ex5_1"))
     blob["history"] = {"kind": "constant", "state": [1.0, 1.0]}
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(blob)
@@ -95,5 +117,5 @@ def test_bad_history_rejected():
 def test_reference_values_survive_round_trip():
     cfg = load_preset("ex5_3")
     assert cfg.reference["tau_plus"] == 4.3204
-    again = scenario_from_dict(cfg.to_dict())
+    again = scenario_from_dict(to_jsonable(cfg))
     assert again.reference == cfg.reference

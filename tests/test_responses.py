@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 from sirdelay.errors import DomainError
+from sirdelay.model import to_jsonable
 from sirdelay.responses import (
     Bilinear,
     FractionalMix,
@@ -141,8 +143,13 @@ def test_bad_parameters_rejected():
 
 @pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
 def test_dict_round_trip(fn):
-    again = response_from_dict(fn.to_dict())
+    again = response_from_dict(json.loads(json.dumps(to_jsonable(fn))))
     assert again == fn
+
+
+def test_variants_cover_every_response_kind():
+    tagged = {cls.kind for cls in ResponseFn.__subclasses__()} - {None}
+    assert {fn.kind for fn in ALL_VARIANTS} == tagged
 
 
 def test_from_dict_rejects_unknown_kind():
