@@ -9,7 +9,8 @@ Subcommands:
 * ``verify``     - run the acceptance suite over the bundled presets
 
 Exit status: 0 on success, 1 on computation errors, 2 on configuration
-errors (unknown preset, malformed config file).
+errors (unknown preset, malformed config file, more than MAX_STEPS grid
+values, grid rows or CSV rows).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .analytics import classify, nearest_equilibrium, sweep, sweep_to_csv, sweep
 from .config import ScenarioConfig, dump_scenario, load_scenario
 from .equilibria import all_equilibria
 from .errors import ConfigError, DomainError, IntegrationError
-from .integrator import dense_eval, integrate, sample_times, trajectory_to_csv
+from .integrator import MAX_STEPS, dense_eval, integrate, sample_times, trajectory_to_csv
 from .presets import PRESET_NAMES, load_preset
 from .report import build_stability_report, render_report, report_to_json
 from .svgchart import line_chart
@@ -46,8 +47,10 @@ def _parse_values(text: str, what: str):
             lo, hi, step = parts
             if step <= 0 or hi < lo:
                 raise ValueError("need A <= B and STEP > 0")
-            count = math.floor((hi - lo) / step + 1e-9)
-            return [round(lo + k * step, 12) for k in range(count + 1)]
+            count = (hi - lo) / step + 1e-9  # a float: inf, not an error, when it overflows
+            if count >= MAX_STEPS:
+                raise ValueError(f"more than MAX_STEPS = {MAX_STEPS} values")
+            return [round(lo + k * step, 12) for k in range(math.floor(count) + 1)]
         return parts
     except ValueError as exc:
         raise ConfigError(f"bad {what} value {text!r}: {exc}", field=what) from exc
@@ -61,12 +64,8 @@ def _resolve_scenario(args) -> ScenarioConfig:
     else:
         raise ConfigError("one of --preset or --config is required", field="preset")
     if getattr(args, "horizon", None) is not None:
-        if not 0 < args.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite", field="horizon")
         cfg = replace(cfg, horizon=args.horizon)
     if getattr(args, "step", None) is not None:
-        if not 0 < args.step < math.inf:
-            raise ConfigError("step must be positive and finite", field="step")
         cfg = replace(cfg, step=args.step)
     return cfg
 
@@ -145,8 +144,9 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_scenario(args)
-    if not args.stride > 0:  # also rejects NaN
-        raise ConfigError("stride must be positive", field="stride")
+    if not 0 < args.stride or cfg.horizon / args.stride > MAX_STEPS:  # also rejects NaN
+        raise ConfigError(f"stride must be positive and give at most MAX_STEPS = {MAX_STEPS} "
+                          f"CSV rows over the horizon {cfg.horizon}", field="stride")
     model = cfg.model
     if args.tau is not None or args.delta is not None:
         tau = args.tau if args.tau is not None else model.params.tau
@@ -189,10 +189,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_scenario(args)
-    _maybe_dump_config(cfg, args)
-    name = _scenario_name(cfg, args)
     taus = _parse_values(args.tau, "tau") if args.tau else [cfg.model.params.tau]
     deltas = _parse_values(args.delta, "delta") if args.delta else [cfg.model.params.delta]
+    if len(taus) * len(deltas) > MAX_STEPS:
+        raise ConfigError(f"the tau x delta grid has {len(taus) * len(deltas)} rows, more than "
+                          f"MAX_STEPS = {MAX_STEPS}", field="grid")
+    _maybe_dump_config(cfg, args)
+    name = _scenario_name(cfg, args)
     grid = [(t, d) for t in taus for d in deltas]
     rows = sweep(cfg.model, grid, cfg.history, cfg.horizon, step=cfg.step)
     for row in rows:

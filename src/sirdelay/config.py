@@ -49,6 +49,21 @@ class ScenarioConfig:
     name: str | None = None
     reference: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # checked here, not in the parser, so that dataclasses.replace checks too
+        for key in ("horizon", "step") if self.step is not None else ("horizon",):
+            v = getattr(self, key)
+            if not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ConfigError(f"{key} must be a positive finite number, got {v!r}",
+                                  field=key)
+        # output files are named after the scenario
+        if self.name is not None and (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                                      or any(c in self.name for c in "/\\\0")):
+            raise ConfigError(f"name must be a file name without a path, got {self.name!r}",
+                              field="name")
+        if not isinstance(self.reference, dict):
+            raise ConfigError("reference block must be an object", field="reference")
+
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Parse a scenario (or bare model) dict, raising ConfigError with the
@@ -72,21 +87,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     else:
         history = ConstantHistory(State(1.0, 1.0, 1.0))
 
-    horizon = d.get("horizon", 100.0)
-    if not isinstance(horizon, (int, float)) or not 0 < horizon < math.inf:
-        raise ConfigError(f"horizon must be a positive finite number, got {horizon!r}",
-                          field="horizon")
-    step = d.get("step")
-    if step is not None and (not isinstance(step, (int, float)) or not 0 < step < math.inf):
-        raise ConfigError(f"step must be a positive finite number, got {step!r}", field="step")
-    name = d.get("name")
-    reference = d.get("reference", {})
-    if not isinstance(reference, dict):
-        raise ConfigError("reference block must be an object", field="reference")
-    return ScenarioConfig(
-        model=model, history=history, horizon=float(horizon),
-        step=None if step is None else float(step),
-        name=name, reference=reference,
+    horizon, step = d.get("horizon", 100.0), d.get("step")
+    return ScenarioConfig(  # an integer horizon or step is kept, and dumped, as a float
+        model=model, history=history,
+        horizon=float(horizon) if isinstance(horizon, int) else horizon,
+        step=float(step) if isinstance(step, int) else step,
+        name=d.get("name"), reference=d.get("reference", {}),
     )
 
 

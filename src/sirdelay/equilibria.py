@@ -50,7 +50,7 @@ class Equilibrium:
 def _susceptible_balance(model: ModelSpec):
     """G(x) = a - d*x - c*V(x), which decreases on [0, a/d] as V does not."""
     p = model.params
-    V = model.V.formula
+    V = model.V.value
     return lambda x: p.a - p.d * x - p.c * V(x)
 
 
@@ -120,7 +120,7 @@ def find_endemic(model: ModelSpec):
         return [eq] if eq is not None else []
 
     p = model.params
-    f, P = model.f.formula, model.P.formula
+    f, P = model.f.value, model.P.value
     G = _susceptible_balance(model)
     g0 = G(0.0)
     if g0 <= 0.0:  # then G(x) <= 0 < K(y) for all x >= 0 < y

@@ -163,7 +163,7 @@ class ModelSpec:
         """
         p = self.params
         a, b, b1, c, d, d1, r, alpha = p.a, p.b, p.b1, p.c, p.d, p.d1, p.r, p.alpha
-        f, V, P = self.f.formula, self.V.formula, self.P.formula
+        f, V, P = self.f.value, self.V.value, self.P.value
 
         def rhs(x, y, z, x_tau, y_delta):
             return (
@@ -244,6 +244,8 @@ def jacobian_coeffs(model: ModelSpec, eq) -> JacCoeffs:
     ``eq`` may be an Equilibrium or a bare State.
     """
     st = getattr(eq, "state", eq)
+    if not all(math.isfinite(v) for v in st.as_tuple()):
+        raise DomainError(f"non-finite state passed to jacobian_coeffs: {st}")
     p = model.params
     fx = model.f.partial(0, st.x, st.y)
     fy = model.f.partial(1, st.x, st.y)

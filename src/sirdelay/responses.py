@@ -35,16 +35,13 @@ __all__ = [
 ]
 
 
-def _require_finite(*args):
-    for v in args:
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite argument {v!r} to response function")
-
-
 @dataclass(frozen=True)
 class ResponseFn:
-    """Base class; concrete variants implement the formulas _value() and
-    _partial(), and value() and partial() check the arguments first."""
+    """Base class; each concrete variant defines the formulas value(*args)
+    and partial(index, *args), the analytic partial derivative with respect
+    to argument ``index``.  Neither checks its arguments: non-finite numbers
+    are refused where they enter (``Params``, the constructors, the
+    histories, ``eval_rhs`` and ``jacobian_coeffs``)."""
 
     #: the tag of the JSON form {kind, k?, p1?, p2?}, one per concrete class
     kind = None
@@ -52,27 +49,6 @@ class ResponseFn:
     arity = None
     #: True when the function vanishes identically at y = 0 (binary forms)
     zero_when_y_zero = False
-
-    def value(self, *args: float) -> float:
-        _require_finite(*args)
-        return self._value(*args)
-
-    def partial(self, index: int, *args: float) -> float:
-        """Analytic partial derivative with respect to argument ``index``."""
-        _require_finite(*args)
-        return self._partial(index, *args)
-
-    @property
-    def formula(self):
-        """The value without the argument check, for loops that check their
-        results."""
-        return self._value
-
-    def _value(self, *args: float) -> float:
-        raise NotImplementedError
-
-    def _partial(self, index: int, *args: float) -> float:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -83,10 +59,10 @@ class Zero(ResponseFn):
     arity = None
     zero_when_y_zero = True
 
-    def _value(self, *args):
+    def value(self, *args):
         return 0.0
 
-    def _partial(self, index, *args):
+    def partial(self, index, *args):
         return 0.0
 
 
@@ -102,10 +78,10 @@ class Linear(ResponseFn):
         if not math.isfinite(self.k):
             raise DomainError("Linear slope must be finite")
 
-    def _value(self, u):
+    def value(self, u):
         return self.k * u
 
-    def _partial(self, index, u):
+    def partial(self, index, u):
         return self.k
 
 
@@ -117,10 +93,10 @@ class Bilinear(ResponseFn):
     arity = 2
     zero_when_y_zero = True
 
-    def _value(self, x, y):
+    def value(self, x, y):
         return x * y
 
-    def _partial(self, index, x, y):
+    def partial(self, index, x, y):
         return y if index == 0 else x
 
 
@@ -137,10 +113,10 @@ class SaturatingIncidence(ResponseFn):
         if not (math.isfinite(self.k) and self.k > 0):
             raise DomainError("SaturatingIncidence needs k > 0")
 
-    def _value(self, x, y):
+    def value(self, x, y):
         return (x / (x + self.k)) * y
 
-    def _partial(self, index, x, y):
+    def partial(self, index, x, y):
         if index == 0:
             return self.k * y / (x + self.k) ** 2
         return x / (x + self.k)
@@ -158,13 +134,13 @@ class FractionalMix(ResponseFn):
     arity = 2
     zero_when_y_zero = False
 
-    def _value(self, x, y):
+    def value(self, x, y):
         s = x + y
         if s == 0.0:
             return 0.0
         return x / s
 
-    def _partial(self, index, x, y):
+    def partial(self, index, x, y):
         s = x + y
         if s == 0.0:
             return 0.0
@@ -185,10 +161,10 @@ class SaturatingUnary(ResponseFn):
         if not (math.isfinite(self.k) and self.k > 0):
             raise DomainError("SaturatingUnary needs k > 0")
 
-    def _value(self, u):
+    def value(self, u):
         return u / (self.k + u)
 
-    def _partial(self, index, u):
+    def partial(self, index, u):
         return self.k / (self.k + u) ** 2
 
 
@@ -205,10 +181,10 @@ class PowerSum(ResponseFn):
         if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
             raise DomainError("PowerSum coefficients must be finite")
 
-    def _value(self, u):
+    def value(self, u):
         return self.p1 * u + self.p2 * u * u
 
-    def _partial(self, index, u):
+    def partial(self, index, u):
         return self.p1 + 2.0 * self.p2 * u
 
 

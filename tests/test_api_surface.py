@@ -4,7 +4,7 @@ A parameter that nothing reads is dead surface: callers must pass it and
 tests and docs must cover it, yet it changes nothing.  The one exemption is
 a method whose name more than one class of the same module defines; such a
 method implements a shared interface (``History.value``,
-``ResponseFn._value``/``_partial``), and a variant may ignore an argument
+``ResponseFn.value``/``partial``), and a variant may ignore an argument
 the interface passes.
 """
 

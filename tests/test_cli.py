@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -168,6 +169,41 @@ def test_negative_delay_exits_2_before_writing(tmp_path, capsys, argv, field):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"config error [{field}]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", "--preset", "ex5_3", "--tau", "0:1000:1e-6"], "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau", "0:1e308:1e-300"], "tau"),
+    (["sweep", "--preset", "ex5_3", "--tau", "1", "--delta", "0:1:1e-7"], "delta"),
+    (["sweep", "--preset", "ex5_3", "--tau", "0:1:1e-3", "--delta", "0:2.5:1e-3"], "grid"),
+    (["simulate", "--preset", "ex5_3", "--horizon", "100", "--stride", "1e-9"], "stride"),
+])
+def test_oversized_request_exits_2_before_building_or_writing(tmp_path, capsys, argv, field):
+    # each asks for more than MAX_STEPS grid values, grid rows or CSV rows;
+    # the count is checked before any list of them is built
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(tmp_path / "out"),
+                          "--dump-config", str(tmp_path / "resolved.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"config error [{field}]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "../x", "a\\b", "a\0b", "", ".", "..", 42])
+def test_scenario_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, name):
+    blob = to_jsonable(load_preset("ex5_2"))
+    blob["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(blob))
+    assert main(["simulate", "--config", str(path), "--horizon", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error [name]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_disease_free_root_has_the_exact_residual_of_a_last_bit(name):
     exact_V = replace(V, **{f.name: Fraction(getattr(V, f.name)) for f in fields(V)})
     xbar = find_disease_free(model).state.x
     X = Fraction(xbar)
-    G = Fraction(p.a) - Fraction(p.d) * X - Fraction(p.c) * exact_V.formula(X)
+    G = Fraction(p.a) - Fraction(p.d) * X - Fraction(p.c) * exact_V.value(X)
     slope = p.d + p.c * V.partial(0, xbar)
     assert abs(G) <= 4.0 * math.ulp(xbar) * slope
 

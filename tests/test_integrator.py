@@ -353,10 +353,10 @@ class _ConstantDrain(ResponseFn):
 
     arity = 1
 
-    def _value(self, u):
+    def value(self, u):
         return 1.0
 
-    def _partial(self, index, u):
+    def partial(self, index, u):
         return 0.0
 
 

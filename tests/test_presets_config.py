@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -103,6 +104,20 @@ def test_non_finite_horizon_and_step_rejected(field, bad):
     blob[field] = bad
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(blob)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"horizon": -1.0}, "horizon"),
+    ({"horizon": math.inf}, "horizon"),
+    ({"step": math.nan}, "step"),
+    ({"step": 0.0}, "step"),
+    ({"name": "a/b"}, "name"),
+    ({"reference": [1.0]}, "reference"),
+])
+def test_replace_runs_the_scenario_checks(changes, field):
+    with pytest.raises(ConfigError) as exc:
+        replace(load_preset("ex5_1"), **changes)
     assert exc.value.field == field
 
 

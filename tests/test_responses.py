@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sirdelay.errors import DomainError
-from sirdelay.model import to_jsonable
+from sirdelay.model import ModelSpec, Params, State, eval_rhs, jacobian_coeffs, to_jsonable
 from sirdelay.responses import (
     Bilinear,
     FractionalMix,
@@ -105,31 +105,43 @@ def test_fractional_mix_origin_convention():
     assert f.partial(1, 0.0, 0.0) == 0.0
 
 
+def _model_with(fn):
+    params = Params(a=10.0, b=1.0, b1=1.0, c=1.0, d=1.0, d1=1.0, r=1.0, alpha=1.0)
+    if fn.arity == 1:
+        return ModelSpec(params, f=Bilinear(), V=fn, P=fn)
+    return ModelSpec(params, f=fn, V=Linear(1.0), P=Linear(1.0))
+
+
 def test_non_finite_rejected():
-    with pytest.raises(DomainError):
-        Bilinear().value(math.inf, 1.0)
-    with pytest.raises(DomainError):
-        Linear(1.0).value(math.nan)
-    with pytest.raises(DomainError):
-        SaturatingUnary(1.0).partial(0, math.nan)
+    # no response checks its arguments: eval_rhs and jacobian_coeffs check
+    # the numbers they are given, even where every partial ignores them
+    # (f = Zero, V = P = Linear)
+    for fn in ALL_VARIANTS:
+        model = _model_with(fn)
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(5):
+                args = [1.0] * 5
+                args[i] = bad
+                with pytest.raises(DomainError, match="non-finite"):
+                    eval_rhs(model, State(*args[:3]), *args[3:])
+                if i < 3:
+                    with pytest.raises(DomainError, match="non-finite"):
+                        jacobian_coeffs(model, State(*args[:3]))
 
 
-@pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
-def test_formula_is_value_without_the_check(fn):
-    args = (0.7, 1.3)[: fn.arity or 2]
-    assert fn.formula(*args) == fn.value(*args)
-
-
-def test_formula_skips_the_check():
-    assert math.isnan(Bilinear().formula(math.inf, 0.0))  # inf * 0
-
+def test_a_subclass_defining_value_and_partial_works_in_a_model():
     class Half(ResponseFn):
         arity = 1
 
-        def _value(self, u):
+        def value(self, u):
             return 0.5 * u
 
-    assert Half().formula(3.0) == 1.5
+        def partial(self, index, u):
+            return 0.5
+
+    model = _model_with(Half())
+    assert eval_rhs(model, State(2.0, 3.0, 1.0), 2.0, 3.0) == (2.0, 1.5, 0.5)
+    assert jacobian_coeffs(model, State(2.0, 3.0, 1.0)).E == 0.5
 
 
 def test_bad_parameters_rejected():
