@@ -51,7 +51,8 @@ print("every bundled preset and its steady states:")
 for name in PRESET_NAMES:
     cfg = load_preset(name)
     eqs = all_equilibria(cfg.model)
-    desc = "; ".join(str(e) for e in eqs) if eqs else "(none)"
+    desc = "; ".join(f"{e.kind}({e.state.x:.10g}, {e.state.y:.10g}, {e.state.z:.10g})"
+                     for e in eqs) if eqs else "(none)"
     print(f"  {name:14s} {desc}")
 print()
 print("note ex5_5: its incidence x/(x+y) does not vanish at y = 0, so no")

@@ -1,8 +1,10 @@
 """Acceptance suite: ten numbered criteria over the bundled presets.
 
-Each criterion returns a CriterionResult with per-subcase pass/fail detail
-and its elapsed wall time.  The command-line ``verify`` subcommand and the
-test suite both run these; a criterion passes only if every subcase does.
+Each criterion builds only its subchecks and notes; ``run`` gives it its
+title and number from ``CRITERIA``, times it, applies its runtime limit and
+turns a crash into a failed subcheck.  The command-line ``verify``
+subcommand and the test suite both run these through ``run``; a criterion
+passes only if every subcase does.
 
 Criterion 7 checks the published delay-independent global-stability claim
 for ex5_1 and ex5_2 by simulation, and judges each delay pair by what the
@@ -40,7 +42,7 @@ from .stability import (
     tau_from_pseudo_delay,
 )
 
-__all__ = ["SubCheck", "CriterionResult", "run_all", "CRITERIA", "format_result"]
+__all__ = ["SubCheck", "CriterionResult", "run", "run_all", "CRITERIA", "format_result"]
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,6 @@ class CriterionResult:
     notes: tuple = ()
 
 
-def _result(index, title, t0, subs, notes=()):
-    return CriterionResult(
-        index=index,
-        title=title,
-        passed=all(s.passed for s in subs),
-        elapsed=time.perf_counter() - t0,
-        subs=tuple(subs),
-        notes=tuple(notes),
-    )
-
-
-def _runtime_sub(t0, limit):
-    dt = time.perf_counter() - t0
-    return SubCheck(f"runtime < {limit:g} s", dt < limit, f"{dt:.2f} s")
-
-
 def _eq_of_kind(model, kind):
     for eq in all_equilibria(model):
         if eq.kind == kind:
@@ -87,7 +73,6 @@ def criterion_1():
     """Each preset's equilibrium against its published one, within 1e-9.
     sec6_followup's published z = 20/9 conflicts with the steady-state
     equations, which give z = 2y = 40/9; its check expects that conflict."""
-    t0 = time.perf_counter()
     subs = []
     for name in PRESET_NAMES:
         cfg = load_preset(name)
@@ -103,14 +88,12 @@ def criterion_1():
             continue
         err = max(abs(a - b) for a, b in zip(eq.state.as_tuple(), want))
         subs.append(SubCheck(label, err < 1e-9, f"max coordinate error {err:.2e}"))
-    subs.append(_runtime_sub(t0, 1.0))
-    return _result(1, "equilibrium closed forms", t0, subs)
+    return subs, ()
 
 
 def criterion_2():
     """Delay-free verdicts: ex5_1 stable; ex5_2/ex5_4 delay-free-equivalent;
     ex5_2 oracle roots {0, -1, -2} within 1e-9."""
-    t0 = time.perf_counter()
     subs = []
 
     model1 = load_preset("ex5_1").model
@@ -146,7 +129,7 @@ def criterion_2():
                 abs(a - b) < 1e-9 for a, b in zip(sorted(nonzero), sorted(expected_nonzero)))
             subs.append(SubCheck(f"{name} oracle nonzero roots {sorted(expected_nonzero)}", ok,
                                  f"roots {[f'{v:.6g}' for v in reals]}"))
-    return _result(2, "delay-free verdicts", t0, subs)
+    return subs, ()
 
 
 def _cubic_text(c3, c2, c1, c0):
@@ -156,7 +139,6 @@ def _cubic_text(c3, c2, c1, c0):
 def criterion_3():
     """Cubic solver on the two published pseudo-delay cubics: ex5_3's has
     one positive root, its published T+; ex5_1's has none."""
-    t0 = time.perf_counter()
     subs = []
     ref = load_preset("ex5_3").reference
     cubic = ref["pseudo_delay_cubic"]
@@ -169,23 +151,21 @@ def criterion_3():
     roots = solve_cubic_real(*cubic)
     subs.append(SubCheck(f"ex5_1 {_cubic_text(*cubic)}: no positive root",
                          all(r <= 0 for r in roots), f"real roots {[f'{v:.6g}' for v in roots]}"))
-    return _result(3, "cubic solver", t0, subs)
+    return subs, ()
 
 
 def criterion_4():
     """tau+ formula on ex5_3's published (T+, nu+) gives its published tau+."""
-    t0 = time.perf_counter()
     ref = load_preset("ex5_3").reference
     T, nu, want = ref["T_plus"], ref["nu_plus"], ref["tau_plus"]
     tau = tau_from_pseudo_delay(T, nu)
     subs = [SubCheck(f"(2/{nu:g})*arctan({nu:g}*{T:g}) = tau+ = {want:g} +- 0.01",
                      abs(tau - want) <= 0.01, f"got {tau:.6f}")]
-    return _result(4, "critical-delay formula consistency", t0, subs)
+    return subs, ()
 
 
 def criterion_5():
     """The exact crossing of ex5_3 lies in the root scan's bracket [4, 5]."""
-    t0 = time.perf_counter()
     model = load_preset("ex5_3").model
     eq = _eq_of_kind(model, "endemic")
     cc = char_coeffs(jacobian_coeffs(model, eq))
@@ -199,8 +179,7 @@ def criterion_5():
     subs.append(SubCheck("exact crossing tau* in [4, 5]",
                          tau_star is not None and 4.0 <= tau_star <= 5.0,
                          f"tau* = {tau_star}"))
-    subs.append(_runtime_sub(t0, 30.0))
-    return _result(5, "bifurcation bracket (oracle)", t0, subs)
+    return subs, ()
 
 
 @cache
@@ -212,7 +191,6 @@ def _preset_sweep(preset, grid, horizon):
 
 def criterion_6():
     """ex5_3 regime sweep: converged / damped-or-converged / sustained."""
-    t0 = time.perf_counter()
     subs = []
     for row in _preset_sweep("ex5_3", EX5_3_GRID, 200.0):
         if row.error is not None:
@@ -232,8 +210,7 @@ def criterion_6():
             want = "sustained oscillation"
         subs.append(SubCheck(f"tau = {row.tau:g}: {want}", ok,
                              row.classification.describe()))
-    subs.append(_runtime_sub(t0, 60.0))
-    return _result(6, "regime sweep (ex5_3)", t0, subs)
+    return subs, ()
 
 
 EX5_3_GRID = tuple((tau, 0.0) for tau in (0.0, 0.9, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0))
@@ -348,7 +325,6 @@ def criterion_7():
     passes only if the scan has a root at 0 and 1/dev grows over [T/2, T] by
     at least TAIL_LAW_SHARE of the centre-manifold law (see ``_tail_rate``).
     """
-    t0 = time.perf_counter()
     subs = []
     cases = (
         ("ex5_1", "endemic", State(2.0, 6.0, 6.0)),
@@ -379,7 +355,6 @@ def criterion_7():
                 traj, err = _computed_part(row_model, ConstantHistory(State(*hist)), 300.0)
                 ok, info = _judge_7(traj, err, target, max_re, tail_rate)
                 subs.append(SubCheck(f"{pair} history={hist} => {claim}", ok, info))
-    subs.append(_runtime_sub(t0, 60.0))
     notes = (
         "ex5_1's endemic point (2,6,6) is linearly unstable at (1,1) and (5,2): "
         "the root scan finds roots with positive real part and the persistence "
@@ -396,12 +371,11 @@ def criterion_7():
         "at every delay; along the zero root dev ~ 8/t, so the 1e-2 bar needs "
         "t ~ 800 and runs that miss it at horizon 300 are held to that tail law.",
     )
-    return _result(7, "global stability by simulation, judged by the oracle", t0, subs, notes)
+    return subs, notes
 
 
 def criterion_8():
     """ex5_7 converges to its disease-free point for four delay pairs."""
-    t0 = time.perf_counter()
     cfg = load_preset("ex5_7")
     target = State((math.sqrt(57.0) - 3.0) / 4.0, 0.0, 0.0)
     subs = []
@@ -411,15 +385,13 @@ def criterion_8():
         dev = traj.final_state().max_abs_diff(target)
         subs.append(SubCheck(f"(tau,delta)=({tau:g},{delta:g})", dev < 1e-2,
                              f"final deviation {dev:.3e}"))
-    subs.append(_runtime_sub(t0, 30.0))
-    return _result(8, "nonlinear preset stability (ex5_7)", t0, subs)
+    return subs, ()
 
 
-def _linear_reduction_model(tau=0.0, delta=0.0):
+def _linear_reduction_model():
     # f and P inactive, V = x: x' = a - (c+d)x, y' = -d1*y, z' = -alpha*z
     return ModelSpec(
-        params=Params(a=10.0, b=1.0, b1=1.0, c=1.0, d=1.0, d1=1.0, r=0.0,
-                      alpha=1.0, tau=tau, delta=delta),
+        params=Params(a=10.0, b=1.0, b1=1.0, c=1.0, d=1.0, d1=1.0, r=0.0, alpha=1.0),
         f=Zero(), V=Linear(1.0), P=Zero(),
     )
 
@@ -452,7 +424,6 @@ def criterion_9():
     """Fourth-order convergence on the linear reduction, on ex5_3 with one
     delay and on ex5_5 with two, from a constant and from a sampled history;
     equilibrium-start drift < 1e-8 over horizon 100 on every preset."""
-    t0 = time.perf_counter()
     x0, y0, z0 = 8.0, 3.0, 4.0
 
     def exact(t):
@@ -486,7 +457,7 @@ def criterion_9():
             drift = float(np.max(np.abs(traj.states - np.array(eq.state.as_tuple()))))
             subs.append(SubCheck(f"{name} {eq.kind} drift < 1e-8", drift < 1e-8,
                                  f"max drift {drift:.2e}"))
-    return _result(9, "integrator order and equilibrium drift", t0, subs)
+    return subs, ()
 
 
 def criterion_10():
@@ -498,7 +469,6 @@ def criterion_10():
     that part stays outside classify's convergence bar around the row's
     equilibrium over its second half.
     """
-    t0 = time.perf_counter()
     sweeps = (
         ("ex5_3", EX5_3_GRID, 200.0),
         ("ex5_1", tuple((a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 1.0, 5.0)), 200.0),
@@ -528,37 +498,42 @@ def criterion_10():
                 subs.append(SubCheck(f"{label} => not converged", ok, info))
             else:
                 subs.append(SubCheck(f"{label} in band: unconstrained", True, classified))
-    subs.append(_runtime_sub(t0, 120.0))
-    return _result(10, "theory/simulation agreement", t0, subs)
+    return subs, ()
 
 
+#: (title, runtime limit in seconds or None, check), in ``verify``'s order
 CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
+    ("equilibrium closed forms", 1.0, criterion_1),
+    ("delay-free verdicts", None, criterion_2),
+    ("cubic solver", None, criterion_3),
+    ("critical-delay formula consistency", None, criterion_4),
+    ("bifurcation bracket (oracle)", 30.0, criterion_5),
+    ("regime sweep (ex5_3)", 60.0, criterion_6),
+    ("global stability by simulation, judged by the oracle", 60.0, criterion_7),
+    ("nonlinear preset stability (ex5_7)", 30.0, criterion_8),
+    ("integrator order and equilibrium drift", None, criterion_9),
+    ("theory/simulation agreement", 120.0, criterion_10),
 )
 
 
+def run(index: int) -> CriterionResult:
+    """Run criterion ``index`` (1-based) of ``CRITERIA``: time its check,
+    apply its runtime limit, and report a crash as a failed subcheck."""
+    title, limit, check = CRITERIA[index - 1]
+    t0 = time.perf_counter()
+    try:
+        subs, notes = check()
+    except Exception as exc:  # a crash is a failure, not an abort
+        subs, notes = [SubCheck("criterion crashed", False, f"{type(exc).__name__}: {exc}")], ()
+    elapsed = time.perf_counter() - t0
+    if limit is not None:
+        subs = [*subs, SubCheck(f"runtime < {limit:g} s", elapsed < limit, f"{elapsed:.2f} s")]
+    return CriterionResult(index, title, all(s.passed for s in subs), elapsed, tuple(subs),
+                           tuple(notes))
+
+
 def run_all():
-    results = []
-    for fn in CRITERIA:
-        try:
-            results.append(fn())
-        except Exception as exc:  # a crash is a failure, not an abort
-            idx = len(results) + 1
-            results.append(CriterionResult(
-                index=idx, title=fn.__doc__.splitlines()[0] if fn.__doc__ else fn.__name__,
-                passed=False, elapsed=0.0,
-                subs=(SubCheck("criterion crashed", False, f"{type(exc).__name__}: {exc}"),),
-            ))
-    return results
+    return [run(i) for i in range(1, len(CRITERIA) + 1)]
 
 
 def format_result(res: CriterionResult, verbose: bool = False) -> str:

@@ -30,7 +30,7 @@ and leaves out a step, name or reference that is not set.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
@@ -50,12 +50,14 @@ class ScenarioConfig:
     reference: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # checked here, not in the parser, so that dataclasses.replace checks too
+        # checked here, not in the parser, so that dataclasses.replace checks
+        # too; an integer is kept, and dumped, as a float
         for key in ("horizon", "step") if self.step is not None else ("horizon",):
             v = getattr(self, key)
-            if not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            if not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
                 raise ConfigError(f"{key} must be a positive finite number, got {v!r}",
                                   field=key)
+            object.__setattr__(self, key, float(v))
         # output files are named after the scenario
         if self.name is not None and (not isinstance(self.name, str) or self.name in ("", ".", "..")
                                       or any(c in self.name for c in "/\\\0")):
@@ -76,22 +78,19 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         raise ConfigError("configuration needs a 'model' block", field="model")
     try:
         model = ModelSpec.from_dict(d["model"])
-    except (DomainError, TypeError, KeyError) as exc:
+    except (DomainError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"bad model block: {exc}", field="model") from exc
 
     if "history" in d:
         try:
             history = history_from_dict(d["history"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad history block: {exc}", field="history") from exc
     else:
         history = ConstantHistory(State(1.0, 1.0, 1.0))
 
-    horizon, step = d.get("horizon", 100.0), d.get("step")
-    return ScenarioConfig(  # an integer horizon or step is kept, and dumped, as a float
-        model=model, history=history,
-        horizon=float(horizon) if isinstance(horizon, int) else horizon,
-        step=float(step) if isinstance(step, int) else step,
+    return ScenarioConfig(
+        model=model, history=history, horizon=d.get("horizon", 100.0), step=d.get("step"),
         name=d.get("name"), reference=d.get("reference", {}),
     )
 

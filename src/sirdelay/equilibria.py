@@ -42,10 +42,6 @@ class Equilibrium:
     kind: str  # "disease_free" | "endemic"
     residual: float
 
-    def __str__(self):
-        s = self.state
-        return f"{self.kind}({s.x:.10g}, {s.y:.10g}, {s.z:.10g})"
-
 
 def _susceptible_balance(model: ModelSpec):
     """G(x) = a - d*x - c*V(x), which decreases on [0, a/d] as V does not."""

@@ -87,25 +87,19 @@ class StabilityReport:
 
 
 def _synthesize_tau_only(delay_free, persistence, critical) -> TauOnlySummary:
+    # critical is None only when the delay-free verdict is not stable
     stable0 = delay_free.verdict == STABLE
-    if delay_free.delay_free_equivalent:
+    if delay_free.delay_free_equivalent or persistence.verdict == PRESERVED:
         verdict = PRESERVED_STABLE if stable0 else PRESERVED_UNSTABLE
-        return TauOnlySummary(verdict, None, None, None, persistence, critical)
-    if persistence.verdict == PRESERVED:
-        verdict = PRESERVED_STABLE if stable0 else PRESERVED_UNSTABLE
-        return TauOnlySummary(verdict, None, None, None, persistence, critical)
-    if not stable0:
-        if persistence.verdict in (SWITCH_EXPECTED, INSTABILITY_PERSISTS):
-            return TauOnlySummary(PRESERVED_UNSTABLE, None, None, None, persistence, critical)
-        return TauOnlySummary(INCONCLUSIVE, None, None, None, persistence, critical)
-    if critical is None:
-        return TauOnlySummary(INCONCLUSIVE, None, None, None, persistence, None)
-    if critical.verdict == PRESERVED:
-        return TauOnlySummary(PRESERVED_STABLE, None, None, None, persistence, critical)
-    if critical.verdict == SWITCH:
-        cand = critical.primary
-        return TauOnlySummary(SWITCH_AT, cand.tau, cand.nu, cand.T, persistence, critical)
-    return TauOnlySummary(INCONCLUSIVE, None, None, None, persistence, critical)
+    elif not stable0:
+        unstable = persistence.verdict in (SWITCH_EXPECTED, INSTABILITY_PERSISTS)
+        verdict = PRESERVED_UNSTABLE if unstable else INCONCLUSIVE
+    else:
+        verdict = {PRESERVED: PRESERVED_STABLE, SWITCH: SWITCH_AT}.get(
+            critical.verdict, INCONCLUSIVE)
+    cand = critical.primary if verdict == SWITCH_AT else None
+    tau, nu, T = (cand.tau, cand.nu, cand.T) if cand else (None, None, None)
+    return TauOnlySummary(verdict, tau, nu, T, persistence, critical)
 
 
 def _scan_brackets(cc, lo: float, hi: float):

@@ -186,13 +186,9 @@ def delay_free_stable(cc: CharCoeffs, jac: JacCoeffs | None = None) -> DelayFree
     three_way = all(c.holds for c in checks)
 
     if jac is not None:
-        scale = max(1.0, abs(jac.A), abs(jac.C), abs(jac.D))
-        equivalent = (
-            abs(jac.D) <= EQ_TOL * scale
-            and jac.C <= EQ_TOL * scale
-            and jac.A <= EQ_TOL * scale
-        )
         checks.append(check("D = 0 (no delayed terms)", abs(jac.D), "<=", 0.0))
+        tol = EQ_TOL * max(1.0, abs(jac.A), abs(jac.C))
+        equivalent = checks[-1].holds and jac.C <= tol and jac.A <= tol
     else:
         equivalent = max(abs(cc.l1), abs(cc.m1), abs(cc.n1)) <= EQ_TOL * max(
             1.0, abs(cc.l), abs(cc.m), abs(cc.n)

@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per criterion, each printing a pass/fail line.
+"""Acceptance criteria, one test per criterion run through ``acceptance.run``
+as ``sirdelay verify`` runs it, each printing a pass/fail line.
 
 Criterion 7 reports ex5_1's runs at (tau, delta) = (1, 1) and (5, 2) as
 contradicting the published global-stability claim: the oracle finds the
@@ -7,6 +8,7 @@ fail to converge.  The tests below the parametrized one pin that judgement
 and the ex5_2 zero-root tail law it falls back on.
 """
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,9 +19,10 @@ from sirdelay.model import State
 from sirdelay.presets import load_preset
 
 
-@pytest.mark.parametrize("fn", acceptance.CRITERIA, ids=lambda f: f.__name__)
-def test_criterion(fn):
-    res = fn()
+@pytest.mark.parametrize("index", range(1, len(acceptance.CRITERIA) + 1),
+                         ids=lambda i: f"criterion_{i}")
+def test_criterion(index):
+    res = acceptance.run(index)
     print()
     print(acceptance.format_result(res, verbose=True))
     if not res.passed:
@@ -31,6 +34,34 @@ def test_criterion(fn):
             f"{detail}\n{notes}",
             pytrace=False,
         )
+
+
+def test_a_crashing_criterion_keeps_its_title_index_timing_and_runtime_bound(monkeypatch):
+    def sleep_then_crash():
+        time.sleep(0.05)
+        raise ValueError("boom")
+
+    title, limit, _ = acceptance.CRITERIA[6]
+    table = list(acceptance.CRITERIA)
+    table[6] = (title, limit, sleep_then_crash)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(table))
+    res = acceptance.run(7)
+    assert (res.index, res.title, res.passed) == (7, title, False)
+    assert res.elapsed >= 0.05
+    crashed, runtime = res.subs
+    assert not crashed.passed and crashed.info == "ValueError: boom"
+    assert runtime.label == f"runtime < {limit:g} s" and runtime.passed
+    assert runtime.info == f"{res.elapsed:.2f} s"
+
+
+def test_run_all_runs_every_criterion_in_table_order(monkeypatch):
+    table = tuple((f"t{i}", None, lambda i=i: ([acceptance.SubCheck(f"s{i}", i != 2)], ()))
+                  for i in range(1, 4))
+    monkeypatch.setattr(acceptance, "CRITERIA", table)
+    results = acceptance.run_all()
+    assert [(r.index, r.title, r.passed) for r in results] == [
+        (1, "t1", True), (2, "t2", False), (3, "t3", True)]
+    assert all(r.elapsed > 0.0 and len(r.subs) == 1 for r in results)
 
 
 def _model(name, tau, delta):

@@ -194,6 +194,30 @@ def test_oversized_request_exits_2_before_building_or_writing(tmp_path, capsys, 
     assert peak < 8e6
 
 
+#: a JSON integer literal (401 digits) too large to convert to a float
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda b: b.update(horizon=HUGE), "horizon"),
+    (lambda b: b.update(step=HUGE), "step"),
+    (lambda b: b["model"]["params"].update(a=HUGE), "model"),
+    (lambda b: b["model"]["params"].update(tau=HUGE), "model"),
+    (lambda b: b["model"]["V"].update(k=HUGE), "model"),
+    (lambda b: b.update(history={"kind": "constant", "state": [HUGE, 1, 1]}), "history"),
+    (lambda b: b.update(history={"kind": "sampled", "times": [-HUGE, 0],
+                                 "states": [[1, 1, 1], [1, 1, 1]]}), "history"),
+], ids=["horizon", "step", "params.a", "params.tau", "V.k", "constant_state", "sampled_times"])
+def test_integer_too_large_for_a_float_exits_2_before_writing(tmp_path, capsys, edit, field):
+    blob = to_jsonable(load_preset("ex5_1"))
+    edit(blob)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(blob))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error [{field}]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("name", ["sub/dir", "../x", "a\\b", "a\0b", "", ".", "..", 42])
 def test_scenario_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, name):
     blob = to_jsonable(load_preset("ex5_2"))

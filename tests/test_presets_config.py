@@ -114,11 +114,21 @@ def test_non_finite_horizon_and_step_rejected(field, bad):
     ({"step": 0.0}, "step"),
     ({"name": "a/b"}, "name"),
     ({"reference": [1.0]}, "reference"),
+    ({"horizon": 10**400}, "horizon"),  # an integer too large for a float
+    ({"step": 10**400}, "step"),
 ])
 def test_replace_runs_the_scenario_checks(changes, field):
     with pytest.raises(ConfigError) as exc:
         replace(load_preset("ex5_1"), **changes)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("field", ["horizon", "step"])
+def test_an_integer_horizon_or_step_is_kept_as_a_float(field):
+    blob = to_jsonable(load_preset("ex5_1"))
+    blob[field] = 2
+    for cfg in (scenario_from_dict(blob), replace(load_preset("ex5_1"), **{field: 2})):
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == 2.0
 
 
 def test_bad_history_rejected():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -109,6 +110,19 @@ def test_delay_free_d_check_does_not_hold_for_nonzero_d():
     d_check = next(c for c in res.checks if c.name == "D = 0 (no delayed terms)")
     assert (d_check.lhs, d_check.op, d_check.rhs) == (abs(jac.D), "<=", 0.0)
     assert not d_check.holds and not res.delay_free_equivalent
+
+
+def test_delay_free_flag_follows_its_d_check_at_a_large_scale():
+    # |D| = 1e-11 is within 1e-12 of the larger |A| = 100, but not of zero;
+    # the flag and the recorded "D = 0" check must give one answer
+    jac = JacCoeffs(A=-100.0, B=-1.0, C=-1.0, D=1e-11, E=0.0, alpha=1.0)
+    res = delay_free_stable(char_coeffs(jac), jac)
+    d_check = next(c for c in res.checks if c.name == "D = 0 (no delayed terms)")
+    assert not d_check.holds and not res.delay_free_equivalent
+    assert res.nonzero_roots_negative is None
+    exact = replace(jac, D=0.0)
+    res = delay_free_stable(char_coeffs(exact), exact)
+    assert res.checks[-1].holds and res.delay_free_equivalent and res.nonzero_roots_negative
 
 
 def test_delay_free_fails_on_negative_l():
@@ -314,7 +328,6 @@ def test_global_not_applicable_outside_special_case():
 
 def test_global_disease_free_branch():
     # raise the treatment rate so a/(c+d) < (d1+r)/b1 strictly
-    from dataclasses import replace
     model = load_preset("ex5_2").model
     model = replace(model, params=replace(model.params, r=6.0))
     res = global_verdict(model, [])
