@@ -18,6 +18,9 @@ doubles up to DOUBLINGS times, then DomainError is raised.  A root with
 Re <= -EPS is returned only when an eigenvalue lies within RESOLVED_TOL of
 it, relative, so the list does not depend on Newton's basins.  Every root
 has |F| < 1e-9; roots come by descending real part, with Im >= 0 only.
+``certified_sign`` reads the count alone: -1 certifies that no root has
+Re > -EPS, so max Re < 0; +1 that a root has Re > EPS, so max Re > 0; 0
+certifies nothing (a root within EPS of the axis, or the count refused).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["char_value", "char_deriv", "char_roots_scan", "max_real_part"]
+__all__ = ["char_value", "char_deriv", "char_roots_scan", "certified_sign", "max_real_part"]
 
 ROOT_ABS_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -40,31 +43,33 @@ RESOLVED_TOL = 1e-3
 NEWTON_MAX_ITER = 80
 
 
+def _char_pair(cc, tau, delta, lam):
+    """(F(lam), dF/dlam) in one pass that shares the two exponentials."""
+    e_tau, e_h = cmath.exp(-lam * tau), cmath.exp(-lam * (tau + delta))
+    return (
+        lam**3 + cc.l * lam**2 + cc.m * lam + cc.n + (cc.l1 * lam + cc.m1) * e_tau + cc.n1 * e_h,
+        3.0 * lam**2 + 2.0 * cc.l * lam + cc.m
+        + (cc.l1 - tau * (cc.l1 * lam + cc.m1)) * e_tau - cc.n1 * (tau + delta) * e_h,
+    )
+
+
 def char_value(cc, tau: float, delta: float, lam: complex) -> complex:
     """F(lam) for characteristic coefficients ``cc`` at delays (tau, delta)."""
-    return (
-        lam**3 + cc.l * lam**2 + cc.m * lam + cc.n
-        + (cc.l1 * lam + cc.m1) * cmath.exp(-lam * tau)
-        + cc.n1 * cmath.exp(-lam * (tau + delta))
-    )
+    return _char_pair(cc, tau, delta, lam)[0]
 
 
 def char_deriv(cc, tau: float, delta: float, lam: complex) -> complex:
     """dF/dlam, analytic."""
-    return (
-        3.0 * lam**2 + 2.0 * cc.l * lam + cc.m
-        + (cc.l1 - tau * (cc.l1 * lam + cc.m1)) * cmath.exp(-lam * tau)
-        - cc.n1 * (tau + delta) * cmath.exp(-lam * (tau + delta))
-    )
+    return _char_pair(cc, tau, delta, lam)[1]
 
 
 def _newton(cc, tau, delta, z):
     try:
         for _ in range(NEWTON_MAX_ITER):
-            d = char_deriv(cc, tau, delta, z)
+            value, d = _char_pair(cc, tau, delta, z)
             if d == 0:
                 break
-            step = char_value(cc, tau, delta, z) / d
+            step = value / d
             z -= step
             # exp(-z*(tau+delta)) overflows once Newton strays far left
             if z.real * (tau + delta) < -600.0:
@@ -96,31 +101,35 @@ def _generator(cc, tau, delta, n):
     return M
 
 
-def _unstable_count(cc, tau, delta):
-    """Zeros of F in Re > -EPS, |lam| < R: the winding of F along the upper
-    half of the contour (arc from R, then down Re = -EPS) over pi, with each
-    interval halved until F turns by at most pi/4 across it."""
+def _unstable_count(cc, tau, delta, sigma=-EPS):
+    """Zeros of F in Re > sigma >= -EPS, |lam| < R: the winding of F along the
+    upper half of the contour (arc from R, then down Re = sigma) over pi, with
+    each interval that F turns by more than pi/4 across cut in 8 until none does."""
     h = tau + delta
     R = math.exp(EPS * h) * (1.0 + max(
         abs(cc.l), abs(cc.m) + abs(cc.l1), abs(cc.n) + abs(cc.m1) + abs(cc.n1)))
-    top = math.acos(-EPS / R)
+    top = math.acos(sigma / R)
     if R * h > 1e5:  # the contour takes about 8*R*h samples
         raise DomainError(f"tau + delta = {h:g} is too long to certify the roots")
 
     def f(s):
-        lam = np.where(s < 0.5, R * np.exp(2j * top * s), -EPS + 2j * R * math.sin(top) * (1.0 - s))
+        lam = np.where(s < 0.5, R * np.exp(2j * top * s),
+                       sigma + 2j * R * math.sin(top) * (1.0 - s))
         return (lam**3 + cc.l * lam**2 + cc.m * lam + cc.n
                 + (cc.l1 * lam + cc.m1) * np.exp(-lam * tau) + cc.n1 * np.exp(-lam * h))
 
     s = np.linspace(0.0, 1.0, 64 + int(8.0 * R * h))
     fs = f(s)
+    a, b, fa, fb, winding = s[:-1], s[1:], fs[:-1], fs[1:], 0.0
     for _ in range(64):
-        turn = np.angle(fs[1:] / fs[:-1])
-        coarse = np.flatnonzero(~(np.abs(turn) <= np.pi / 4))
-        if coarse.size == 0:
-            return round(turn.sum() / np.pi)
-        mid = 0.5 * (s[coarse] + s[coarse + 1])
-        s, fs = np.insert(s, coarse + 1, mid), np.insert(fs, coarse + 1, f(mid))
+        turn = np.angle(fb / fa)
+        fine = np.abs(turn) <= np.pi / 4
+        winding += turn[fine].sum()
+        if fine.all():
+            return round(winding / np.pi)
+        s = a[~fine, None] + (b - a)[~fine, None] * np.linspace(0.0, 1.0, 9)
+        fs = np.column_stack((fa[~fine], f(s[:, 1:-1]), fb[~fine]))
+        a, b, fa, fb = s[:, :-1].ravel(), s[:, 1:].ravel(), fs[:, :-1].ravel(), fs[:, 1:].ravel()
     raise DomainError(f"argument principle unresolved at tau={tau:g}, delta={delta:g}")
 
 
@@ -153,6 +162,16 @@ def char_roots_scan(cc, tau: float, delta: float):
         roots = [z for z in roots if z.real > -EPS
                  or np.abs(eigs - z).min() <= RESOLVED_TOL * (1.0 + abs(z))]
     return sorted(roots, key=lambda w: (-w.real, w.imag))
+
+
+def certified_sign(cc, tau: float, delta: float) -> int:
+    """-1, +1 or 0: the sign of max Re that the count alone certifies (module docstring)."""
+    try:
+        if _unstable_count(cc, tau, delta) == 0:
+            return -1
+        return 1 if _unstable_count(cc, tau, delta, EPS) > 0 else 0
+    except DomainError:
+        return 0
 
 
 def max_real_part(cc, tau: float, delta: float):

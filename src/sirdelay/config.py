@@ -54,9 +54,9 @@ class ScenarioConfig:
         # too; an integer is kept, and dumped, as a float
         for key in ("horizon", "step") if self.step is not None else ("horizon",):
             v = getattr(self, key)
-            if not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
-                raise ConfigError(f"{key} must be a positive finite number, got {v!r}",
-                                  field=key)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not 0 < v <= sys.float_info.max):
+                raise ConfigError(f"{key} must be a positive finite number, got {v!r}", field=key)
             object.__setattr__(self, key, float(v))
         # output files are named after the scenario
         if self.name is not None and (not isinstance(self.name, str) or self.name in ("", ".", "..")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 __all__ = ["brent", "solve_cubic_real"]
 
@@ -73,9 +73,7 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     identically zero polynomial.  Each returned root r satisfies
     |p(r)| < 1e-9 * max(1, |c3|, |c2|, |c1|, |c0|).
     """
-    for v in (c3, c2, c1, c0):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite cubic coefficient {v!r}")
+    check_finite("cubic coefficient", c3, c2, c1, c0)
     scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise DomainError("identically zero polynomial has no well-defined roots")

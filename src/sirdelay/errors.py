@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one number check, shared across the package."""
+
+import reprlib
+from numbers import Real
+from sys import float_info
 
 
 class DomainError(ValueError):
@@ -29,3 +33,13 @@ class ConfigError(ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def check_finite(name, *values):
+    """DomainError naming ``name`` unless each value is a finite real number: not a
+    bool, nor an int past the float range.  Floats with a finite sum pass at once."""
+    if set(map(type, values)) <= {float} and abs(sum(values)) <= float_info.max:
+        return
+    for value in values:
+        if type(value) is bool or not isinstance(value, Real) or not abs(value) <= float_info.max:
+            raise DomainError(f"{name} must be a finite number, got {reprlib.repr(value)}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, check_finite
 from .model import ModelSpec, State
 
 __all__ = [
@@ -63,8 +63,11 @@ MAX_STEPS = 2_000_000
 DEFAULT_STEP = 0.04
 
 
-def _valid_history_state(s: State) -> bool:
-    return all(math.isfinite(v) and v >= 0.0 for v in (s.x, s.y, s.z))
+def _check_history_states(*states: State) -> None:
+    values = [v for s in states for v in (s.x, s.y, s.z)]
+    check_finite("history state", *values)
+    if min(values) < 0.0:
+        raise DomainError(f"history states must be nonnegative, got {min(values)}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,7 @@ class ConstantHistory:
     state: State
 
     def __post_init__(self):
-        if not _valid_history_state(self.state):
-            raise ValueError("history states must be finite and nonnegative")
+        _check_history_states(self.state)
 
     def value(self, t: float) -> State:
         return self.state
@@ -96,14 +98,12 @@ class SampledHistory:
     def __post_init__(self):
         if len(self.times) != len(self.states) or len(self.times) < 2:
             raise ValueError("sampled history needs >= 2 aligned samples")
-        if not all(map(math.isfinite, self.times)):
-            raise ValueError("sampled history times must be finite")
+        check_finite("sampled history time", *self.times)
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("sampled history times must increase strictly")
         if self.times[-1] < 0.0:
             raise ValueError("sampled history must reach t = 0")
-        if not all(map(_valid_history_state, self.states)):
-            raise ValueError("history states must be finite and nonnegative")
+        _check_history_states(*self.states)
 
     def span(self) -> float:
         return -self.times[0]
@@ -129,15 +129,19 @@ class SampledHistory:
 HistorySpec = ConstantHistory | SampledHistory
 
 
+def _floats(name, values) -> tuple:
+    check_finite(name, *values)
+    return tuple(map(float, values))
+
+
 def history_from_dict(d: dict) -> HistorySpec:
     kind = d.get("kind", ConstantHistory.kind)
     if kind == ConstantHistory.kind:
-        x, y, z = d["state"]
-        return ConstantHistory(State(float(x), float(y), float(z)))
+        return ConstantHistory(State(*_floats("history state", d["state"])))
     if kind == SampledHistory.kind:
         return SampledHistory(
-            times=tuple(float(t) for t in d["times"]),
-            states=tuple(State(*map(float, s)) for s in d["states"]),
+            times=_floats("sampled history time", d["times"]),
+            states=tuple(State(*_floats("history state", s)) for s in d["states"]),
         )
     raise ValueError(f"unknown history kind {kind!r}")
 

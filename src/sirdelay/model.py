@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .responses import ResponseFn, response_from_dict
 
 __all__ = [
@@ -66,8 +66,7 @@ class Params:
     def __post_init__(self):
         for name in ("a", "b", "b1", "c", "d", "d1", "r", "alpha", "tau", "delta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise DomainError(f"parameter {name} must be finite, got {v!r}")
+            check_finite(f"parameter {name}", v)
             if v < 0:
                 raise DomainError(f"parameter {name} must be nonnegative, got {v}")
         for name in ("b", "b1", "d", "d1", "alpha"):
@@ -144,9 +143,7 @@ class ModelSpec:
         # monotone slope, so the slopes at the two ends decide it.
         p = self.params
         for u in (0.0, p.a / p.d):
-            v = self.V.value(u)
-            if not math.isfinite(v):
-                raise DomainError(f"vaccination response not finite at x={u}")
+            check_finite(f"vaccination response at x={u}", self.V.value(u))
             if self.V.partial(0, u) < 0.0:
                 raise DomainError(f"vaccination response must not decrease, but does at x={u}")
         for u in (0.0, p.b1 * p.a / (p.b * p.d1)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charroots import char_roots_scan, max_real_part
+from .charroots import certified_sign, char_roots_scan, max_real_part
 from .equilibria import Equilibrium
 from .model import JacCoeffs, ModelSpec, jacobian_coeffs, to_jsonable
 from .stability import (
@@ -103,8 +103,10 @@ def _synthesize_tau_only(delay_free, persistence, critical) -> TauOnlySummary:
 
 
 def _scan_brackets(cc, lo: float, hi: float):
-    """(max Re at tau = lo, max Re at tau = hi, whether it goes from < 0 to
-    > 0) by the root scan at delta = 0."""
+    """(max Re at tau = lo, max Re at tau = hi, whether it goes from < 0 to > 0)
+    at delta = 0; both values are None when the certified signs show the change."""
+    if certified_sign(cc, lo, 0.0) < 0 < certified_sign(cc, hi, 0.0):
+        return None, None, True
     left = max_real_part(cc, lo, 0.0)
     right = max_real_part(cc, hi, 0.0)
     return left, right, left is not None and right is not None and left < 0.0 < right

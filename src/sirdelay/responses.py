@@ -17,10 +17,9 @@ Conventions
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 __all__ = [
     "ResponseFn",
@@ -40,8 +39,8 @@ class ResponseFn:
     """Base class; each concrete variant defines the formulas value(*args)
     and partial(index, *args), the analytic partial derivative with respect
     to argument ``index``.  Neither checks its arguments: non-finite numbers
-    are refused where they enter (``Params``, the constructors, the
-    histories, ``eval_rhs`` and ``jacobian_coeffs``)."""
+    are refused where they enter (``Params``, each field by ``__post_init__``
+    below, the histories, ``eval_rhs`` and ``jacobian_coeffs``)."""
 
     #: the tag of the JSON form {kind, k?, p1?, p2?}, one per concrete class
     kind = None
@@ -49,6 +48,10 @@ class ResponseFn:
     arity = None
     #: True when the function vanishes identically at y = 0 (binary forms)
     zero_when_y_zero = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_finite(f"{type(self).__name__} {f.name}", getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,6 @@ class Linear(ResponseFn):
     kind = "linear"
     k: float = 1.0
     arity = 1
-
-    def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise DomainError("Linear slope must be finite")
 
     def value(self, u):
         return self.k * u
@@ -110,7 +109,8 @@ class SaturatingIncidence(ResponseFn):
     zero_when_y_zero = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
+        super().__post_init__()
+        if not self.k > 0:
             raise DomainError("SaturatingIncidence needs k > 0")
 
     def value(self, x, y):
@@ -158,7 +158,8 @@ class SaturatingUnary(ResponseFn):
     arity = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
+        super().__post_init__()
+        if not self.k > 0:
             raise DomainError("SaturatingUnary needs k > 0")
 
     def value(self, u):
@@ -176,10 +177,6 @@ class PowerSum(ResponseFn):
     p1: float
     p2: float
     arity = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
-            raise DomainError("PowerSum coefficients must be finite")
 
     def value(self, u):
         return self.p1 * u + self.p2 * u * u

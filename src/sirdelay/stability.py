@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cubic import brent, solve_cubic_real
 from .equilibria import is_bilinear_special_case
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .model import JacCoeffs, ModelSpec
 
 __all__ = [
@@ -88,9 +88,7 @@ def char_coeffs(j: JacCoeffs) -> CharCoeffs:
     l = alpha - (A + C), m = A*C - alpha*(A + C), n = alpha*C*A,
     l1 = -B*D, m1 = -B*alpha*D, n1 = -D*alpha*E.
     """
-    for v in (j.A, j.B, j.C, j.D, j.E, j.alpha):
-        if not math.isfinite(v):
-            raise DomainError("non-finite linearization coefficient")
+    check_finite("linearization coefficient", j.A, j.B, j.C, j.D, j.E, j.alpha)
     # + 0.0 normalizes negative zeros out of products like alpha*C*A
     return CharCoeffs(
         l=j.alpha - (j.A + j.C) + 0.0,

@@ -4,12 +4,19 @@ import math
 import pytest
 
 from sirdelay.charroots import (
+    certified_sign,
     char_deriv,
     char_roots_scan,
     char_value,
     max_real_part,
 )
-from sirdelay.stability import CharCoeffs, _crossing_cubic, tau_crossing
+from sirdelay.equilibria import all_equilibria
+from sirdelay.errors import DomainError
+from sirdelay.model import jacobian_coeffs
+from sirdelay.report import _scan_brackets
+from sirdelay.stability import CharCoeffs, _crossing_cubic, char_coeffs, tau_crossing
+from test_cross_validation import endemic_cc, random_models
+from test_report import report_for
 
 CC_EX5_2 = CharCoeffs(l=3.0, m=2.0, n=0.0, l1=0.0, m1=0.0, n1=0.0)
 CC_EX5_3 = CharCoeffs(l=7.0, m=6.0, n=0.0, l1=4.0, m1=4.0, n1=-2.0)
@@ -97,3 +104,53 @@ def test_tangential_crossing_at_a_double_root_of_the_crossing_cubic():
     tau = tau_crossing(cc)
     assert tau == pytest.approx(want, rel=1e-12)
     assert abs(char_value(cc, tau, 0.0, 1j * nu0)) < 1e-9
+
+
+def random_ccs():
+    for model in random_models(200, seed=7):
+        for eq in all_equilibria(model):
+            yield char_coeffs(jacobian_coeffs(model, eq))
+
+
+def test_a_nonzero_certified_sign_is_the_sign_of_max_re():
+    probes = nonzero = 0
+    for cc in random_ccs():
+        at = [(0.3, 0.0), (1.0, 0.5), (2.5, 0.0), (4.0, 2.0), (7.0, 0.0)]
+        c = tau_crossing(cc)
+        if c is not None:
+            at += [(c - 1e-3, 0.0), (c + 1e-3, 0.0)]
+        for tau, delta in at:
+            sign = certified_sign(cc, tau, delta)
+            probes += 1
+            if sign:
+                nonzero += 1
+                assert sign == math.copysign(1.0, max_real_part(cc, tau, delta)), (cc, tau, delta)
+    assert nonzero > 0.95 * probes  # the count decides almost every probe
+
+
+def test_certified_sign_is_zero_on_the_crossing():
+    crossings = [(cc, tau_crossing(cc)) for cc in random_ccs()]
+    crossings = [(cc, c) for cc, c in crossings if c is not None][:10]
+    for cc, c in [(CC_EX5_3, tau_crossing(CC_EX5_3))] + crossings:
+        assert certified_sign(cc, c - 1e-3, 0.0) == -1
+        assert certified_sign(cc, c, 0.0) == 0  # a root lies on the imaginary axis
+        assert certified_sign(cc, c + 1e-3, 0.0) == 1
+
+
+def test_certified_sign_is_zero_where_the_count_is_refused():
+    # R ~ 11 for ex5_3, so R * (tau + delta) passes 1e5 long before tau = 1e5
+    with pytest.raises(DomainError, match="too long"):
+        char_roots_scan(CC_EX5_3, 1e5, 0.0)
+    assert certified_sign(CC_EX5_3, 1e5, 0.0) == 0
+    assert certified_sign(CC_EX5_3, 5e3, 5e3) == 0
+
+
+def test_brackets_the_signs_do_not_confirm_print_the_root_scans_values():
+    # ex5_3's pseudo-delay chain predicts tau+ = 0.126, where every root is stable
+    cc = endemic_cc("ex5_3")
+    rep = report_for("ex5_3", "endemic")
+    tp = rep.tau_only.tau_plus
+    left, right = max_real_part(cc, 0.9 * tp, 0.0), max_real_part(cc, 1.1 * tp, 0.0)
+    assert _scan_brackets(cc, 0.9 * tp, 1.1 * tp) == (left, right, False)
+    assert any(f"max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau" in a
+               for a in rep.annotations)

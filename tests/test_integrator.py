@@ -11,7 +11,7 @@ import pytest
 from sirdelay import integrator
 from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
 from sirdelay.equilibria import all_equilibria
-from sirdelay.errors import IntegrationError
+from sirdelay.errors import DomainError, IntegrationError
 from sirdelay.integrator import (
     ConstantHistory,
     SampledHistory,
@@ -431,6 +431,21 @@ def test_histories_reject_non_finite_input():
             SampledHistory(times=(-1.0, 0.0), states=(State(1, 1, 1), State(1, bad, 1)))
     with pytest.raises(ValueError):
         SampledHistory(times=(-math.inf, 0.0), states=(State(1, 1, 1), State(1, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), True])
+def test_histories_refuse_huge_integers_and_booleans(bad):
+    one = State(1, 1, 1)
+    with pytest.raises(DomainError, match="history state must be a finite number"):
+        ConstantHistory(State(1.0, bad, 1.0))
+    with pytest.raises(DomainError, match="history state must be a finite number"):
+        SampledHistory(times=(-1.0, 0.0), states=(one, State(bad, 1, 1)))
+    with pytest.raises(DomainError, match="history time must be a finite number"):
+        SampledHistory(times=(-1.0, bad), states=(one, one))
+    with pytest.raises(DomainError, match="history state must be a finite number"):
+        history_from_dict({"kind": "constant", "state": [1.0, 1.0, bad]})
+    with pytest.raises(DomainError, match="history time must be a finite number"):
+        history_from_dict({"kind": "sampled", "times": [-1.0, bad], "states": [[1, 1, 1]] * 2})
 
 
 def _scan_value(history, t):

@@ -31,6 +31,14 @@ def test_params_validation():
         Params(a=10, b=1, b1=1, c=1, d=1, d1=1, r=1, alpha=1, tau=math.inf)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "alpha", "tau", "delta"])
+@pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), True, False])
+def test_params_refuse_huge_integers_and_booleans(field, bad):
+    values = dict(a=10, b=1, b1=1, c=1, d=1, d1=1, r=1, alpha=1)
+    with pytest.raises(DomainError, match=f"parameter {field} must be a finite number"):
+        Params(**{**values, field: bad})
+
+
 def test_modelspec_arity_validation():
     p = Params(a=10, b=1, b1=1, c=1, d=1, d1=1, r=1, alpha=1)
     with pytest.raises(DomainError):

@@ -123,6 +123,27 @@ def test_replace_runs_the_scenario_checks(changes, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("path, field, named", [
+    (("horizon",), "horizon", "horizon"),
+    (("step",), "step", "step"),
+    (("model", "params", "a"), "model", "parameter a"),
+    (("model", "V", "k"), "model", "Linear k"),
+    (("history", "state", 1), "history", "history state"),
+])
+def test_a_json_boolean_is_not_a_number(path, field, named, bad):
+    blob = to_jsonable(load_preset("ex5_1"))
+    blob.setdefault("step", 0.04)
+    blob["history"] = {"kind": "constant", "state": [1.0, 1.0, 1.0]}
+    inner = blob
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = bad
+    with pytest.raises(ConfigError, match=named) as exc:
+        scenario_from_dict(json.loads(json.dumps(blob)))
+    assert exc.value.field == field
+
+
 @pytest.mark.parametrize("field", ["horizon", "step"])
 def test_an_integer_horizon_or_step_is_kept_as_a_float(field):
     blob = to_jsonable(load_preset("ex5_1"))

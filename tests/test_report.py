@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sirdelay.charroots import max_real_part
+from sirdelay import charroots, report
+from sirdelay.charroots import char_roots_scan, max_real_part
 from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -45,6 +46,23 @@ def test_ex5_3_report_switch_and_oracle():
     # the global criterion conflicts with the observed switch
     assert rep.global_case.verdict == "endemic_gas"
     assert any("global criterion" in a for a in rep.annotations)
+
+
+def test_ex5_3_endemic_report_takes_four_root_scans(monkeypatch):
+    # at tau and at zero delay, and at 0.9 and 1.1 times the pseudo-delay
+    # tau+, whose signs do not confirm a switch; the exact crossing is
+    # confirmed by its certified signs alone
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return char_roots_scan(*args)
+
+    monkeypatch.setattr(charroots, "char_roots_scan", counted)
+    monkeypatch.setattr(report, "char_roots_scan", counted)
+    rep = report_for("ex5_3", "endemic")
+    assert rep.oracle_crossing_tau == pytest.approx(4.56167, abs=1e-5)
+    assert len(calls) == 4, calls
 
 
 def test_ex5_4_report_flags_polynomial_discrepancy():

@@ -153,6 +153,20 @@ def test_bad_parameters_rejected():
         Linear(math.inf)
 
 
+@pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), True, False])
+@pytest.mark.parametrize("cls, field, others", [
+    (Linear, "k", {}),
+    (SaturatingIncidence, "k", {}),
+    (SaturatingUnary, "k", {}),
+    (PowerSum, "p1", {"p2": 1.0}),
+    (PowerSum, "p2", {"p1": 0.0}),
+], ids=["Linear", "SaturatingIncidence", "SaturatingUnary", "PowerSum.p1", "PowerSum.p2"])
+def test_constructors_refuse_huge_integers_and_booleans(cls, field, others, bad):
+    # an int too large for a float, and a bool, are not numbers here
+    with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+        cls(**others, **{field: bad})
+
+
 @pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
 def test_dict_round_trip(fn):
     again = response_from_dict(json.loads(json.dumps(to_jsonable(fn))))
