@@ -35,7 +35,7 @@ print(" * ex5_2 - the published roots for its cubic do not solve the printed")
 print("   polynomial; the scan returns the actual roots {0, -1, -2}.")
 print(" * ex5_1 - the published pseudo-delay cubic disagrees with the")
 print("   pipeline expansion, and there is a genuine stability switch at the")
-print("   exact crossing tau = 1.374 (delta = 0), checked by the root scan,")
+print("   exact crossing tau = 1.374 (delta = 0), checked by the root count,")
 print("   although the published analysis claims delay-independent stability.")
 print("   The preset therefore pins the stable configuration (tau, delta) = (1, 0).")
 print(" * ex5_3 - the pseudo-delay chain and the published value both miss")

@@ -33,14 +33,9 @@ from .errors import IntegrationError
 from .integrator import ConstantHistory, SampledHistory, dense_eval, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
 from .presets import PRESET_NAMES, load_preset
+from .report import build_stability_report
 from .responses import Linear, Zero
-from .stability import (
-    STABLE,
-    char_coeffs,
-    delay_free_stable,
-    tau_crossing,
-    tau_from_pseudo_delay,
-)
+from .stability import STABLE, char_coeffs, tau_from_pseudo_delay
 
 __all__ = ["SubCheck", "CriterionResult", "run", "run_all", "CRITERIA", "format_result"]
 
@@ -91,44 +86,32 @@ def criterion_1():
     return subs, ()
 
 
+def _preset_report(name, kind):
+    """The stability report of preset ``name``'s equilibrium of ``kind``."""
+    model = load_preset(name).model
+    eqs = all_equilibria(model)
+    return build_stability_report(model, next(e for e in eqs if e.kind == kind), eqs)
+
+
 def criterion_2():
-    """Delay-free verdicts: ex5_1 stable; ex5_2/ex5_4 delay-free-equivalent;
-    ex5_2 oracle roots {0, -1, -2} within 1e-9."""
-    subs = []
-
-    model1 = load_preset("ex5_1").model
-    eq1 = _eq_of_kind(model1, "endemic")
-    jac1 = jacobian_coeffs(model1, eq1)
-    res1 = delay_free_stable(char_coeffs(jac1), jac1)
-    subs.append(SubCheck("ex5_1 delay-free stable", res1.verdict == STABLE,
-                         "; ".join(c.describe() for c in res1.checks[:3])))
-
-    for name, expected_nonzero in (("ex5_2", (-1.0, -2.0)), ("ex5_4", (-1.0, -4.0))):
-        model = load_preset(name).model
-        eq = _eq_of_kind(model, "disease_free")
-        jac = jacobian_coeffs(model, eq)
-        cc = char_coeffs(jac)
-        res = delay_free_stable(cc, jac)
+    """Delay-free verdicts: ex5_1 stable; ex5_2/ex5_4 delay-free-equivalent
+    with oracle roots {0, -1, -2} and {0, -1, -4} within 1e-9."""
+    rep = _preset_report("ex5_1", "endemic")
+    subs = [SubCheck("ex5_1 delay-free stable", rep.delay_free.verdict == STABLE,
+                     "; ".join(c.describe() for c in rep.delay_free.checks[:3]))]
+    for name, want in (("ex5_2", [-2.0, -1.0, 0.0]), ("ex5_4", [-4.0, -1.0, 0.0])):
+        rep = _preset_report(name, "disease_free")
+        res, jac = rep.delay_free, rep.jac
         subs.append(SubCheck(
             f"{name} delay-free-equivalent flag", res.delay_free_equivalent,
             f"D = {jac.D:.3g}, C = {jac.C:.3g}, A = {jac.A:.3g}"))
         subs.append(SubCheck(
             f"{name} nonzero roots negative", bool(res.nonzero_roots_negative),
             f"verdict {res.verdict}"))
-        p = model.params
-        roots = char_roots_scan(cc, p.tau, p.delta)
-        reals = sorted(r.real for r in roots if abs(r.imag) < 1e-9)
-        if name == "ex5_2":
-            want = sorted((0.0, -1.0, -2.0))
-            ok = len(reals) == 3 and all(abs(a - b) < 1e-9 for a, b in zip(reals, want))
-            subs.append(SubCheck("ex5_2 oracle roots {0, -1, -2}", ok,
-                                 f"roots {[f'{v:.6g}' for v in reals]}"))
-        else:
-            nonzero = [v for v in reals if abs(v) > 1e-9]
-            ok = all(v < 0 for v in nonzero) and len(nonzero) == len(expected_nonzero) and all(
-                abs(a - b) < 1e-9 for a, b in zip(sorted(nonzero), sorted(expected_nonzero)))
-            subs.append(SubCheck(f"{name} oracle nonzero roots {sorted(expected_nonzero)}", ok,
-                                 f"roots {[f'{v:.6g}' for v in reals]}"))
+        reals = sorted(r.real for r in rep.oracle_roots if abs(r.imag) < 1e-9)
+        ok = len(reals) == 3 and all(abs(a - b) < 1e-9 for a, b in zip(reals, want))
+        subs.append(SubCheck(f"{name} oracle roots {{0, {want[1]:g}, {want[0]:g}}}", ok,
+                             f"roots {[f'{v:.6g}' for v in reals]}"))
     return subs, ()
 
 
@@ -166,19 +149,16 @@ def criterion_4():
 
 def criterion_5():
     """The exact crossing of ex5_3 lies in the root scan's bracket [4, 5]."""
-    model = load_preset("ex5_3").model
-    eq = _eq_of_kind(model, "endemic")
-    cc = char_coeffs(jacobian_coeffs(model, eq))
-    subs = []
-    g4 = max_real_part(cc, 4.0, 0.0)
-    g5 = max_real_part(cc, 5.0, 0.0)
-    subs.append(SubCheck("bracket: max Re < 0 at tau=4 and > 0 at tau=5",
-                         g4 is not None and g5 is not None and g4 < 0 < g5,
-                         f"g(4) = {g4:.4g}, g(5) = {g5:.4g}"))
-    tau_star = tau_crossing(cc)
-    subs.append(SubCheck("exact crossing tau* in [4, 5]",
-                         tau_star is not None and 4.0 <= tau_star <= 5.0,
-                         f"tau* = {tau_star}"))
+    rep = _preset_report("ex5_3", "endemic")
+    g4 = max_real_part(rep.cc, 4.0, 0.0)
+    g5 = max_real_part(rep.cc, 5.0, 0.0)
+    tau_star = rep.oracle_crossing_tau
+    subs = [SubCheck("bracket: max Re < 0 at tau=4 and > 0 at tau=5",
+                     g4 is not None and g5 is not None and g4 < 0 < g5,
+                     f"g(4) = {g4:.4g}, g(5) = {g5:.4g}"),
+            SubCheck("exact crossing tau* in [4, 5]",
+                     tau_star is not None and 4.0 <= tau_star <= 5.0,
+                     f"tau* = {tau_star}")]
     return subs, ()
 
 

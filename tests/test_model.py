@@ -1,6 +1,9 @@
 import math
 import pickle
+from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sirdelay.equilibria import all_equilibria
@@ -152,3 +155,21 @@ def test_model_dict_round_trip_and_hash():
     assert again.content_hash() == model.content_hash()
     other = load_preset("ex5_7").model
     assert other.content_hash() != model.content_hash()
+
+
+@pytest.mark.parametrize("value, like", [
+    pytest.param(np.int64(10), 10, id="int64"),
+    pytest.param(Fraction(10), 10.0, id="Fraction"),
+])
+def test_other_real_parameters_hash_like_the_number_they_convert_to(value, like):
+    model = load_preset("ex5_1").model
+    got = to_jsonable(value)
+    assert got == like and type(got) is type(like)
+    assert (replace(model, params=replace(model.params, a=value)).content_hash()
+            == replace(model, params=replace(model.params, a=like)).content_hash())
+
+
+def test_fraction_response_field_hashes_like_its_float():
+    model = load_preset("ex5_1").model
+    assert model.V == Linear(1.0)
+    assert replace(model, V=Linear(Fraction(1))).content_hash() == model.content_hash()

@@ -1,7 +1,10 @@
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sirdelay import charroots, report
@@ -10,6 +13,7 @@ from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.report import build_stability_report, render_report, report_to_json
+from sirdelay.responses import Linear
 from sirdelay.stability import STABLE
 
 
@@ -118,6 +122,25 @@ def test_reports_build_for_every_preset_equilibrium(name):
         json.dumps(report_to_json(rep))
         text = render_report(rep)
         assert "criteria:" in text
+
+
+def _reports_json(model):
+    eqs = all_equilibria(model)
+    docs = [json.loads(json.dumps(report_to_json(build_stability_report(model, eq, eqs))))
+            for eq in eqs]
+    return [{k: v for k, v in doc.items() if k != "model_hash"} for doc in docs]
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda m: replace(m, params=replace(m.params, a=Fraction(10))),
+                 id="a-Fraction"),
+    pytest.param(lambda m: replace(m, params=replace(m.params, a=np.int64(10))),
+                 id="a-int64"),
+    pytest.param(lambda m: replace(m, V=Linear(Fraction(1))), id="V-Linear-Fraction"),
+])
+def test_reports_serialize_models_with_other_real_numbers(change):
+    model = load_preset("ex5_1").model
+    assert _reports_json(change(model)) == _reports_json(model)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -82,7 +82,9 @@ def test_check_boundary_band():
 # ---------------------------------------------------------------------------
 
 def test_delay_free_ex5_1_stable():
-    res = delay_free_stable(cc_of("ex5_1", "endemic"))
+    cc = cc_of("ex5_1", "endemic")
+    assert cc.zero_delay() == (1.0, 9.0, 20.0, 6.0)
+    res = delay_free_stable(cc)
     assert res.verdict == STABLE
     values = {c.name: c.lhs for c in res.checks}
     assert values["l > 0"] == 9.0
@@ -128,6 +130,19 @@ def test_delay_free_flag_follows_its_d_check_at_a_large_scale():
 def test_delay_free_fails_on_negative_l():
     res = delay_free_stable(CharCoeffs(-1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
     assert res.verdict == NOT_ESTABLISHED
+
+
+def test_delay_free_checks_miss_the_hurwitz_product():
+    # lam^3 + lam^2 + lam + 10 passes l > 0, l1 + m > 0 and n + m1 + n1 > 0,
+    # but not l*(l1 + m) > n + m1 + n1: two roots have Re = +0.6825.  The
+    # verdict keeps the criterion's three checks.
+    cc = CharCoeffs(1.0, 0.5, 5.0, 0.5, 4.0, 1.0)
+    assert cc.zero_delay() == (1.0, 1.0, 1.0, 10.0)
+    assert delay_free_stable(cc).verdict == STABLE
+    assert max_real_part(cc, 0.0, 0.0) == pytest.approx(0.6825094972787, rel=1e-9)
+    res = delay_free_stable(CharCoeffs(1.0, 1.0, 10.0, 0.0, 0.0, 0.0))
+    assert res.verdict == STABLE
+    assert res.delay_free_equivalent and res.nonzero_roots_negative is False
 
 
 # ---------------------------------------------------------------------------
