@@ -61,7 +61,6 @@ def convergence_bar(target: State) -> float:
 @dataclass(frozen=True)
 class Classification:
     kind: str
-    window: tuple  # (t_start, t_end) analyzed
     target: State | None = None
     max_deviation: float | None = None
     decay_ratio: float | None = None
@@ -102,7 +101,6 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
             f"horizon {horizon} too short to classify: need >= 50 and >= 10x max delay"
         )
     t0 = horizon * (1.0 - TAIL_FRACTION)
-    window = (t0, horizon)
     sel = traj.times >= t0
     tail = traj.states[sel]
 
@@ -110,7 +108,7 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     if target is not None:
         dev = float(np.max(np.abs(tail - np.array(target.as_tuple()))))
         if dev < convergence_bar(target):
-            return Classification(CONVERGED, window, target=target, max_deviation=dev)
+            return Classification(CONVERGED, target=target, max_deviation=dev)
 
     ys = tail[:, 1]
     mean_y = float(np.mean(ys))
@@ -123,19 +121,19 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     if len(peak_idx) >= 2 and amps[0] > amp_floor:
         ratio = amps[-1] / amps[0]
         if ratio < RATIO_BAND[0]:
-            return Classification(DAMPED, window, decay_ratio=ratio)
+            return Classification(DAMPED, decay_ratio=ratio)
         if ratio <= RATIO_BAND[1] and len(peak_idx) >= MIN_PEAKS:
             times, slopes = traj.times[sel], traj.derivatives[sel, 1]
             first, last = (_peak_time(times, ys, slopes, i) for i in (peak_idx[0], peak_idx[-1]))
             spacing = (last - first) / (len(peak_idx) - 1)
             return Classification(
-                SUSTAINED, window,
+                SUSTAINED,
                 period=float(spacing),
                 amplitude=float(np.mean(amps)),
             )
     if float(np.max(np.abs(tail))) > DIVERGENCE_BOUND:
-        return Classification(DIVERGED, window)
-    return Classification(UNCLASSIFIED, window)
+        return Classification(DIVERGED)
+    return Classification(UNCLASSIFIED)
 
 
 def _peak_time(times, ys, slopes, i) -> float:

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_delays
 
 __all__ = ["char_value", "char_deriv", "char_roots_scan", "certified_sign", "max_real_part"]
 
@@ -146,7 +146,9 @@ def _polish(cc, tau, delta, eigs):
 
 def char_roots_scan(cc, tau: float, delta: float):
     """Roots of F by descending real part: all with Re > -EPS, certified, and the
-    stable ones the collocation resolves.  DomainError if certification fails."""
+    stable ones the collocation resolves.  DomainError if a delay is not finite
+    and nonnegative, or if certification fails."""
+    check_delays(tau, delta)
     if tau + delta == 0.0 or cc.l1 == cc.m1 == cc.n1 == 0.0:
         roots = _polish(cc, tau, delta, np.roots(cc.zero_delay()))
     else:
@@ -165,7 +167,9 @@ def char_roots_scan(cc, tau: float, delta: float):
 
 
 def certified_sign(cc, tau: float, delta: float) -> int:
-    """-1, +1 or 0: the sign of max Re that the count alone certifies (module docstring)."""
+    """-1, +1 or 0: the sign of max Re that the count alone certifies (module
+    docstring); DomainError if a delay is not finite and nonnegative."""
+    check_delays(tau, delta)
     try:
         if _unstable_count(cc, tau, delta) == 0:
             return -1

@@ -1,4 +1,5 @@
-"""Exception types, and the one number check, shared across the package."""
+"""Exception types, and the one number check with the delay check built on it,
+shared across the package."""
 
 import reprlib
 from numbers import Real
@@ -43,3 +44,11 @@ def check_finite(name, *values):
     for value in values:
         if type(value) is bool or not isinstance(value, Real) or not abs(value) <= float_info.max:
             raise DomainError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def check_delays(tau, delta):
+    """DomainError naming the delay unless tau and delta are finite and nonnegative."""
+    for name, value in (("tau", tau), ("delta", delta)):
+        check_finite(f"delay {name}", value)
+        if value < 0.0:
+            raise DomainError(f"delay {name} must be nonnegative, got {value}")

@@ -165,9 +165,12 @@ class Trajectory:
         return State(float(x), float(y), float(z))
 
 
-def _hermite(ys, fs, ts, i, t):
-    """Cubic Hermite interpolation at t on the mesh interval [ts[i], ts[i + 1]]
-    through the values ``ys`` and slopes ``fs`` at its ends."""
+def _hermite(ys, fs, ts, i, t, history=None):
+    """The one reader of the past: ``history(t)`` when a history is given and
+    t <= 0, else cubic Hermite interpolation at t on the mesh interval
+    [ts[i], ts[i + 1]] through the values ``ys`` and slopes ``fs`` at its ends."""
+    if t <= 0.0 and history is not None:
+        return history(t)
     t0 = ts[i]
     h = ts[i + 1] - t0
     w = (t - t0) / h
@@ -298,7 +301,8 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
             # delayed arguments of k2 and k3 (mid-step) and of k4 and the next
             # k1 (step end) are looked up once each, in the intervals before
             # t.  Lookup times only grow, so each delay's interval index
-            # (ix, iy) walks forward instead of searching the whole mesh.
+            # (ix, iy) walks forward instead of searching the whole mesh.  It
+            # stays put while a lookup time is <= 0 < ts[1]: _hermite reads the history.
             tn = ts[k + 1]
             hk = tn - t
             half = 0.5 * hk
@@ -306,32 +310,20 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
             top = k - 1
             if use_xt:
                 sm, se = tm - tau, tn - tau
-                if sm > 0.0:
-                    while ts[ix + 1] < sm:
-                        ix += 1
-                    xm = _hermite(xs, dxs, ts, ix, sm)
-                else:
-                    xm = hist_x(sm)
-                if se > 0.0:
-                    while ix < top and ts[ix + 1] < se:
-                        ix += 1
-                    xe = _hermite(xs, dxs, ts, ix, se)
-                else:
-                    xe = hist_x(se)
+                while ts[ix + 1] < sm:
+                    ix += 1
+                xm = _hermite(xs, dxs, ts, ix, sm, hist_x)
+                while ix < top and ts[ix + 1] < se:
+                    ix += 1
+                xe = _hermite(xs, dxs, ts, ix, se, hist_x)
             if use_yd:
                 sm, se = tm - delta, tn - delta
-                if sm > 0.0:
-                    while ts[iy + 1] < sm:
-                        iy += 1
-                    ym = _hermite(ys, dys, ts, iy, sm)
-                else:
-                    ym = hist_y(sm)
-                if se > 0.0:
-                    while iy < top and ts[iy + 1] < se:
-                        iy += 1
-                    ye = _hermite(ys, dys, ts, iy, se)
-                else:
-                    ye = hist_y(se)
+                while ts[iy + 1] < sm:
+                    iy += 1
+                ym = _hermite(ys, dys, ts, iy, sm, hist_y)
+                while iy < top and ts[iy + 1] < se:
+                    iy += 1
+                ye = _hermite(ys, dys, ts, iy, se, hist_y)
             x2, y2, z2 = x + half * kx, y + half * ky, z + half * kz
             k2x, k2y, k2z = rhs(x2, y2, z2, xm if use_xt else x2, ym if use_yd else y2)
             x3, y3, z3 = x + half * k2x, y + half * k2y, z + half * k2z

@@ -223,9 +223,7 @@ def eval_rhs(model: ModelSpec, now: State, x_tau: float, y_delta: float):
     infected density at t - delta.  Returns the derivative triple
     (dx, dy, dz).
     """
-    for v in (now.x, now.y, now.z, x_tau, y_delta):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite state passed to eval_rhs: {v!r}")
+    check_finite("state passed to eval_rhs", now.x, now.y, now.z, x_tau, y_delta)
     return model.rhs(now.x, now.y, now.z, x_tau, y_delta)
 
 
@@ -258,8 +256,7 @@ def jacobian_coeffs(model: ModelSpec, eq) -> JacCoeffs:
     ``eq`` may be an Equilibrium or a bare State.
     """
     st = getattr(eq, "state", eq)
-    if not all(math.isfinite(v) for v in st.as_tuple()):
-        raise DomainError(f"non-finite state passed to jacobian_coeffs: {st}")
+    check_finite("state passed to jacobian_coeffs", *st.as_tuple())
     p = model.params
     fx = model.f.partial(0, st.x, st.y)
     fy = model.f.partial(1, st.x, st.y)

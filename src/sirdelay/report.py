@@ -207,21 +207,16 @@ def build_stability_report(
 
     # published reference values, when bundled
     reference = reference or {}
-    if "pseudo_delay_cubic" in reference and critical is not None:
-        pub = tuple(float(v) for v in reference["pseudo_delay_cubic"])
-        got = critical.cubic
+    for key, label, got in (
+        ("pseudo_delay_cubic", "pseudo-delay cubic", None if critical is None else critical.cubic),
+        ("char_poly", "characteristic polynomial", cc.zero_delay()),
+    ):
+        if key not in reference or got is None:
+            continue
+        pub = tuple(float(v) for v in reference[key])
         if any(abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)) for a, b in zip(pub, got)):
             annotations.append(
-                f"published pseudo-delay cubic {_fmt_poly(pub)} differs from the "
-                f"computed {_fmt_poly(got)}"
-            )
-    if "char_poly" in reference:
-        pub = tuple(float(v) for v in reference["char_poly"])
-        got = cc.zero_delay()
-        if any(abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)) for a, b in zip(pub, got)):
-            annotations.append(
-                f"published characteristic polynomial {_fmt_poly(pub)} differs from "
-                f"the computed {_fmt_poly(got)}"
+                f"published {label} {_fmt_poly(pub)} differs from the computed {_fmt_poly(got)}"
             )
     if "tau_plus" in reference and tau_only.tau_plus is not None:
         pub = float(reference["tau_plus"])

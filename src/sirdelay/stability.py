@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cubic import brent, solve_cubic_real
 from .equilibria import is_bilinear_special_case
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_delays, check_finite
 from .model import JacCoeffs, ModelSpec
 
 __all__ = [
@@ -528,7 +528,9 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
     positive root nu+ of Psi(nu) = 0 (with theta = tau + delta fixed at the
     given delays) satisfies theta = (1/nu+) * arctan((m*nu+ - nu+^3)/(n - l*nu+^2)).
     Degenerate l or l1 makes the preservation bound undefined: inconclusive.
+    A delay that is not finite and nonnegative raises DomainError.
     """
+    check_delays(tau, delta)
     l, m, n, l1, m1, n1 = cc.as_tuple()
     diagnostics = []
     checks = []

@@ -14,7 +14,13 @@ from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import DomainError
 from sirdelay.model import jacobian_coeffs
 from sirdelay.report import _scan_brackets
-from sirdelay.stability import CharCoeffs, _crossing_cubic, char_coeffs, tau_crossing
+from sirdelay.stability import (
+    CharCoeffs,
+    _crossing_cubic,
+    char_coeffs,
+    general_delay_analysis,
+    tau_crossing,
+)
 from test_cross_validation import endemic_cc, random_models
 from test_report import report_for
 
@@ -143,6 +149,18 @@ def test_certified_sign_is_zero_where_the_count_is_refused():
         char_roots_scan(CC_EX5_3, 1e5, 0.0)
     assert certified_sign(CC_EX5_3, 1e5, 0.0) == 0
     assert certified_sign(CC_EX5_3, 5e3, 5e3) == 0
+
+
+@pytest.mark.parametrize("fn", [char_roots_scan, max_real_part, certified_sign,
+                                general_delay_analysis])
+@pytest.mark.parametrize("tau,delta,name", [
+    (math.nan, 0.0, "tau"), (math.inf, 0.0, "tau"), (-1.0, 0.0, "tau"),
+    (1.0, -0.5, "delta"), (1.0, math.nan, "delta"),
+])
+def test_a_delay_that_is_not_a_delay_is_refused_by_name(fn, tau, delta, name):
+    # certified_sign refuses before its count, so misuse is not read as "0: uncertified"
+    with pytest.raises(DomainError, match=f"delay {name} must be"):
+        fn(endemic_cc("ex5_3"), tau, delta)
 
 
 def test_brackets_the_signs_do_not_confirm_print_the_root_scans_values():

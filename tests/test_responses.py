@@ -115,17 +115,18 @@ def _model_with(fn):
 def test_non_finite_rejected():
     # no response checks its arguments: eval_rhs and jacobian_coeffs check
     # the numbers they are given, even where every partial ignores them
-    # (f = Zero, V = P = Linear)
+    # (f = Zero, V = P = Linear); an int past the float range and a bool
+    # are not finite numbers either
     for fn in ALL_VARIANTS:
         model = _model_with(fn)
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, True):
             for i in range(5):
                 args = [1.0] * 5
                 args[i] = bad
-                with pytest.raises(DomainError, match="non-finite"):
+                with pytest.raises(DomainError, match="must be a finite number"):
                     eval_rhs(model, State(*args[:3]), *args[3:])
                 if i < 3:
-                    with pytest.raises(DomainError, match="non-finite"):
+                    with pytest.raises(DomainError, match="must be a finite number"):
                         jacobian_coeffs(model, State(*args[:3]))
 
 
