@@ -71,13 +71,7 @@ def _resolve_scenario(args) -> ScenarioConfig:
 
 
 def _scenario_name(cfg: ScenarioConfig, args) -> str:
-    if cfg.name:
-        return cfg.name
-    if getattr(args, "preset", None):
-        return args.preset
-    if getattr(args, "config", None):
-        return Path(args.config).stem
-    return "scenario"
+    return cfg.name or args.preset or Path(args.config).stem
 
 
 def _maybe_dump_config(cfg: ScenarioConfig, args):
@@ -144,9 +138,10 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_scenario(args)
-    if not 0 < args.stride or cfg.horizon / args.stride > MAX_STEPS:  # also rejects NaN
-        raise ConfigError(f"stride must be positive and give at most MAX_STEPS = {MAX_STEPS} "
-                          f"CSV rows over the horizon {cfg.horizon}", field="stride")
+    try:  # the CSV's own stride check, made before anything is integrated or written
+        sample_times(cfg.horizon, args.stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="stride") from None
     model = cfg.model
     if args.tau is not None or args.delta is not None:
         tau = args.tau if args.tau is not None else model.params.tau

@@ -371,7 +371,11 @@ def _columns(*buffers) -> np.ndarray:
 def sample_times(horizon: float, stride: float) -> list:
     """The output times k*stride for k = 0, 1, ... while k*stride is at most
     the horizon (within 1e-9 of a stride), then the horizon itself when the
-    last of them falls short of it."""
+    last of them falls short of it.  A stride that is not positive and
+    finite, or that gives more than MAX_STEPS times, is a ValueError."""
+    if not 0.0 < stride < math.inf or horizon / stride > MAX_STEPS:  # also rejects NaN
+        raise ValueError(f"stride {stride!r} must be positive and finite and give at most "
+                         f"MAX_STEPS = {MAX_STEPS} times over the horizon {horizon}")
     ts = [k * stride for k in range(int(math.floor(horizon / stride + 1e-9)) + 1)]
     if ts[-1] < horizon - 1e-12:
         ts.append(horizon)
@@ -380,9 +384,10 @@ def sample_times(horizon: float, stride: float) -> list:
 
 def trajectory_to_csv(traj: Trajectory, fh, stride: float = 0.1) -> None:
     """Write the trajectory as RFC-4180 CSV rows t,x,y,z at the sample_times
-    of the given stride."""
-    fh.write("t,x,y,z\r\n")
+    of the given stride; a stride sample_times refuses writes nothing."""
     horizon = traj.horizon
-    for t in sample_times(horizon, stride):
+    times = sample_times(horizon, stride)
+    fh.write("t,x,y,z\r\n")
+    for t in times:
         s = dense_eval(traj, min(t, horizon))
         fh.write(f"{t:.10g},{s.x:.10g},{s.y:.10g},{s.z:.10g}\r\n")

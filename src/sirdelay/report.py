@@ -139,7 +139,7 @@ def build_stability_report(
     cc = char_coeffs(jac)
     annotations = []
 
-    delay_free = delay_free_stable(cc, jac)
+    delay_free = delay_free_stable(jac)
     persistence = tau_persistence(cc)
     critical = tau_critical(cc) if delay_free.verdict == STABLE else None
     tau_only = _synthesize_tau_only(delay_free, persistence, critical)

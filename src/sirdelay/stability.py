@@ -1,7 +1,8 @@
 """Stability criteria for the delayed model's characteristic equation.
 
 Every criterion evaluates closed-form inequalities in the six
-characteristic coefficients (l, m, n, l1, m1, n1) and returns a structured
+characteristic coefficients (l, m, n, l1, m1, n1), which the delay-free
+criterion derives from the linearization it takes, and returns a structured
 result whose ``checks`` list records each inequality with its left/right
 values, so verdicts are auditable.  Strict inequalities are evaluated with
 a 1e-12 equality band; values inside the band raise a ``boundary`` flag
@@ -155,65 +156,43 @@ class DelayFreeResult:
     checks: tuple
 
 
-def _cubic_nonzero_roots_negative(l, m, n):
-    """True when every nonzero root of lam^3 + l*lam^2 + m*lam + n has
-    negative real part (a zero root itself is tolerated)."""
-    tol = EQ_TOL * max(1.0, abs(l), abs(m), abs(n))
-    if n < -tol:
-        return False  # p(0) < 0 with p(+inf) > 0 forces a positive real root
-    if n > tol:
-        return l > tol and m > tol and l * m - n > tol
-    # zero root present; remaining factor lam^2 + l*lam + m
-    if m > tol:
-        return l > tol
-    if m < -tol:
-        return False
-    return l > tol  # double zero root, third root -l
-
-
-def delay_free_stable(cc: CharCoeffs, jac: JacCoeffs | None = None) -> DelayFreeResult:
-    """Zero-delay stability of the characteristic cubic.
+def delay_free_stable(jac: JacCoeffs) -> DelayFreeResult:
+    """Zero-delay stability of the characteristic cubic of ``jac``.
 
     Stable when l > 0, l1 + m > 0 and n + m1 + n1 > 0 all hold strictly,
-    the coefficients of ``cc.zero_delay()``.  These are necessary but not
-    sufficient: Routh-Hurwitz also needs l*(l1 + m) > n + m1 + n1, which is
-    not checked, so lam^3 + lam^2 + lam + 10, with roots at Re = +0.68,
-    passes; the report's zero-delay root scan annotates such a verdict.
-    Additionally reports the no-delayed-terms reduction: when D = 0 (so no
-    delayed term survives) with C <= 0 and A <= 0, the equation is an
-    ordinary cubic whose roots are {A, C, -alpha}; the verdict is then
-    stable provided the nonzero roots all have negative real part, even if
-    a zero root puts the three-coefficient test on its boundary.
+    the coefficients of ``char_coeffs(jac).zero_delay()``.  These are
+    necessary but not sufficient: Routh-Hurwitz also needs
+    l*(l1 + m) > n + m1 + n1, which is not checked, so lam^3 + lam^2 + lam
+    + 10, with roots at Re = +0.68, passes; the report's zero-delay root scan
+    annotates such a verdict.  Additionally reports the no-delayed-terms
+    reduction: l1, m1 and n1 each carry the factor D, and the undelayed
+    cubic is (lam - A)(lam - C)(lam + alpha), so when D = 0 the equation is
+    that cubic with roots {A, C, -alpha}; the verdict is then stable
+    provided A <= 0 and C <= 0, even if a zero root puts the three-coefficient
+    test on its boundary.
     """
-    _, l, lm, nmn = cc.zero_delay()
-    checks = [
+    _, l, lm, nmn = char_coeffs(jac).zero_delay()
+    checks = (
         check("l > 0", l, ">"),
         check("l1 + m > 0", lm, ">"),
         check("n + m1 + n1 > 0", nmn, ">"),
-    ]
-    three_way = all(c.holds for c in checks)
-
-    if jac is not None:
-        checks.append(check("D = 0 (no delayed terms)", abs(jac.D), "<=", 0.0))
-        tol = EQ_TOL * max(1.0, abs(jac.A), abs(jac.C))
-        equivalent = checks[-1].holds and jac.C <= tol and jac.A <= tol
-    else:
-        equivalent = max(abs(cc.l1), abs(cc.m1), abs(cc.n1)) <= EQ_TOL * max(
-            1.0, abs(cc.l), abs(cc.m), abs(cc.n)
-        )
-
+        check("D = 0 (no delayed terms)", abs(jac.D), "<=", 0.0),
+    )
+    three_way = all(c.holds for c in checks[:3])
+    equivalent = checks[3].holds
     nonzero_neg = None
     if equivalent:
-        nonzero_neg = _cubic_nonzero_roots_negative(cc.l, cc.m, cc.n)
+        tol = EQ_TOL * max(1.0, abs(jac.A), abs(jac.C))
+        nonzero_neg = jac.A <= tol and jac.C <= tol
 
-    verdict = STABLE if (three_way or (equivalent and nonzero_neg)) else NOT_ESTABLISHED
+    verdict = STABLE if three_way or nonzero_neg else NOT_ESTABLISHED
     boundary = any(c.boundary for c in checks)
     return DelayFreeResult(
         verdict=verdict,
         delay_free_equivalent=equivalent,
         nonzero_roots_negative=nonzero_neg,
         boundary=boundary,
-        checks=tuple(checks),
+        checks=checks,
     )
 
 

@@ -241,6 +241,41 @@ def test_sweep_csv(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_sweep_keeps_a_failed_row_in_csv_and_json(tmp_path, capsys):
+    # ex5_1 at (tau, delta) = (1, 1) blows up (see test_simulate_blowup_exits_1);
+    # the sweep keeps that row, with its error in place of a classification
+    argv = ["sweep", "--preset", "ex5_1", "--tau", "0:1:1", "--delta", "0:1:1",
+            "--horizon", "60", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + ["--format", "json"]) == 0
+    error = "blow-up: non-finite state at t = 9.68"
+    assert f"error: {error}" in capsys.readouterr().out
+    with open(tmp_path / "ex5_1_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 5
+    assert rows[4][:5] == ["1", "1", f"error: {error}", "", ""]
+    assert float(rows[4][5]) == pytest.approx(0.106218594, rel=1e-9)
+    doc = json.loads((tmp_path / "ex5_1_sweep.json").read_text())
+    assert [r["classification"] for r in doc] == [
+        "converged", "converged", "damped_oscillation", None]
+    assert all("error" not in r for r in doc[:3])
+    failed = doc[3]
+    assert (failed["tau"], failed["delta"], failed["error"]) == (1.0, 1.0, error)
+    assert failed["period"] is None and failed["amplitude"] is None
+    assert failed["equilibrium"] == [2.0, 6.0, 6.0]
+    assert failed["max_re_lambda"] == pytest.approx(0.10621859395932774, rel=1e-9)
+
+
+def test_simulate_names_an_unnamed_config_after_its_file(tmp_path, capsys):
+    blob = to_jsonable(load_preset("ex5_2"))
+    del blob["name"]
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(blob))
+    assert main(["simulate", "--config", str(path), "--horizon", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["plain_timeseries.csv"]
+
+
 def test_dump_config_round_trip(tmp_path):
     dump = tmp_path / "resolved.json"
     assert main(["simulate", "--preset", "ex5_7", "--horizon", "55",

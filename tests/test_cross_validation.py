@@ -138,12 +138,32 @@ def test_random_models_equilibria_and_criteria_consistency(model):
                 getattr(fd, attr), rel=2e-6, abs=1e-6)
         cc = char_coeffs(jac)
         assert cc.m1 == pytest.approx(model.params.alpha * cc.l1, rel=1e-12, abs=1e-12)
-        res = delay_free_stable(cc, jac)
+        res = delay_free_stable(jac)
         top = max_real_part(cc, 0.0, 0.0)
         if res.verdict == STABLE:
             assert top <= 1e-9
         if top is not None and top > 1e-9:
             assert res.verdict != STABLE
+
+
+def test_delay_free_reduction_reads_the_roots_a_c_minus_alpha():
+    # with D = 0 no delayed term survives, so the flag holds, and the
+    # zero-delay cubic's roots are {A, C, -alpha}: nonzero_roots_negative
+    # must say what the oracle's nonzero roots say
+    models = [load_preset(name).model for name in PRESET_NAMES] + random_models(15)
+    seen = 0
+    for model in models:
+        for eq in all_equilibria(model):
+            jac = jacobian_coeffs(model, eq)
+            if jac.D != 0.0:
+                continue
+            seen += 1
+            res = delay_free_stable(jac)
+            roots = char_roots_scan(char_coeffs(jac), 0.0, 0.0)
+            want = all(r.real < 0.0 for r in roots if abs(r) > 1e-9)
+            assert res.delay_free_equivalent, (model.content_hash(), eq.kind)
+            assert res.nonzero_roots_negative == want, (model.content_hash(), eq.kind)
+    assert seen >= 10
 
 
 def test_random_model_with_two_endemic_points():

@@ -408,6 +408,17 @@ def test_trajectory_csv_round_trip():
     assert abs(x - want[0]) < 1e-6 and abs(y - want[1]) < 1e-6
 
 
+@pytest.mark.parametrize("stride", [1e-7, -1.0, 0.0, math.nan])
+def test_trajectory_csv_refuses_a_bad_stride_before_writing(stride):
+    # 1e-7 asks for 10^8 rows over the horizon 10, more than MAX_STEPS
+    cfg = load_preset("ex5_3")
+    traj = integrate(cfg.model, cfg.history, horizon=10.0, step=cfg.step)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="stride"):
+        trajectory_to_csv(traj, buf, stride=stride)
+    assert buf.getvalue() == ""
+
+
 def test_uses_sampled_history_values():
     model = load_preset("ex5_1").model  # tau = delta = 1
     ramp = SampledHistory(

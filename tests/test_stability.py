@@ -34,10 +34,14 @@ from sirdelay.stability import (
 )
 
 
-def cc_of(name, kind):
+def jac_of(name, kind):
     model = load_preset(name).model
     eq = [e for e in all_equilibria(model) if e.kind == kind][0]
-    return char_coeffs(jacobian_coeffs(model, eq))
+    return jacobian_coeffs(model, eq)
+
+
+def cc_of(name, kind):
+    return char_coeffs(jac_of(name, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +86,9 @@ def test_check_boundary_band():
 # ---------------------------------------------------------------------------
 
 def test_delay_free_ex5_1_stable():
-    cc = cc_of("ex5_1", "endemic")
-    assert cc.zero_delay() == (1.0, 9.0, 20.0, 6.0)
-    res = delay_free_stable(cc)
+    jac = jac_of("ex5_1", "endemic")
+    assert char_coeffs(jac).zero_delay() == (1.0, 9.0, 20.0, 6.0)
+    res = delay_free_stable(jac)
     assert res.verdict == STABLE
     values = {c.name: c.lhs for c in res.checks}
     assert values["l > 0"] == 9.0
@@ -96,7 +100,7 @@ def test_delay_free_ex5_2_equivalent_branch():
     model = load_preset("ex5_2").model
     eq = all_equilibria(model)[0]
     jac = jacobian_coeffs(model, eq)
-    res = delay_free_stable(char_coeffs(jac), jac)
+    res = delay_free_stable(jac)
     assert res.verdict == STABLE
     assert res.delay_free_equivalent
     assert res.nonzero_roots_negative
@@ -108,7 +112,7 @@ def test_delay_free_d_check_does_not_hold_for_nonzero_d():
     eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
     jac = jacobian_coeffs(model, eq)
     assert jac.D == pytest.approx(2.0)
-    res = delay_free_stable(char_coeffs(jac), jac)
+    res = delay_free_stable(jac)
     d_check = next(c for c in res.checks if c.name == "D = 0 (no delayed terms)")
     assert (d_check.lhs, d_check.op, d_check.rhs) == (abs(jac.D), "<=", 0.0)
     assert not d_check.holds and not res.delay_free_equivalent
@@ -118,17 +122,20 @@ def test_delay_free_flag_follows_its_d_check_at_a_large_scale():
     # |D| = 1e-11 is within 1e-12 of the larger |A| = 100, but not of zero;
     # the flag and the recorded "D = 0" check must give one answer
     jac = JacCoeffs(A=-100.0, B=-1.0, C=-1.0, D=1e-11, E=0.0, alpha=1.0)
-    res = delay_free_stable(char_coeffs(jac), jac)
+    res = delay_free_stable(jac)
     d_check = next(c for c in res.checks if c.name == "D = 0 (no delayed terms)")
     assert not d_check.holds and not res.delay_free_equivalent
     assert res.nonzero_roots_negative is None
     exact = replace(jac, D=0.0)
-    res = delay_free_stable(char_coeffs(exact), exact)
+    res = delay_free_stable(exact)
     assert res.checks[-1].holds and res.delay_free_equivalent and res.nonzero_roots_negative
 
 
 def test_delay_free_fails_on_negative_l():
-    res = delay_free_stable(CharCoeffs(-1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+    # l = alpha - (A + C) = -1, and D != 0 leaves no delay-free reduction
+    res = delay_free_stable(JacCoeffs(A=1.0, B=-1.0, C=1.0, D=1.0, E=0.0, alpha=1.0))
+    assert res.checks[0].name == "l > 0" and res.checks[0].lhs == -1.0
+    assert not res.checks[0].holds and not res.delay_free_equivalent
     assert res.verdict == NOT_ESTABLISHED
 
 
@@ -136,12 +143,14 @@ def test_delay_free_checks_miss_the_hurwitz_product():
     # lam^3 + lam^2 + lam + 10 passes l > 0, l1 + m > 0 and n + m1 + n1 > 0,
     # but not l*(l1 + m) > n + m1 + n1: two roots have Re = +0.6825.  The
     # verdict keeps the criterion's three checks.
-    cc = CharCoeffs(1.0, 0.5, 5.0, 0.5, 4.0, 1.0)
+    jac = JacCoeffs(A=-1.0, B=1.0, C=1.0, D=-2.0, E=4.5, alpha=1.0)
+    cc = char_coeffs(jac)
     assert cc.zero_delay() == (1.0, 1.0, 1.0, 10.0)
-    assert delay_free_stable(cc).verdict == STABLE
+    assert delay_free_stable(jac).verdict == STABLE
     assert max_real_part(cc, 0.0, 0.0) == pytest.approx(0.6825094972787, rel=1e-9)
-    res = delay_free_stable(CharCoeffs(1.0, 1.0, 10.0, 0.0, 0.0, 0.0))
-    assert res.verdict == STABLE
+    # with D = 0 the cubic's roots are {A, C, -alpha}; C = 1 is unstable
+    res = delay_free_stable(replace(jac, D=0.0))
+    assert res.verdict == NOT_ESTABLISHED
     assert res.delay_free_equivalent and res.nonzero_roots_negative is False
 
 
@@ -255,7 +264,7 @@ def test_delta_second_bifurcation_cascade_confirmed_by_oracle():
     # stable -> unstable -> stable again as the recovery delay grows: the
     # first two candidates mark the destabilization and the restabilization
     cc = CharCoeffs(l=0.5, m=3.0, n=0.2, l1=0.5, m1=0.0, n1=1.5)
-    assert delay_free_stable(cc).verdict == STABLE
+    assert max_real_part(cc, 0.0, 0.0) < 0.0
     res = delta_analysis(cc)
     assert res.verdict == SECOND_BIFURCATION
     assert len(res.candidates) >= 2
@@ -357,7 +366,7 @@ def test_global_disease_free_branch():
 def test_no_delay_terms_consistency(lmn):
     l, m, n = lmn
     cc = CharCoeffs(l, m, n, 0.0, 0.0, 0.0)
-    assert delay_free_stable(cc).verdict == STABLE
+    assert max_real_part(cc, 0.0, 0.0) < 0.0
     pers = tau_persistence(cc)
     crit = tau_critical(cc)
     delt = delta_analysis(cc)
@@ -376,7 +385,7 @@ def test_delay_free_verdict_agrees_with_oracle(name):
     for eq in all_equilibria(model):
         jac = jacobian_coeffs(model, eq)
         cc = char_coeffs(jac)
-        res = delay_free_stable(cc, jac)
+        res = delay_free_stable(jac)
         top = max_real_part(cc, 0.0, 0.0)
         if res.verdict == STABLE:
             assert top <= 1e-9, (name, eq.kind, top)
