@@ -207,17 +207,13 @@ def sweep(
         cand = fallback
         classification = None
         error = None
-        try:
+        try:  # ValueError: a step or horizon that does not suit this row's delays
             traj = integrate(row_model, history, horizon, step=step)
-        except (IntegrationError, ValueError) as exc:  # ValueError: step vs. this row's delays
-            error = str(exc)
-        else:
             if eqs:
                 cand = nearest_equilibrium(traj, eqs)
-            try:
-                classification = classify(traj, candidate=cand)
-            except ValueError as exc:  # e.g. horizon too short for this row's delays
-                error = str(exc)
+            classification = classify(traj, candidate=cand)
+        except (IntegrationError, ValueError) as exc:
+            error = str(exc)
         max_re = None
         if cand is not None:
             try:

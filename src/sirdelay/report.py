@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charroots import certified_sign, char_roots_scan, max_real_part
+from .charroots import EPS, certified_sign, char_roots_scan, max_real_part
 from .equilibria import Equilibrium
+from .errors import DomainError
 from .model import JacCoeffs, ModelSpec, jacobian_coeffs, to_jsonable
 from .stability import (
     ENDEMIC_GAS,
@@ -41,7 +42,7 @@ from .stability import (
     tau_persistence,
 )
 
-__all__ = ["TauOnlySummary", "StabilityReport", "build_stability_report",
+__all__ = ["TauOnlySummary", "StabilityReport", "build_stability_report", "switch_evidence",
            "report_to_json", "render_report"]
 
 PRESERVED_STABLE = "preserved_stable"
@@ -83,6 +84,7 @@ class StabilityReport:
     oracle_roots: tuple           # at the model's (tau, delta)
     oracle_roots_zero_delay: tuple
     oracle_crossing_tau: float | None  # exact first crossing in tau (delta = 0)
+    crossing_checked: bool  # the root oracle confirms the sign change across it
     annotations: tuple
 
 
@@ -102,14 +104,24 @@ def _synthesize_tau_only(delay_free, persistence, critical) -> TauOnlySummary:
     return TauOnlySummary(verdict, tau, nu, T, persistence, critical)
 
 
-def _scan_brackets(cc, lo: float, hi: float):
-    """(max Re at tau = lo, max Re at tau = hi, whether it goes from < 0 to > 0)
-    at delta = 0; both values are None when the certified signs show the change."""
+def switch_evidence(cc, lo: float, hi: float, where: tuple[str, str]) -> str | None:
+    """None when max Re at delta = 0 goes from < 0 at tau = lo to > 0 at tau = hi,
+    as the certified signs show or else the root scans; otherwise the evidence
+    'max Re = L at <where[0]> and R at <where[1]>'.  An empty scan prints what the
+    count certified, and a scan the oracle refuses (DomainError) prints its reason."""
     if certified_sign(cc, lo, 0.0) < 0 < certified_sign(cc, hi, 0.0):
-        return None, None, True
-    left = max_real_part(cc, lo, 0.0)
-    right = max_real_part(cc, hi, 0.0)
-    return left, right, left is not None and right is not None and left < 0.0 < right
+        return None
+    ends = []
+    for tau in (lo, hi):
+        try:
+            top = max_real_part(cc, tau, 0.0)
+            ends.append((top, f"(no root with Re > {-EPS:g})" if top is None else f"{top:.4g}"))
+        except DomainError as exc:
+            ends.append((None, f"(uncertified: {exc})"))
+    (left, left_text), (right, right_text) = ends
+    if left is not None and right is not None and left < 0.0 < right:
+        return None
+    return f"max Re = {left_text} at {where[0]} and {right_text} at {where[1]}"
 
 
 def _fmt_poly(coeffs) -> str:
@@ -165,37 +177,29 @@ def build_stability_report(
                 f"{'all roots stable' if top < 0.0 else 'an unstable root'} (max Re = {top:.6g})"
             )
 
-    # the exact first crossing in tau, checked on both sides (see _scan_brackets)
-    crossing = None
+    # the exact first crossing in tau, checked on both sides (see switch_evidence)
+    crossing = miss = exact = None
     if roots_zero and roots_zero[0].real < 0.0:
         crossing = tau_crossing(cc)
     if crossing is not None:
-        left, right, confirmed = _scan_brackets(
-            cc, crossing - CROSSING_CHECK, crossing + CROSSING_CHECK)
-        if not confirmed:
-            annotations.append(
-                f"exact crossing tau = {crossing:.6g} (delta = 0) is not confirmed by "
-                f"the root scan: max Re = {left} at tau - {CROSSING_CHECK:g} and "
-                f"{right} at tau + {CROSSING_CHECK:g}"
-            )
+        miss = switch_evidence(cc, crossing - CROSSING_CHECK, crossing + CROSSING_CHECK,
+                               (f"tau - {CROSSING_CHECK:g}", f"tau + {CROSSING_CHECK:g}"))
+        if miss is not None:
+            annotations.append(f"exact crossing tau = {crossing:.6g} (delta = 0) is not "
+                               f"confirmed by the root scan: {miss}")
+        checked = "" if miss else ", checked by the root count,"
+        exact = f"the exact crossing{checked} is at tau = {crossing:.4g}"
 
     # audit a predicted switch against the oracle
     if tau_only.verdict == SWITCH_AT:
         tp = tau_only.tau_plus
-        left, right, agrees = _scan_brackets(cc, tp * 0.9, tp * 1.1)
-        if not agrees:
-            msg = (
-                f"pseudo-delay chain predicts a switch at tau = {tp:.6g}, but the "
-                f"root scan gives max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau"
-            )
-            if crossing is not None:
-                msg += f"; the exact crossing, checked by the root count, is at tau = {crossing:.4g}"
-            annotations.append(msg)
-    elif tau_only.verdict == PRESERVED_STABLE and crossing is not None:
-        annotations.append(
-            f"criteria report preservation for all incubation delays, but the exact "
-            f"crossing, checked by the root count, is at tau = {crossing:.4g} (delta = 0)"
-        )
+        wrong = switch_evidence(cc, tp * 0.9, tp * 1.1, ("0.9*tau", "1.1*tau"))
+        if wrong is not None:
+            annotations.append(f"pseudo-delay chain predicts a switch at tau = {tp:.6g}, but "
+                               f"the root scan gives {wrong}" + (f"; {exact}" if exact else ""))
+    elif tau_only.verdict == PRESERVED_STABLE and exact:
+        annotations.append(f"criteria report preservation for all incubation delays, "
+                           f"but {exact} (delta = 0)")
 
     # global claim vs local switch evidence
     if glob.verdict == ENDEMIC_GAS and eq.kind == "endemic":
@@ -252,6 +256,7 @@ def build_stability_report(
         oracle_roots=roots_here,
         oracle_roots_zero_delay=roots_zero,
         oracle_crossing_tau=crossing,
+        crossing_checked=crossing is not None and miss is None,
         annotations=tuple(annotations),
     )
 
@@ -282,18 +287,12 @@ def report_to_json(rep: StabilityReport) -> dict:
 
 
 def _poly_str(cc: CharCoeffs) -> str:
-    names = ["lam^3", "lam^2", "lam", ""]
-    out = ""
-    for coef, mono in zip(cc.zero_delay(), names):
-        if coef == 0.0:
-            continue
-        mag = f"{abs(coef):.6g}"
-        body = mono if abs(coef) == 1.0 and mono else (f"{mag}*{mono}" if mono else mag)
-        if not out:
-            out = body if coef > 0 else f"-{body}"
-        else:
+    out = "lam^3"  # zero_delay() is monic
+    for coef, mono in zip(cc.zero_delay()[1:], ("*lam^2", "*lam", "")):
+        if coef != 0.0:
+            body = mono[1:] if abs(coef) == 1.0 and mono else f"{abs(coef):.6g}{mono}"
             out += (" + " if coef > 0 else " - ") + body
-    return out or "0"
+    return out
 
 
 def render_report(rep: StabilityReport) -> str:
@@ -345,8 +344,8 @@ def render_report(rep: StabilityReport) -> str:
         lines.append(f"  oracle roots (tau,delta as configured): {shown}")
         lines.append(f"  oracle max Re: {rep.oracle_roots[0].real:.6g}")
     if rep.oracle_crossing_tau is not None:
-        lines.append(f"  exact stability crossing (delta=0): tau = {rep.oracle_crossing_tau:.4g}, "
-                     "checked by the root count")
+        lines.append(f"  exact stability crossing (delta=0): tau = {rep.oracle_crossing_tau:.4g}"
+                     + (", checked by the root count" if rep.crossing_checked else ""))
     for a in rep.annotations:
         lines.append(f"  ! {a}")
     return "\n".join(lines)

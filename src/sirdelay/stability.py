@@ -232,10 +232,6 @@ def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
         return TauPersistenceResult(PRESERVED, a0, a1, a2, tuple(checks))
     if checks[0].holds:
         disc = a2 * a2 - 3.0 * a1
-        if disc < 0.0:
-            # monotone cubic with positive value at 0: no positive root
-            checks.append(check("a2^2 - 3*a1 >= 0", disc, ">="))
-            return TauPersistenceResult(PRESERVED, a0, a1, a2, tuple(checks))
         lhs = 2.0 * a2**3 - 9.0 * a1 * a2 + 27.0 * a0
         rhs = 2.0 * disc**1.5
         c3 = check("2*a2^3 - 9*a1*a2 + 27*a0 > 2*(a2^2-3*a1)^(3/2)", lhs, ">", rhs)

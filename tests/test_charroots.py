@@ -13,7 +13,7 @@ from sirdelay.charroots import (
 from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import DomainError
 from sirdelay.model import jacobian_coeffs
-from sirdelay.report import _scan_brackets
+from sirdelay.report import switch_evidence
 from sirdelay.stability import (
     CharCoeffs,
     _crossing_cubic,
@@ -169,6 +169,6 @@ def test_brackets_the_signs_do_not_confirm_print_the_root_scans_values():
     rep = report_for("ex5_3", "endemic")
     tp = rep.tau_only.tau_plus
     left, right = max_real_part(cc, 0.9 * tp, 0.0), max_real_part(cc, 1.1 * tp, 0.0)
-    assert _scan_brackets(cc, 0.9 * tp, 1.1 * tp) == (left, right, False)
-    assert any(f"max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau" in a
-               for a in rep.annotations)
+    evidence = f"max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau"
+    assert switch_evidence(cc, 0.9 * tp, 1.1 * tp, ("0.9*tau", "1.1*tau")) == evidence
+    assert any(evidence in a for a in rep.annotations)

@@ -29,6 +29,23 @@ def test_equilibria_flags_published_mismatch(capsys):
     assert "published equilibrium" in out
 
 
+def test_equilibria_says_when_the_incidence_has_no_disease_free_point(capsys):
+    assert main(["equilibria", "--preset", "ex5_5"]) == 0
+    out = capsys.readouterr().out
+    assert "no disease-free equilibrium: the incidence does not vanish at y = 0" in out
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability"])
+def test_a_model_without_equilibria_is_reported_not_refused(tmp_path, capsys, command):
+    # fractional-mix incidence with no recruitment (a = 0) has no steady state
+    blob = to_jsonable(load_preset("ex5_5"))
+    blob["model"]["params"]["a"] = 0.0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(blob))
+    assert main([command, "--config", str(path)]) == 0
+    assert "no equilibria found" in capsys.readouterr().out
+
+
 def test_unknown_preset_exits_2(capsys):
     assert main(["equilibria", "--preset", "nope"]) == 2
     err = capsys.readouterr().err
@@ -77,6 +94,30 @@ def test_stability_text_and_json(tmp_path, capsys):
     path = tmp_path / "ex5_2_stability.json"
     doc = json.loads(path.read_text())
     assert doc["reports"][0]["delay_free"]["verdict"] == "stable"
+
+
+def test_stability_names_an_oracle_refusal_in_the_report(tmp_path, capsys):
+    # the endemic point's exact crossing tau* = 0.9934 lies where the root count
+    # is refused (R * tau > 1e5), and at 0.9 * tau+ = 1.2e-7 the root scan is empty
+    blob = to_jsonable(load_preset("ex5_1"))
+    blob["model"]["params"].update(a=1e5, b=300.0, b1=300.0, tau=0.0)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(blob))
+    assert main(["stability", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "equilibrium disease_free" in out and "equilibrium endemic" in out
+    assert ("exact crossing tau = 0.993394 (delta = 0) is not confirmed by the root scan: "
+            "max Re = (uncertified: tau + delta = 0.992394 is too long to certify the roots) "
+            "at tau - 0.001 and (uncertified: tau + delta = 0.994394 is too long to certify "
+            "the roots) at tau + 0.001") in out
+    assert "max Re = (no root with Re > -1e-06) at 0.9*tau" in out
+    assert "exact stability crossing (delta=0): tau = 0.9934\n" in out
+    assert "checked by the root count" not in out
+    assert main(["stability", "--config", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = json.loads((Path(__file__).parent / "golden" / "ex5_1.json").read_text())
+    assert [list(rep) for rep in doc["reports"]] == [list(rep) for rep in want["reports"]]
+    assert doc["reports"][1]["oracle"]["crossing_tau"] == pytest.approx(0.993394, rel=1e-6)
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -130,6 +171,19 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
                "--horizon", "100", "--out", str(tmp_path)])
     assert rc == 1
     assert "computation error" in capsys.readouterr().err
+
+
+def test_simulate_step_longer_than_a_delay_exits_1_before_writing(tmp_path, capsys):
+    assert main(["simulate", "--preset", "ex5_3", "--step", "5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: step 5.0 exceeds the smallest positive delay 1.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tau", ["1:2", "0:1:0"])
+def test_malformed_range_exits_2_before_writing(tmp_path, capsys, tau):
+    assert main(["sweep", "--preset", "ex5_3", "--tau", tau, "--out", str(tmp_path)]) == 2
+    assert "config error [tau]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("stride", ["0", "-1"])

@@ -12,7 +12,12 @@ from sirdelay.charroots import char_roots_scan, max_real_part
 from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
 from sirdelay.presets import PRESET_NAMES, load_preset
-from sirdelay.report import build_stability_report, render_report, report_to_json
+from sirdelay.report import (
+    build_stability_report,
+    render_report,
+    report_to_json,
+    switch_evidence,
+)
 from sirdelay.responses import Linear
 from sirdelay.stability import STABLE
 
@@ -67,6 +72,18 @@ def test_ex5_3_endemic_report_takes_four_root_scans(monkeypatch):
     rep = report_for("ex5_3", "endemic")
     assert rep.oracle_crossing_tau == pytest.approx(4.56167, abs=1e-5)
     assert len(calls) == 4, calls
+
+
+def test_switch_evidence_is_none_only_where_max_re_switches_sign():
+    rep = report_for("ex5_3", "endemic")
+    c = rep.oracle_crossing_tau
+    assert switch_evidence(rep.cc, c - 1e-3, c + 1e-3, ("left", "right")) is None
+    assert switch_evidence(rep.cc, 4.0, 5.0, ("tau=4", "tau=5")) is None
+    g4, g5 = max_real_part(rep.cc, 4.0, 0.0), max_real_part(rep.cc, 5.0, 0.0)
+    assert (switch_evidence(rep.cc, 5.0, 4.0, ("tau=5", "tau=4"))
+            == f"max Re = {g5:.4g} at tau=5 and {g4:.4g} at tau=4")
+    assert rep.crossing_checked
+    assert f"tau = {c:.4g}, checked by the root count" in render_report(rep)
 
 
 def test_ex5_4_report_flags_polynomial_discrepancy():
