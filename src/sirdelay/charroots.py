@@ -17,7 +17,8 @@ in Re > -EPS, |lam| < R, where R bounds all roots there; failing that, N
 doubles up to DOUBLINGS times, then DomainError is raised.  A root with
 Re <= -EPS is returned only when an eigenvalue lies within RESOLVED_TOL of
 it, relative, so the list does not depend on Newton's basins.  Every root
-has |F| < 1e-9; roots come by descending real part, with Im >= 0 only.
+has |F| < 1e-9, or |F| < 1e-9 * max(1, |lam|)^3 without delay; roots come by
+descending real part, with Im >= 0 only.
 ``certified_sign`` reads the count alone: -1 certifies that no root has
 Re > -EPS, so max Re < 0; +1 that a root has Re > EPS, so max Re > 0; 0
 certifies nothing (a root within EPS of the axis, or the count refused).
@@ -63,7 +64,8 @@ def char_deriv(cc, tau: float, delta: float, lam: complex) -> complex:
     return _char_pair(cc, tau, delta, lam)[1]
 
 
-def _newton(cc, tau, delta, z):
+def _newton(cc, tau, delta, z, power=0):
+    """Newton on F from z: the root, if |F| < ROOT_ABS_TOL * max(1, |root|)^power there."""
     try:
         for _ in range(NEWTON_MAX_ITER):
             value, d = _char_pair(cc, tau, delta, z)
@@ -76,7 +78,8 @@ def _newton(cc, tau, delta, z):
                 return None
             if abs(step) < 1e-13 * (1.0 + abs(z)):
                 break
-        return z if abs(char_value(cc, tau, delta, z)) < ROOT_ABS_TOL else None
+        tol = ROOT_ABS_TOL * max(1.0, abs(z)) ** power
+        return z if abs(char_value(cc, tau, delta, z)) < tol else None
     except OverflowError:
         return None
 
@@ -133,10 +136,10 @@ def _unstable_count(cc, tau, delta, sigma=-EPS):
     raise DomainError(f"argument principle unresolved at tau={tau:g}, delta={delta:g}")
 
 
-def _polish(cc, tau, delta, eigs):
+def _polish(cc, tau, delta, eigs, power=0):
     roots = []
     for mu in eigs:
-        z = _newton(cc, tau, delta, complex(mu))
+        z = _newton(cc, tau, delta, complex(mu), power)
         if z is not None:
             z = complex(z.real, 0.0 if abs(z.imag) < 1e-10 else abs(z.imag))
             if not any(abs(z - w) < DEDUP_TOL for w in roots):
@@ -150,7 +153,9 @@ def char_roots_scan(cc, tau: float, delta: float):
     and nonnegative, or if certification fails."""
     check_delays(tau, delta)
     if tau + delta == 0.0 or cc.l1 == cc.m1 == cc.n1 == 0.0:
-        roots = _polish(cc, tau, delta, np.roots(cc.zero_delay()))
+        # F is the zero-delay cubic: no exponential to overflow, and a residual
+        # relative to the cubic's scale
+        roots = _polish(cc, 0.0, 0.0, np.roots(cc.zero_delay()), power=3)
     else:
         count = _unstable_count(cc, tau, delta)
         for n in NODES * 2 ** np.arange(DOUBLINGS + 1):

@@ -81,7 +81,7 @@ class StabilityReport:
     delta_only: DeltaResult
     combined: CombinedResult
     global_case: GlobalResult
-    oracle_roots: tuple           # at the model's (tau, delta)
+    oracle_roots: tuple           # at the model's (tau, delta); empty if refused
     oracle_roots_zero_delay: tuple
     oracle_crossing_tau: float | None  # exact first crossing in tau (delta = 0)
     crossing_checked: bool  # the root oracle confirms the sign change across it
@@ -144,7 +144,8 @@ def build_stability_report(
     zero-delay scan finds every root stable, the exact first crossing in tau
     (delta = 0) is computed and checked on both sides of it by the root
     count, or by the scan where the count cannot decide; it audits the
-    pseudo-delay prediction.
+    pseudo-delay prediction.  A scan refused at the model's own (tau, delta)
+    leaves ``oracle_roots`` empty and is annotated with its reason.
     """
     p = model.params
     jac = jacobian_coeffs(model, eq)
@@ -160,7 +161,11 @@ def build_stability_report(
 
     glob = global_verdict(model, [e for e in equilibria if e.kind == "endemic"])
 
-    roots_here = tuple(char_roots_scan(cc, p.tau, p.delta))
+    try:
+        roots_here = tuple(char_roots_scan(cc, p.tau, p.delta))
+    except DomainError as exc:
+        roots_here = ()
+        annotations.append(f"root scan at (tau, delta) = ({p.tau:g}, {p.delta:g}) refused: {exc}")
     roots_zero = tuple(char_roots_scan(cc, 0.0, 0.0))
 
     # consistency: zero-delay oracle vs the delay-free criterion

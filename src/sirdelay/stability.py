@@ -29,6 +29,7 @@ __all__ = [
     "Check",
     "char_coeffs",
     "delay_free_stable",
+    "crossings",
     "tau_persistence",
     "tau_crossing",
     "pseudo_delay_cubic",
@@ -86,6 +87,13 @@ class CharCoeffs:
         """Coefficients of the characteristic cubic at tau = delta = 0,
         lam^3 + l*lam^2 + (l1 + m)*lam + (n + m1 + n1), highest power first."""
         return (1.0, self.l, self.l1 + self.m, self.n + self.m1 + self.n1)
+
+    def one_delay(self, slice_: str):
+        """(P, Q) with F = P(lam) + Q(lam) e^(-lam*h), highest power first, on
+        the slice "tau" (delta = 0, h = tau) or "delta" (tau = 0, h = delta)."""
+        if slice_ == "tau":
+            return (1.0, self.l, self.m, self.n), (self.l1, self.m1 + self.n1)
+        return (1.0, self.l, self.l1 + self.m, self.n + self.m1), (0.0, self.n1)
 
 
 def char_coeffs(j: JacCoeffs) -> CharCoeffs:
@@ -216,17 +224,35 @@ class TauPersistenceResult:
     checks: tuple
 
 
-def _crossing_cubic(cc: CharCoeffs):
-    """(a0, a1, a2) with |P(i nu)|^2 - |Q(i nu)|^2 = s^3 + a2*s^2 + a1*s + a0,
-    s = nu^2, where F = P(lam) + Q(lam) e^(-lam*tau) at delta = 0."""
-    a0 = cc.n**2 - (cc.m1 + cc.n1) ** 2
-    a1 = cc.m**2 - 2.0 * cc.l * cc.n - cc.l1**2
-    a2 = cc.l**2 - 2.0 * cc.m
-    return a0, a1, a2
+def crossings(P, Q):
+    """Where a root of F = P(lam) + Q(lam) e^(-lam*h), P = (1, p2, p1, p0)
+    and Q = (q1, q0) highest power first, crosses the imaginary axis as the
+    one delay h grows (Cooke & van den Driessche, Funkcial. Ekvac. 29, 1986).
+
+    A root lam = i*nu needs |P(i nu)|^2 - |Q(i nu)|^2 = 0, the cubic
+    s^3 + a2*s^2 + a1*s + a0 in s = nu^2 returned first as (1, a2, a1, a0),
+    and e^(-i nu h) = -P/Q; each positive root s then gives the pair
+    (nu, h0), h0 = ((-arg(-P/Q)) mod 2pi) / nu, and the crossings repeat at
+    h0 + 2k*pi/nu.  Frequencies with |Q(i nu)| ~ 0 are skipped.
+    """
+    _, p2, p1, p0 = P
+    q1, q0 = Q
+    cubic = (1.0, p2**2 - 2.0 * p1, p1**2 - 2.0 * p2 * p0 - q1**2, p0**2 - q0**2)
+    found = []
+    for s in solve_cubic_real(*cubic):
+        if s <= 1e-12:
+            continue
+        nu = math.sqrt(s)
+        p_val = complex(p0 - p2 * s, nu * (p1 - s))
+        q_val = complex(q0, q1 * nu)
+        if abs(q_val) < 1e-12:
+            continue
+        found.append((nu, (-cmath.phase(-p_val / q_val)) % (2.0 * math.pi) / nu))
+    return cubic, found
 
 
 def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
-    a0, a1, a2 = _crossing_cubic(cc)
+    (_, a2, a1, a0), _ = crossings(*cc.one_delay("tau"))
     checks = [check("a0 > 0", a0, ">"), check("a1 >= 0", a1, ">=")]
     if checks[0].holds and checks[1].holds:
         return TauPersistenceResult(PRESERVED, a0, a1, a2, tuple(checks))
@@ -246,29 +272,12 @@ def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
 
 def tau_crossing(cc: CharCoeffs) -> float | None:
     """Smallest incubation delay (delta = 0) at which a characteristic root
-    lies on the imaginary axis, or None when no delay puts one there.
-
-    With F = P(lam) + Q(lam) e^(-lam*tau), a root lam = i*nu needs
-    |P(i nu)| = |Q(i nu)|, a cubic in s = nu^2 (see ``_crossing_cubic``),
-    and e^(-i nu tau) = -P/Q, so each positive root s gives
-    tau = ((-arg(-P/Q)) mod 2pi) / nu; frequencies with |Q| ~ 0 are
-    skipped (Cooke & van den Driessche, Funkcial. Ekvac. 29, 1986).  For an
-    equilibrium stable at zero delay, this is the first delay at which
+    lies on the imaginary axis, or None when no delay puts one there: the
+    smallest h0 that ``crossings`` finds on the slice ``cc.one_delay("tau")``.
+    For an equilibrium stable at zero delay, this is the first delay at which
     stability can be lost.
     """
-    a0, a1, a2 = _crossing_cubic(cc)
-    l, m, n, l1, m1, n1 = cc.as_tuple()
-    taus = []
-    for s in solve_cubic_real(1.0, a2, a1, a0):
-        if s <= 1e-12:
-            continue
-        nu = math.sqrt(s)
-        P = complex(n - l * s, nu * (m - s))
-        Q = complex(m1 + n1, l1 * nu)
-        if abs(Q) < 1e-12:
-            continue
-        taus.append((-cmath.phase(-P / Q)) % (2.0 * math.pi) / nu)
-    return min(taus, default=None)
+    return min((h0 for _, h0 in crossings(*cc.one_delay("tau"))[1]), default=None)
 
 
 def pseudo_delay_cubic(cc: CharCoeffs):
@@ -381,14 +390,13 @@ def tau_critical(cc: CharCoeffs) -> TauCriticalResult:
 @dataclass(frozen=True)
 class DeltaCandidate:
     nu: float
-    T: float
-    delta: float       # k = 0 branch, when positive
-    delta_next: float  # k = 1 branch
+    delta: float       # first crossing delay h0
+    delta_next: float  # h0 + 2*pi/nu
 
 
 @dataclass(frozen=True)
 class DeltaResult:
-    verdict: str  # preserved | switch | second_bifurcation_possible | inconclusive
+    verdict: str  # preserved | switch | second_bifurcation_possible
     freq_cubic: tuple  # cubic in s = nu^2
     candidates: tuple
     checks: tuple
@@ -398,16 +406,17 @@ class DeltaResult:
 def delta_analysis(cc: CharCoeffs) -> DeltaResult:
     """Stability under a recovery delay alone (incubation delay zero).
 
-    Builds the crossing-frequency equation in s = nu^2,
+    The crossing-frequency equation in s = nu^2 is the cubic of
+    ``crossings`` on the slice ``cc.one_delay("delta")``,
 
         s^3 + (l^2 - 2(l1+m)) s^2 + ((l1+m)^2 - 2l(n+m1)) s
-            + (n+m1)^2 - n1^2 = 0,
+            + (n+m1)^2 - n1^2 = 0.
 
-    and the pseudo-delay relation T = (s - (l1+m)) / (n+m1-n1 - l*s).
     Preservation: l(l1+m) != n+m1-n1 together with all three coefficient
-    inequalities nonnegative.  A single admissible frequency gives a switch
-    with delta = (2/nu)(arctan(nu*T) + k*pi); two or more admissible
-    frequencies open the possibility of a second bifurcation.
+    inequalities nonnegative.  Otherwise each crossing (nu, h0) is a
+    candidate with delta = h0 and delta_next = h0 + 2pi/nu: no crossing
+    preserves stability, one gives a switch, and two or more open the
+    possibility of a second bifurcation.
     """
     l, m, n, l1, m1, n1 = cc.as_tuple()
     u = l1 + m
@@ -420,8 +429,8 @@ def delta_analysis(cc: CharCoeffs) -> DeltaResult:
     ]
     # sign patterns over the three coefficients: an odd number of negatives
     # signals one admissible frequency, the specific (<, >, <) ... variants
-    # with a negative constant term signal two; the cubic's actual positive
-    # roots below are the arbiter either way
+    # with a negative constant term signal two; the crossings below are the
+    # arbiter either way
     negatives = sum(1 for c in cond if not c.holds)
     one_freq = check("one-frequency sign pattern (odd negatives)", float(negatives % 2), ">=", 1.0)
     two_freq = check(
@@ -431,39 +440,16 @@ def delta_analysis(cc: CharCoeffs) -> DeltaResult:
     )
     checks = [eq_neq] + cond + [one_freq, two_freq]
 
-    freq_cubic = (1.0, l * l - 2.0 * u, u * u - 2.0 * l * nm1, nm1 * nm1 - n1 * n1)
-    diagnostics = []
+    freq_cubic, found = crossings(*cc.one_delay("delta"))
     if eq_neq.holds and all(c.holds for c in cond):
         return DeltaResult(PRESERVED, freq_cubic, (), tuple(checks), ())
-
-    roots = [s for s in solve_cubic_real(*freq_cubic) if s > 1e-14]
-    candidates = []
-    for s in roots:
-        nu = math.sqrt(s)
-        denom = nm1 - n1 - l * s
-        if abs(denom) < 1e-14:
-            diagnostics.append(f"degenerate pseudo-delay denominator at nu^2={s:.6g}")
-            continue
-        T = (s - u) / denom
-        if T <= 0.0:
-            diagnostics.append(f"pseudo delay T = {T:.6g} <= 0 at nu^2 = {s:.6g}")
-            continue
-        candidates.append(DeltaCandidate(
-            nu=nu, T=T,
-            delta=tau_from_pseudo_delay(T, nu, 0),
-            delta_next=tau_from_pseudo_delay(T, nu, 1),
-        ))
-    candidates.sort(key=lambda cand: cand.delta)
-    if not roots:
-        diagnostics.append("no positive crossing frequency")
-        return DeltaResult(PRESERVED, freq_cubic, (), tuple(checks), tuple(diagnostics))
+    candidates = sorted((DeltaCandidate(nu, h0, h0 + 2.0 * math.pi / nu) for nu, h0 in found),
+                        key=lambda cand: cand.delta)
     if not candidates:
-        diagnostics.append("crossing frequencies exist but none yields T > 0")
-        return DeltaResult(INCONCLUSIVE, freq_cubic, (), tuple(checks), tuple(diagnostics))
-    if len(candidates) >= 2:
-        return DeltaResult(SECOND_BIFURCATION, freq_cubic, tuple(candidates),
-                           tuple(checks), tuple(diagnostics))
-    return DeltaResult(SWITCH, freq_cubic, tuple(candidates), tuple(checks), tuple(diagnostics))
+        return DeltaResult(PRESERVED, freq_cubic, (), tuple(checks),
+                           ("no positive crossing frequency",))
+    verdict = SWITCH if len(candidates) == 1 else SECOND_BIFURCATION
+    return DeltaResult(verdict, freq_cubic, tuple(candidates), tuple(checks), ())
 
 
 # ---------------------------------------------------------------------------

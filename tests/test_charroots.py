@@ -16,8 +16,8 @@ from sirdelay.model import jacobian_coeffs
 from sirdelay.report import switch_evidence
 from sirdelay.stability import (
     CharCoeffs,
-    _crossing_cubic,
     char_coeffs,
+    crossings,
     general_delay_analysis,
     tau_crossing,
 )
@@ -102,7 +102,7 @@ def test_tangential_crossing_at_a_double_root_of_the_crossing_cubic():
     m = (l * l - a2) / 2.0
     n = (m * m - l1 * l1 - a1) / (2.0 * l)
     cc = CharCoeffs(l=l, m=m, n=n, l1=l1, m1=math.sqrt(n * n - a0), n1=0.0)
-    assert _crossing_cubic(cc) == pytest.approx((a0, a1, a2), rel=1e-14)
+    assert crossings(*cc.one_delay("tau"))[0] == pytest.approx((1.0, a2, a1, a0), rel=1e-14)
     nu0 = math.sqrt(s0)
     P = complex(n - l * s0, nu0 * (m - s0))
     Q = complex(cc.m1, l1 * nu0)
@@ -110,6 +110,23 @@ def test_tangential_crossing_at_a_double_root_of_the_crossing_cubic():
     tau = tau_crossing(cc)
     assert tau == pytest.approx(want, rel=1e-12)
     assert abs(char_value(cc, tau, 0.0, 1j * nu0)) < 1e-9
+
+
+def test_roots_without_delayed_terms_do_not_depend_on_the_delay():
+    # ex5_3's disease-free point: F = (lam - 0.5)(lam + 1)(lam + 4) at every delay
+    cc = CharCoeffs(l=4.5, m=1.5, n=-2.0, l1=0.0, m1=0.0, n1=0.0)
+    for tau in (0.0, 500.0, 1000.0):
+        roots = char_roots_scan(cc, tau, 0.0)
+        assert [z.real for z in roots] == pytest.approx([0.5, -1.0, -4.0], rel=1e-12)
+
+
+def test_a_large_root_without_delayed_terms_is_kept():
+    # the disease-free point of ex5_1 with a = 1e5 and b = b1 = 300:
+    # F = (lam + 1)(lam + 2)(lam - 14999998), whose round-off alone at the
+    # large root exceeds an absolute residual bound of 1e-9
+    cc = CharCoeffs(l=-14999995.0, m=-44999992.0, n=-29999996.0, l1=0.0, m1=0.0, n1=0.0)
+    roots = char_roots_scan(cc, 1.0, 0.0)
+    assert [z.real for z in roots] == pytest.approx([14999998.0, -1.0, -2.0], rel=1e-12)
 
 
 def random_ccs():

@@ -120,6 +120,22 @@ def test_stability_names_an_oracle_refusal_in_the_report(tmp_path, capsys):
     assert doc["reports"][1]["oracle"]["crossing_tau"] == pytest.approx(0.993394, rel=1e-6)
 
 
+def test_stability_reports_every_equilibrium_when_a_scan_is_refused(tmp_path, capsys):
+    # at tau = 1 the endemic point's root scan is refused (R * tau > 1e5), while
+    # the disease-free point has no delayed terms and needs no count
+    blob = to_jsonable(load_preset("ex5_1"))
+    blob["model"]["params"].update(a=1e5, b=300.0, b1=300.0, tau=1.0)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(blob))
+    assert main(["stability", "--config", str(path)]) == 0
+    disease_free, endemic = capsys.readouterr().out.split("\n\n")[:2]
+    assert "oracle max Re: 1.5e+07" in disease_free
+    assert "refused" not in disease_free
+    assert ("! root scan at (tau, delta) = (1, 0) refused: tau + delta = 1 is too long "
+            "to certify the roots") in endemic
+    assert "oracle roots" not in endemic
+
+
 def test_simulate_outputs(tmp_path, capsys):
     assert main(["simulate", "--preset", "ex5_2", "--horizon", "60",
                  "--out", str(tmp_path), "--plot"]) == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from sirdelay.charroots import char_roots_scan, max_real_part
+from sirdelay.charroots import certified_sign, char_roots_scan, char_value, max_real_part
 from sirdelay.equilibria import all_equilibria
 from sirdelay.model import JacCoeffs, jacobian_coeffs
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -23,6 +23,7 @@ from sirdelay.stability import (
     CharCoeffs,
     char_coeffs,
     check,
+    crossings,
     delay_free_stable,
     delta_analysis,
     general_delay_analysis,
@@ -278,6 +279,34 @@ def test_delta_second_bifurcation_cascade_confirmed_by_oracle():
     # roots sit on the axis at both computed crossings
     for d in (d0, d1):
         assert min(abs(r.real) for r in char_roots_scan(cc, 0.0, d)) < 1e-6
+
+
+def test_delta_keeps_the_crossings_past_nu_delta_pi():
+    # on the tau = 0 slice P = lam^3 + lam^2 + 1.5*lam + 1 and Q = -0.5, so the
+    # crossing cubic is (s - 1)(s - 1.5)(s + 0.5): nu = sqrt(1.5) crosses at
+    # delta = pi/sqrt(1.5), where nu*delta = pi, and nu = 1 at delta = 3pi/2
+    cc = CharCoeffs(l=1.0, m=1.0, n=0.5, l1=0.5, m1=0.5, n1=-0.5)
+    res = delta_analysis(cc)
+    assert res.verdict == SECOND_BIFURCATION
+    assert [c.delta for c in res.candidates] == pytest.approx(
+        [math.pi / math.sqrt(1.5), 1.5 * math.pi], rel=1e-12)
+    signs = [[certified_sign(cc, 0.0, f * c.delta) for f in (0.999, 1.001)]
+             for c in res.candidates]
+    assert signs == [[-1, 1], [1, -1]]
+
+
+def test_every_crossing_puts_a_root_on_the_imaginary_axis():
+    rng = random.Random(3)
+    found = 0
+    for _ in range(300):
+        cc = CharCoeffs(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3),
+                        rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
+        for slice_, delays in (("tau", lambda h: (h, 0.0)), ("delta", lambda h: (0.0, h))):
+            for nu, h0 in crossings(*cc.one_delay(slice_))[1]:
+                for h in (h0, h0 + 2.0 * math.pi / nu):
+                    assert abs(char_value(cc, *delays(h), 1j * nu)) < 1e-9, (cc, slice_, h)
+                    found += 1
+    assert found > 300
 
 
 # ---------------------------------------------------------------------------
