@@ -7,7 +7,9 @@ smallest positive delay keeps everything causal.  On a model whose
 response terms are switched off, the dynamics reduce to linear equations
 with a closed-form solution, giving an exact yardstick.  With delays,
 RK4 keeps its fourth order only on a mesh that holds the breaking points
-s + k*tau + j*delta, which is why every step ends on the next of them.
+where a derivative of order <= 4 jumps: s + tau, s + delta, s + 2*tau and
+s + tau + delta for each kink s of the history (0, and the sample times of
+a sampled one).  Every step ends on the next of them.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 from sirdelay import ConstantHistory, ModelSpec, Params, State, integrate, load_preset
 from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
-from sirdelay.integrator import dense_eval
+from sirdelay.integrator import SampledHistory, dense_eval
 from sirdelay.equilibria import all_equilibria
 from sirdelay.responses import Linear, Zero
 
@@ -55,6 +57,15 @@ cases = (
 )
 runs = [(label, replace(cfg.model, params=params), cfg.history) for label, params, cfg in cases]
 runs.append(("ex5_5 sampled history", runs[1][1], EX5_5_SAMPLED_HISTORY))
+# a rough, jittered 15-sample history at tau > delta: x zigzags by about 5
+tau, delta, gap = 4.614, 0.999, 4.614 / 14
+rough = SampledHistory(
+    (-tau, *(-tau + i * gap + 0.3 * gap * math.sin(2.7 * i) for i in range(1, 14)), 0.0),
+    tuple(State(9.0 + 5.0 * (i % 2) + 0.5 * (1.0 + math.sin(1.3 * i)),
+                0.5 + 0.4 * (i % 2) + 0.05 * (1.0 + math.cos(i)), 1.4 + 0.5 * math.sin(2.1 * i))
+          for i in range(15)))
+runs.append(("ex5_5 rough (4.614, 0.999)",
+             replace(ex5_5.model, params=ex5_5.model.params.with_delays(tau, delta)), rough))
 steps = (0.04, 0.02, 0.01)
 errors = []
 for label, delayed, history in runs:
@@ -62,13 +73,14 @@ for label, delayed, history in runs:
     errors.append([max(dense_eval(ref, float(t)).max_abs_diff(State(*map(float, s)))
                        for t, s in zip(traj.times, traj.states))
                    for traj in (integrate(delayed, history, 10.0, step=h) for h in steps)])
-print("  step    " + "".join(f"{label:24s}" for label, _, _ in runs))
+print("  step    " + "".join(f"{label:28s}" for label, _, _ in runs))
 for i, step in enumerate(steps):
     cells = (f"{e[i]:.3e}" + ("" if i == 0 else f" ratio {e[i - 1] / e[i]:5.2f}")
              for e in errors)
-    print(f"  {step:<6g}  " + "".join(f"{c:24s}" for c in cells))
-print("  ~16 per halving (fourth order) with one delay, two delays and a sampled")
-print("  history alike: the mesh holds every breaking point s + k*tau + j*delta")
+    print(f"  {step:<6g}  " + "".join(f"{c:28s}" for c in cells))
+print("  ~16 per halving (fourth order) with one delay, two delays and sampled")
+print("  histories alike: the mesh holds every breaking point where a derivative")
+print("  of order <= 4 jumps (s + tau, s + delta, s + 2*tau, s + tau + delta)")
 print()
 
 print("dense output between mesh points (linear reduction, step 0.01):")

@@ -414,9 +414,10 @@ def criterion_9():
                        exact)
 
     # with delays RK4 keeps its order only if the mesh holds the breaking
-    # points s + k*tau + j*delta (a mesh that misses them gives ratios near
-    # 4); the requested steps tau/(N - 0.63) do not divide tau, and the mesh
-    # cuts each gap between breaking points into equal steps
+    # points where a derivative of order <= 4 jumps (s + tau, s + delta,
+    # s + 2*tau and s + tau + delta; a mesh that misses them gives ratios
+    # near 4); the requested steps tau/(N - 0.63) do not divide tau, and the
+    # mesh cuts each gap between breaking points into equal steps
     cfg = load_preset("ex5_3")
     tau = 0.93
     delayed = replace(cfg.model, params=cfg.model.params.with_delays(tau, 0.0))

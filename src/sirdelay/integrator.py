@@ -9,17 +9,25 @@ needed.  The result is deterministic: identical inputs give a
 byte-identical trajectory.
 
 The mesh.  The solution's derivatives jump at the breaking points
-s + k*tau + j*delta: the jump at s propagates through the delays, where
-s is 0 (history meets solution) or a sample time <= 0 of a sampled
-history (the history kinks there).  A kink at s < 0 reaches the
-solution only where s plus the largest delay the point uses is
-positive.  RK4 stays fourth order only if every breaking point that
-leaves the low derivatives rough is a mesh point (Bellen & Zennaro,
-*Numerical Methods for Delay Differential Equations*, 2003).  One rule
-builds the mesh for every call: the breaking points in (0, horizon)
-with 1 <= k + j <= 4, merged where they lie within 1e-9 * horizon of
-each other (or of 0 or the horizon), cut the run into gaps, and each
-gap is cut into ceil(gap / step) equal steps.  The requested step defaults to DEFAULT_STEP, at most the
+s + k*tau + j*delta, where s is 0 (history meets solution) or a sample
+time <= 0 of a sampled history (the history kinks there): a jump in the
+first derivative at s travels through the delays.  A right-hand side
+that reads a jump of order m gives its component a jump of order m + 1:
+y' reads x(t - tau) and z' reads y(t - delta), so the jump moves on by
+the delay, while x' reads y and z at t, where it stays.  Writing u^(m)
+for the m-th derivative (x^(1) and y^(1) jump at s), the jumps of order
+<= 4 are y^(2) and x^(3) at s + tau, z^(2) and x^(3) at s + delta,
+z^(3), x^(4) and y^(4) at s + tau + delta, and y^(4) at s + 2*tau; at
+every other s + k*tau + j*delta only derivatives of order >= 5 jump.  RK4
+stays fourth order if every point where a derivative of order <= 4
+jumps is a mesh point (Bellen & Zennaro, *Numerical Methods for Delay
+Differential Equations*, 2003).  A kink at s < 0 reaches the solution
+only where s plus the largest delay the point uses is positive.  One
+rule builds the mesh for every call: the breaking points s + tau,
+s + delta, s + 2*tau and s + tau + delta in (0, horizon), merged where
+they lie within 1e-9 * horizon of each other (or of 0 or the horizon),
+cut the run into gaps, and each gap is cut into ceil(gap / step) equal
+steps.  The requested step defaults to DEFAULT_STEP, at most the
 smallest positive delay (or horizon/100 with no delay), and no mesh
 step is longer.
 
@@ -200,17 +208,22 @@ def dense_eval(traj: Trajectory, t: float) -> State:
 
 def _breaking_points(tau: float, delta: float, history: HistorySpec,
                      horizon: float) -> np.ndarray:
-    """0, the breaking points s + k*tau + j*delta in (0, horizon) with
-    1 <= k + j <= 4, and the horizon, sorted; s is 0 or a sample time <= 0
-    of a sampled history and s plus the largest delay the point uses is
-    positive.  Of points within 1e-9 * horizon of each other the first is
-    kept, and 0 and the horizon absorb their neighbours.  Counted before
-    merging, more than MAX_STEPS of them fail the step budget unbuilt."""
+    """0, the breaking points s + tau, s + delta, s + 2*tau and
+    s + tau + delta in (0, horizon) (where a derivative of order <= 4
+    jumps, as the module docstring derives), and the horizon, sorted; s is
+    0 or a sample time <= 0 of a sampled history and s plus the largest
+    delay the point uses is positive.  Of points within 1e-9 * horizon of
+    each other the first is kept, and 0 and the horizon absorb their
+    neighbours.  Counted before merging, more than MAX_STEPS of them fail
+    the step budget unbuilt."""
     # each shift k*tau + j*delta with the largest delay it uses
     reach = {(k * tau + j * delta, max((k > 0) * tau, (j > 0) * delta))
-             for k in range(5) for j in range(5 - k) if k + j}
-    starts = np.asarray(history.times if isinstance(history, SampledHistory) else ())
-    starts = np.append(starts[starts < 0.0], 0.0)
+             for k, j in ((1, 0), (0, 1), (2, 0), (1, 1))}
+    # the sample times < 0, then 0 in place of the first one >= 0 (a sampled
+    # history reaches 0), in one array so a long history is copied once
+    times = history.times if isinstance(history, SampledHistory) else (0.0,)
+    starts = np.array(times, dtype=float)[:bisect_left(times, 0.0) + 1]
+    starts[-1] = 0.0
     tol = 1e-9 * horizon
     windows = [(shift, np.searchsorted(starts, max(-r, tol - shift), side="right"),
                 np.searchsorted(starts, horizon - tol - shift))

@@ -94,7 +94,8 @@ def test_computed_part_stops_one_step_before_the_failure():
     traj, err = acceptance._computed_part(
         _model("ex5_1", 1.0, 1.0), ConstantHistory(State(1.0, 1.0, 1.0)), 300.0)
     assert err is not None and err.time < 300.0
-    # the steps are equal beyond 4*tau, so the failing one is as long as the last
+    # the last breaking point is 2*tau = tau + delta; beyond it the steps are
+    # equal, so the failing one is as long as the last
     assert traj.horizon == pytest.approx(err.time - (traj.times[-1] - traj.times[-2]))
 
 

@@ -171,16 +171,16 @@ def _ex5_3(tau, delta=0.0):
 
 def test_fourth_order_with_one_delay_at_misaligned_requested_steps():
     # requested steps tau/(N - 0.63) do not divide tau; the mesh rule cuts
-    # each gap between breaking points k*tau into equal steps (tau/N up to
-    # 4*tau), so the error ratio per halving is 16, not the 4 of a
-    # misaligned mesh
+    # each gap between the breaking points tau and 2*tau into equal steps
+    # (tau/N up to 2*tau), so the error ratio per halving is 16, not the 4
+    # of a misaligned mesh
     tau = 0.93
     model, hist = _ex5_3(tau)
     ref = integrate(model, hist, 11.0 * tau, step=tau / 800.0)
     errors = []
     for n in (25, 50, 100):
         traj = integrate(model, hist, 11.0 * tau, step=tau / (n - 0.63))
-        np.testing.assert_allclose(np.diff(traj.times[:4 * n + 1]), tau / n, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(traj.times[:2 * n + 1]), tau / n, rtol=1e-9)
         errors.append(_max_error(traj, ref))
     for a, b in zip(errors, errors[1:]):
         assert 14.0 <= a / b <= 18.0
@@ -193,23 +193,23 @@ def _max_error(traj, ref):
 
 
 def _assert_mesh_holds_the_breaking_points(traj, starts, tau, delta, step):
-    """Every s + k*tau + j*delta in (0, horizon) with 1 <= k + j <= 4 that a
-    kink at s reaches (s plus the largest delay the point uses is positive)
-    is a mesh time up to the rounding of its sum, or was merged into such a
-    point (or 0 or the horizon) within 1e-9 * horizon; the mesh runs from 0
-    to the horizon, and no step exceeds ``step``."""
+    """Every s + k*tau + j*delta in (0, horizon) with (k, j) one of (1, 0),
+    (0, 1), (2, 0) and (1, 1) (where a derivative of order <= 4 jumps)
+    that a kink at s reaches (s plus the largest delay the point uses is
+    positive) is a mesh time up to the rounding of its sum, or was merged
+    into such a point (or 0 or the horizon) within 1e-9 * horizon; the mesh
+    runs from 0 to the horizon, and no step exceeds ``step``."""
     times, horizon = traj.times, traj.horizon
     assert times[0] == 0.0 and times[-1] == horizon
     steps = np.diff(times)
     assert 0.0 < steps.min() and steps.max() <= step * (1.0 + 1e-9)
     points = []
     for s in starts:
-        for k in range(5):
-            for j in range(5 - k):
-                p = s + k * tau + j * delta
-                used = max(tau if k else 0.0, delta if j else 0.0)
-                if k + j >= 1 and s + used > 0.0 and 0.0 < p < horizon:
-                    points.append((p, 1e-12 * (abs(s) + k * tau + j * delta), (s, k, j)))
+        for k, j in ((1, 0), (0, 1), (2, 0), (1, 1)):
+            p = s + k * tau + j * delta
+            used = max(tau if k else 0.0, delta if j else 0.0)
+            if s + used > 0.0 and 0.0 < p < horizon:
+                points.append((p, 1e-12 * (abs(s) + k * tau + j * delta), (s, k, j)))
     held = [0.0, horizon] + [p for p, r, _ in points if np.min(np.abs(times - p)) <= r]
     for p, _, where in points:
         assert min(abs(p - q) for q in held) <= 1e-9 * horizon, where
@@ -239,6 +239,40 @@ def test_mesh_holds_every_breaking_point_of_a_sampled_history(tau, delta, step):
     traj = integrate(model, hist, 40.0, step=step)
     _assert_mesh_holds_the_breaking_points(traj, hist.times, tau, delta,
                                            step or integrator.DEFAULT_STEP)
+
+
+def test_constant_history_puts_gap_ends_only_where_a_low_derivative_jumps():
+    # the gaps of the mesh end at tau, delta, 2*tau and tau + delta and
+    # nowhere else: 2*delta, 3*tau, ... (order >= 5) cut no gap
+    tau, delta, horizon, step = 0.93, 0.61, 20.0, 0.04
+    model, hist = _ex5_3(tau, delta)
+    ends = [0.0, delta, tau, tau + delta, 2 * tau, horizon]
+    want = [0.0]
+    for a, b in zip(ends, ends[1:]):
+        want += np.linspace(a, b, math.ceil((b - a) / step - 1e-9) + 1)[1:].tolist()
+    np.testing.assert_allclose(integrate(model, hist, horizon).times, want, rtol=0, atol=1e-12)
+
+
+def test_fourth_order_from_a_rough_history_with_two_delays():
+    # the z^(3), x^(4) and y^(4) jumps at s + tau + delta of a rough
+    # history's kinks need their mesh times too: without them the last ratio
+    # falls to about 4 (errors 4.9e-8 -> 1.2e-8), with them it is about 17
+    tau, delta, n = 4.614, 0.999, 15
+    gap = tau / (n - 1)
+    inner = (-tau + i * gap + 0.3 * gap * math.sin(2.7 * i) for i in range(1, n - 1))
+    times = (-tau, *inner, 0.0)
+    states = tuple(State(9.0 + 5.0 * (i % 2) + 0.5 * (1.0 + math.sin(1.3 * i)),
+                         0.5 + 0.4 * (i % 2) + 0.05 * (1.0 + math.cos(i)),
+                         1.4 + 0.5 * math.sin(2.1 * i)) for i in range(n))
+    hist = SampledHistory(times, states)
+    cfg = load_preset("ex5_5")
+    model = replace(cfg.model, params=cfg.model.params.with_delays(tau, delta))
+    horizon = 8.0 * tau + 2.0
+    steps = (0.05, 0.025, 0.0125)
+    ref = integrate(model, hist, horizon, step=steps[-1] / 8.0)
+    errors = [_max_error(integrate(model, hist, horizon, step=s), ref) for s in steps]
+    for a, b in zip(errors, errors[1:]):
+        assert a / b >= 10.0
 
 
 def test_kinks_that_no_delay_carries_past_zero_add_no_mesh_time():
@@ -383,7 +417,8 @@ def test_integration_error_carries_the_part_computed_before_the_failing_step():
     part = exc.value.trajectory
     assert exc.value.time == pytest.approx(11.98, abs=1e-9)
     assert np.isfinite(part.states).all() and np.isfinite(part.derivatives).all()
-    # beyond 4*tau the steps are equal, so the failing one is as long as the last
+    # the last breaking point is 2*tau = tau + delta; beyond it the steps are
+    # equal, so the failing one is as long as the last
     last_step = part.times[-1] - part.times[-2]
     assert part.horizon == pytest.approx(exc.value.time - last_step, abs=1e-9)
     assert part.states[0].tolist() == [1.0, 1.0, 1.0]
@@ -509,11 +544,11 @@ def test_step_budget_fails_fast(monkeypatch):
 
 
 def test_long_sampled_history_fails_the_step_budget_before_the_mesh():
-    # 200,000 samples and two delays give about 2.5 million breaking points,
+    # 550,000 samples and two delays give about 2.01 million breaking points,
     # each a mesh time: the budget is checked on their count before they or
-    # the mesh are built (2.5 million points alone would take 20 MB)
+    # the mesh are built (2 million points alone would take 16 MB)
     model, _ = _ex5_3(0.93, 0.61)
-    times = np.linspace(-0.93, 0.0, 200_000).tolist()
+    times = np.linspace(-0.93, 0.0, 550_000).tolist()
     hist = SampledHistory(times=tuple(times), states=(State(2.0, 2.0, 2.0),) * len(times))
     tracemalloc.start()
     try:
