@@ -65,37 +65,51 @@ def _polish(c3, c2, c1, c0, x):
     return x
 
 
+def _quadratic(c2, c1, c0, tiny):
+    # real roots of c2*x^2 + c1*x + c0, coefficients within tiny taken as zero
+    if abs(c2) <= tiny:
+        if abs(c1) <= tiny:
+            return []  # nonzero constant: no roots
+        return [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if disc <= 1e-15 * c1 * c1:
+        # a double root within round-off, where Newton's slope is noise
+        return [-0.5 * c1 / c2 if c1 else 0.0]
+    sq = math.sqrt(disc)
+    # numerically stable split
+    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
+    roots = sorted(set(round(r, 15) for r in (q / c2, c0 / q)))
+    return [_polish(0.0, c2, c1, c0, r) for r in roots]
+
+
 def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     """All real roots of c3*x^3 + c2*x^2 + c1*x + c0 = 0, sorted ascending.
 
     Handles degenerate leading coefficients (quadratic, linear).  Multiple
     roots are collapsed to a single entry.  Raises DomainError for the
     identically zero polynomial.  Each returned root r satisfies
-    |p(r)| < 1e-9 * max(1, |c3|, |c2|, |c1|, |c0|).
+    |p(r)| < 1e-9 * max(1, |c3|, |c2|, |c1|, |c0|); at c3 = 0 it is not checked.
     """
     check_finite("cubic coefficient", c3, c2, c1, c0)
     scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise DomainError("identically zero polynomial has no well-defined roots")
     tiny = 1e-14 * scale
+    if c3 == 0.0:
+        return _quadratic(c2, c1, c0, tiny)
 
+    near = []
     if abs(c3) <= tiny:
-        # quadratic c2*x^2 + c1*x + c0
-        if abs(c2) <= tiny:
-            if abs(c1) <= tiny:
-                return []  # nonzero constant: no roots
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        if disc <= 1e-15 * c1 * c1:
-            # a double root within round-off, where Newton's slope is noise
-            return [-0.5 * c1 / c2 if c1 else 0.0]
-        sq = math.sqrt(disc)
-        # numerically stable split
-        q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-        roots = sorted(set(round(r, 15) for r in (q / c2, c0 / q)))
-        return [_polish(0.0, c2, c1, c0, r) for r in roots]
+        # the cubic term is small next to the others, but not where the
+        # roots are large: the rest's roots and the far root it adds (the
+        # three sum to -c2/c3), polished on the whole cubic, are candidates
+        # next to the closed form's, which loses roots spread too widely
+        rest = _quadratic(c2, c1, c0, tiny) + ([c1 / c2 - c2 / c3] if abs(c2) > tiny else [])
+        near = [_polish(c3, c2, c1, c0, x) for x in rest] + rest
+        if abs(c3) < 1e-50 * scale:  # the closed form would overflow
+            return _checked(c3, c2, c1, c0, near)
 
     if c1 == 0.0 and c0 == 0.0:
         # x^2 * (c3*x + c2): exact, where Newton would converge only linearly
@@ -119,26 +133,26 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     inner = half_q * half_q + p**3 / 27.0  # -disc / 108
     # multiple roots are not polished: Newton's slope there is round-off
     if abs(p) < 1e-14 * b * b and abs(q) < 1e-14 * max(abs(b) ** 3, abs(d)):
-        return _checked(c3, c2, c1, c0, [-shift])  # a triple root
-    if abs(disc) <= disc_tol and p != 0.0:
+        xs = [-shift]  # a triple root
+    elif abs(disc) <= disc_tol and p != 0.0:
         # a double root: the depressed cubic is (t - t2)^2 (t + 2*t2) with
         # t2 = -3q/(2p) (Kahan, "To solve a real cubic equation", 1986;
         # Blinn, IEEE CG&A 2006-07)
         t2 = -1.5 * q / p
-        return _checked(c3, c2, c1, c0,
-                        [t2 - shift, _polish(c3, c2, c1, c0, -2.0 * t2 - shift)])
-    if inner < 0.0:
+        xs = [t2 - shift, _polish(c3, c2, c1, c0, -2.0 * t2 - shift)]
+    elif inner < 0.0:
         # three distinct real roots: trigonometric form (p < 0 here)
         m = 2.0 * math.sqrt(-p / 3.0)
         arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
         theta = math.acos(arg)
         roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+        xs = [_polish(c3, c2, c1, c0, t - shift) for t in roots]
     else:
         s = math.sqrt(inner)
         u = math.copysign(abs(-half_q + s) ** (1.0 / 3.0), -half_q + s)
         v = math.copysign(abs(-half_q - s) ** (1.0 / 3.0), -half_q - s)
-        roots = [u + v]
-    return _checked(c3, c2, c1, c0, [_polish(c3, c2, c1, c0, t - shift) for t in roots])
+        xs = [_polish(c3, c2, c1, c0, u + v - shift)]
+    return _checked(c3, c2, c1, c0, xs + near)
 
 
 def _checked(c3, c2, c1, c0, xs):
@@ -148,8 +162,8 @@ def _checked(c3, c2, c1, c0, xs):
     out = []
     bound = 1e-9 * max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
     for x in xs:
-        if abs(((c3 * x + c2) * x + c1) * x + c0) >= bound:
-            continue  # near-degenerate partner that is not actually a root
+        if not abs(((c3 * x + c2) * x + c1) * x + c0) < bound:
+            continue  # near-degenerate partner that is not actually a root, or NaN
         if not any(abs(x - w) <= 1e-9 * max(abs(x), abs(w)) for w in out):
             out.append(x)
     out.sort()

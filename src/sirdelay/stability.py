@@ -29,6 +29,7 @@ __all__ = [
     "Check",
     "char_coeffs",
     "delay_free_stable",
+    "crossing_cubic",
     "crossings",
     "tau_persistence",
     "tau_crossing",
@@ -210,12 +211,7 @@ def delay_free_stable(jac: JacCoeffs) -> DelayFreeResult:
 
 @dataclass(frozen=True)
 class TauPersistenceResult:
-    """Outcome of the incubation-delay persistence test.
-
-    a0 = n^2 - (m1+n1)^2, a1 = m^2 - 2*l*n - l1^2, a2 = l^2 - 2*m are the
-    coefficients of the crossing-frequency cubic in nu^2; their signs decide
-    whether the zero-delay stability status can ever change as tau grows.
-    """
+    """Outcome of ``tau_persistence``: the delta = 0 cubic's coefficients."""
 
     verdict: str  # preserved | instability_persists | switch_expected | inconclusive
     a0: float
@@ -224,35 +220,47 @@ class TauPersistenceResult:
     checks: tuple
 
 
-def crossings(P, Q):
-    """Where a root of F = P(lam) + Q(lam) e^(-lam*h), P = (1, p2, p1, p0)
-    and Q = (q1, q0) highest power first, crosses the imaginary axis as the
-    one delay h grows (Cooke & van den Driessche, Funkcial. Ekvac. 29, 1986).
-
-    A root lam = i*nu needs |P(i nu)|^2 - |Q(i nu)|^2 = 0, the cubic
-    s^3 + a2*s^2 + a1*s + a0 in s = nu^2 returned first as (1, a2, a1, a0),
-    and e^(-i nu h) = -P/Q; each positive root s then gives the pair
-    (nu, h0), h0 = ((-arg(-P/Q)) mod 2pi) / nu, and the crossings repeat at
-    h0 + 2k*pi/nu.  Frequencies with |Q(i nu)| ~ 0 are skipped.
-    """
+def crossing_cubic(P, Q):
+    """|P(i nu)|^2 - |Q(i nu)|^2 for F = P(lam) + Q(lam) e^(-lam*h), P =
+    (1, p2, p1, p0) and Q = (q1, q0) highest power first, as the monic cubic
+    s^3 + a2*s^2 + a1*s + a0 in s = nu^2: (1, a2, a1, a0)."""
     _, p2, p1, p0 = P
     q1, q0 = Q
-    cubic = (1.0, p2**2 - 2.0 * p1, p1**2 - 2.0 * p2 * p0 - q1**2, p0**2 - q0**2)
+    return (1.0, p2**2 - 2.0 * p1, p1**2 - 2.0 * p2 * p0 - q1**2, p0**2 - q0**2)
+
+
+def crossings(P, Q):
+    """(nu, h0) where a root of F = P(lam) + Q(lam) e^(-lam*h) crosses the
+    imaginary axis as h grows (Cooke & van den Driessche, Funkcial. Ekvac. 29,
+    1986): nu^2 is a positive root of ``crossing_cubic(P, Q)``, e^(-i nu h0) =
+    -P/Q, h0 = ((-arg(-P/Q)) mod 2pi) / nu, and the crossings repeat at
+    h0 + 2k*pi/nu.  Roots s ~ 0 and frequencies with |Q(i nu)| ~ 0 are
+    skipped, relative to the other roots and to P's terms at nu, so a model
+    whose time unit is rescaled keeps its crossings."""
+    _, p2, p1, p0 = P
+    q1, q0 = Q
+    _, a2, a1, _ = cubic = crossing_cubic(P, Q)
+    # a root near zero is measured against the smaller of the other two,
+    # about min(|a1/a2|, sqrt|a1|) in size
+    zero = 1e-12 * min(abs(a1 / a2) if a2 else math.inf, math.sqrt(abs(a1)))
     found = []
     for s in solve_cubic_real(*cubic):
-        if s <= 1e-12:
+        if s <= zero:
             continue
         nu = math.sqrt(s)
         p_val = complex(p0 - p2 * s, nu * (p1 - s))
         q_val = complex(q0, q1 * nu)
-        if abs(q_val) < 1e-12:
+        if abs(q_val) < 1e-12 * max(abs(p0), abs(p2) * s, nu * abs(p1), nu * s):
             continue
         found.append((nu, (-cmath.phase(-p_val / q_val)) % (2.0 * math.pi) / nu))
-    return cubic, found
+    return found
 
 
 def tau_persistence(cc: CharCoeffs) -> TauPersistenceResult:
-    (_, a2, a1, a0), _ = crossings(*cc.one_delay("tau"))
+    """Whether the zero-delay stability status can ever change as tau grows
+    (delta = 0): the signs of a0, a1, a2 of the delta = 0 slice's cubic
+    ``crossing_cubic(*cc.one_delay("tau"))``, whose roots are not solved."""
+    _, a2, a1, a0 = crossing_cubic(*cc.one_delay("tau"))
     checks = [check("a0 > 0", a0, ">"), check("a1 >= 0", a1, ">=")]
     if checks[0].holds and checks[1].holds:
         return TauPersistenceResult(PRESERVED, a0, a1, a2, tuple(checks))
@@ -277,7 +285,7 @@ def tau_crossing(cc: CharCoeffs) -> float | None:
     For an equilibrium stable at zero delay, this is the first delay at which
     stability can be lost.
     """
-    return min((h0 for _, h0 in crossings(*cc.one_delay("tau"))[1]), default=None)
+    return min((h0 for _, h0 in crossings(*cc.one_delay("tau"))), default=None)
 
 
 def pseudo_delay_cubic(cc: CharCoeffs):
@@ -406,26 +414,22 @@ class DeltaResult:
 def delta_analysis(cc: CharCoeffs) -> DeltaResult:
     """Stability under a recovery delay alone (incubation delay zero).
 
-    The crossing-frequency equation in s = nu^2 is the cubic of
-    ``crossings`` on the slice ``cc.one_delay("delta")``,
-
-        s^3 + (l^2 - 2(l1+m)) s^2 + ((l1+m)^2 - 2l(n+m1)) s
-            + (n+m1)^2 - n1^2 = 0.
-
-    Preservation: l(l1+m) != n+m1-n1 together with all three coefficient
-    inequalities nonnegative.  Otherwise each crossing (nu, h0) is a
-    candidate with delta = h0 and delta_next = h0 + 2pi/nu: no crossing
-    preserves stability, one gives a switch, and two or more open the
-    possibility of a second bifurcation.
+    The checks read the slice (P, Q) = ``cc.one_delay("delta")`` and the
+    coefficients of its cubic ``crossing_cubic(P, Q)`` in s = nu^2.
+    Preservation: l(l1+m) != n+m1-n1 together with all three coefficients
+    nonnegative.  Otherwise each crossing (nu, h0) is a candidate with
+    delta = h0 and delta_next = h0 + 2pi/nu: no crossing preserves
+    stability, one gives a switch, and two or more open the possibility of
+    a second bifurcation.
     """
-    l, m, n, l1, m1, n1 = cc.as_tuple()
-    u = l1 + m
-    nm1 = n + m1
-    eq_neq = check("l*(l1+m) != n+m1-n1", l * u, "!=", nm1 - n1)
+    P, Q = cc.one_delay("delta")
+    freq_cubic = crossing_cubic(P, Q)
+    _, a2, a1, a0 = freq_cubic
+    eq_neq = check("l*(l1+m) != n+m1-n1", P[1] * P[2], "!=", P[3] - Q[1])
     cond = [
-        check("l^2 - 2*(l1+m) >= 0", l * l - 2.0 * u, ">="),
-        check("(l1+m)^2 - 2*l*(n+m1) >= 0", u * u - 2.0 * l * nm1, ">="),
-        check("(n+m1)^2 - n1^2 >= 0", nm1 * nm1 - n1 * n1, ">="),
+        check("l^2 - 2*(l1+m) >= 0", a2, ">="),
+        check("(l1+m)^2 - 2*l*(n+m1) >= 0", a1, ">="),
+        check("(n+m1)^2 - n1^2 >= 0", a0, ">="),
     ]
     # sign patterns over the three coefficients: an odd number of negatives
     # signals one admissible frequency, the specific (<, >, <) ... variants
@@ -435,16 +439,14 @@ def delta_analysis(cc: CharCoeffs) -> DeltaResult:
     one_freq = check("one-frequency sign pattern (odd negatives)", float(negatives % 2), ">=", 1.0)
     two_freq = check(
         "two-frequency pattern: l^2 < 2(l1+m), (l1+m)^2 > 2l(n+m1), (n+m1)^2 < n1^2",
-        float((l * l < 2.0 * u) and (u * u > 2.0 * l * nm1) and (nm1 * nm1 < n1 * n1)),
-        ">=", 1.0,
+        float(a2 < 0.0 < a1 and a0 < 0.0), ">=", 1.0,
     )
     checks = [eq_neq] + cond + [one_freq, two_freq]
 
-    freq_cubic, found = crossings(*cc.one_delay("delta"))
     if eq_neq.holds and all(c.holds for c in cond):
         return DeltaResult(PRESERVED, freq_cubic, (), tuple(checks), ())
-    candidates = sorted((DeltaCandidate(nu, h0, h0 + 2.0 * math.pi / nu) for nu, h0 in found),
-                        key=lambda cand: cand.delta)
+    candidates = sorted((DeltaCandidate(nu, h0, h0 + 2.0 * math.pi / nu)
+                         for nu, h0 in crossings(P, Q)), key=lambda cand: cand.delta)
     if not candidates:
         return DeltaResult(PRESERVED, freq_cubic, (), tuple(checks),
                            ("no positive crossing frequency",))

@@ -17,7 +17,7 @@ from sirdelay.report import switch_evidence
 from sirdelay.stability import (
     CharCoeffs,
     char_coeffs,
-    crossings,
+    crossing_cubic,
     general_delay_analysis,
     tau_crossing,
 )
@@ -102,7 +102,7 @@ def test_tangential_crossing_at_a_double_root_of_the_crossing_cubic():
     m = (l * l - a2) / 2.0
     n = (m * m - l1 * l1 - a1) / (2.0 * l)
     cc = CharCoeffs(l=l, m=m, n=n, l1=l1, m1=math.sqrt(n * n - a0), n1=0.0)
-    assert crossings(*cc.one_delay("tau"))[0] == pytest.approx((1.0, a2, a1, a0), rel=1e-14)
+    assert crossing_cubic(*cc.one_delay("tau")) == pytest.approx((1.0, a2, a1, a0), rel=1e-14)
     nu0 = math.sqrt(s0)
     P = complex(n - l * s0, nu0 * (m - s0))
     Q = complex(cc.m1, l1 * nu0)

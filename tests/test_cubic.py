@@ -44,6 +44,24 @@ def test_degenerate_degrees():
         solve_cubic_real(math.nan, 1.0, 1.0, 1.0)
 
 
+def test_small_leading_coefficient_keeps_the_cubic_term():
+    # c3 = 1 is below 1e-14 of c0, yet at roots of size 1e5 to 4e7 the cubic
+    # term is as large as the others: the quadratic part alone gave two roots
+    # whose residuals broke the bound by factors of 1e3 and 1e8
+    coeffs = (1.0, 3.7e7, 2e13, -4e18)
+    roots = solve_cubic_real(*coeffs)
+    assert roots == pytest.approx(
+        [-36448266.083677328, -706966.90959174124, 155232.99326906928], rel=1e-12)
+    assert_residuals(coeffs, roots)
+    # where the cubic term is negligible at the near roots, they are kept,
+    # a double one too, where Newton's slope is noise
+    for coeffs in ((1e-30, 1.0, -3.0, 2.0), (1e-60, 1.0, -3.0, 2.0)):
+        roots = solve_cubic_real(*coeffs)
+        assert roots == pytest.approx([1.0, 2.0], rel=1e-12)
+        assert_residuals(coeffs, roots)
+    assert solve_cubic_real(1e-20, 1.0, -2.0, 1.0) == [1.0]
+
+
 def test_repeated_roots_collapse():
     roots = solve_cubic_real(1.0, -3.0, 3.0, -1.0)  # (x-1)^3
     assert len(roots) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirdelay import charroots, report
+from sirdelay import charroots, report, stability
 from sirdelay.charroots import char_roots_scan, max_real_part
 from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
@@ -72,6 +73,32 @@ def test_ex5_3_endemic_report_takes_four_root_scans(monkeypatch):
     rep = report_for("ex5_3", "endemic")
     assert rep.oracle_crossing_tau == pytest.approx(4.56167, abs=1e-5)
     assert len(calls) == 4, calls
+
+
+def test_reports_solve_a_one_delay_slice_only_for_a_crossing(monkeypatch):
+    # the criteria read each slice's crossing cubic without solving it: the
+    # delta = 0 roots are solved once, for the exact crossing, and the
+    # tau = 0 roots only where the paper's checks do not preserve stability
+    callers = []
+    solve = stability.crossings
+
+    def counted(P, Q):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(P, Q)
+
+    monkeypatch.setattr(stability, "crossings", counted)
+    total = 0
+    for name in PRESET_NAMES:
+        cfg = load_preset(name)
+        eqs = all_equilibria(cfg.model)
+        for eq in eqs:
+            callers.clear()
+            rep = build_stability_report(cfg.model, eq, eqs)
+            assert len([c for c in callers if c != "delta_analysis"]) <= 1, (name, callers)
+            if all(c.holds for c in rep.delta_only.checks[:4]):
+                assert "delta_analysis" not in callers, (name, eq.kind)
+            total += len(callers)
+    assert total == 6
 
 
 def test_switch_evidence_is_none_only_where_max_re_switches_sign():

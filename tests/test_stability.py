@@ -186,6 +186,24 @@ def test_persistence_second_branch_with_oracle():
         assert max_real_part(cc, tau, 0.0) > 0.05
 
 
+def test_persistence_inconclusive_branch_with_oracle():
+    # the delta = 0 cubic is (1, 2, -13, 10) = (s - 1)(s - 2)(s + 5): a0 > 0
+    # and a1 < 0, and the resolvent inequality fails.  The point is unstable
+    # at zero delay, stable between the crossings at nu = 1 and nu = sqrt(2),
+    # then unstable again, so "preserved" would be wrong
+    cc = CharCoeffs(l=2.0, m=1.0, n=3.5, l1=0.0, m1=1.5, n1=0.0)
+    res = tau_persistence(cc)
+    assert res.verdict == INCONCLUSIVE
+    assert (res.a2, res.a1, res.a0) == (2.0, -13.0, 10.0)
+    assert [c.holds for c in res.checks] == [True, False, False]
+    found = crossings(*cc.one_delay("tau"))
+    assert [x for c in found for x in c] == pytest.approx(
+        [1.0, math.pi, math.sqrt(2.0), 3.57246], rel=1e-6)
+    assert certified_sign(cc, 0.0, 0.0) == 1
+    assert [[certified_sign(cc, f * h0, 0.0) for f in (0.999, 1.001)]
+            for _, h0 in found] == [[1, -1], [-1, 1]]
+
+
 # ---------------------------------------------------------------------------
 # pseudo-delay cubic and critical delay
 # ---------------------------------------------------------------------------
@@ -295,6 +313,29 @@ def test_delta_keeps_the_crossings_past_nu_delta_pi():
     assert signs == [[-1, 1], [1, -1]]
 
 
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("coeffs,slice_,want", [
+    # ex5_3's endemic point on delta = 0, the tau = 0 slice whose crossing
+    # cubic is (s - 1)(s - 1.5)(s + 0.5), and a delta = 0 slice with a root
+    # lam = 0 at every delay, whose cubic s(s^2 - s - 3) has the root s = 0
+    ((7.0, 6.0, 0.0, 4.0, 4.0, -2.0), "tau", [(0.393996, 4.561670)]),
+    ((1.0, 1.0, 0.5, 0.5, 0.5, -0.5), "delta",
+     [(math.sqrt(1.5), 2.565100), (1.0, 1.5 * math.pi)]),
+    ((1.0, 1.0, 0.0, 2.0, 0.5, -0.5), "tau", [(1.517490, 0.567638)]),
+])
+def test_crossings_do_not_depend_on_the_time_unit(coeffs, slice_, want, k):
+    # in time unit 1/k, lam becomes k*lam: each coefficient gains k to the
+    # power its term lacks, the frequencies scale by k and the delays by 1/k
+    l, m, n, l1, m1, n1 = coeffs
+    base = sorted(crossings(*CharCoeffs(*coeffs).one_delay(slice_)), key=lambda c: c[1])
+    scaled = CharCoeffs(l * k, m * k**2, n * k**3, l1 * k**2, m1 * k**3, n1 * k**3)
+    got = sorted(crossings(*scaled.one_delay(slice_)), key=lambda c: c[1])
+    assert [x for c in base for x in c] == pytest.approx([x for c in want for x in c], abs=1e-6)
+    assert len(got) == len(base)
+    assert [x for nu, h0 in got for x in (nu / k, h0 * k)] == pytest.approx(
+        [x for c in base for x in c], rel=1e-9)
+
+
 def test_every_crossing_puts_a_root_on_the_imaginary_axis():
     rng = random.Random(3)
     found = 0
@@ -302,7 +343,7 @@ def test_every_crossing_puts_a_root_on_the_imaginary_axis():
         cc = CharCoeffs(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3),
                         rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
         for slice_, delays in (("tau", lambda h: (h, 0.0)), ("delta", lambda h: (0.0, h))):
-            for nu, h0 in crossings(*cc.one_delay(slice_))[1]:
+            for nu, h0 in crossings(*cc.one_delay(slice_)):
                 for h in (h0, h0 + 2.0 * math.pi / nu):
                     assert abs(char_value(cc, *delays(h), 1j * nu)) < 1e-9, (cc, slice_, h)
                     found += 1
