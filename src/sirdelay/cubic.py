@@ -1,5 +1,6 @@
-"""Real roots of scalar equations: closed-form cubics (and degenerate
-lower-degree polynomials), and Brent-Dekker on a sign-changing bracket."""
+"""Real roots of scalar equations: every real root of a polynomial, by Newton
+steps on pieces where it is monotone and convex or concave, and Brent-Dekker
+on a sign-changing bracket."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ def brent(g, lo, hi):
     """A root of g on [lo, hi] by Brent-Dekker: inverse quadratic or secant
     steps, bisection where they fall short (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4).  Stops only where g is
-    exactly 0 or the bracket is narrower than 1e-15 * max(1, hi); None when
-    g(lo) and g(hi) are nonzero and share a sign."""
+    exactly 0 or the bracket is narrower than 1e-15 * max(1, |lo|, |hi|);
+    None when g(lo) and g(hi) are nonzero and share a sign."""
     a, b, fa, fb = lo, hi, g(lo), g(hi)
     if fa == 0.0:
         return a
@@ -23,7 +24,7 @@ def brent(g, lo, hi):
         return b
     if (fa > 0.0) == (fb > 0.0):
         return None
-    tol = 0.5e-15 * max(1.0, hi)  # half the width bound
+    tol = 0.5e-15 * max(1.0, abs(lo), abs(hi))  # half the width bound
     c, fc, d, e = a, fa, b - a, b - a  # d and e: the last two steps
     for _ in range(300):
         if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
@@ -53,118 +54,76 @@ def brent(g, lo, hi):
     return b
 
 
-def _polish(c3, c2, c1, c0, x):
-    # Newton steps push the residual to round-off; repeated roots converge
-    # linearly, hence the extra iterations
-    for _ in range(6):
-        f = ((c3 * x + c2) * x + c1) * x + c0
-        fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if fp == 0.0:
-            break
-        x -= f / fp
-    return x
+def _horner(cs, x):
+    # p(x) and p'(x) for the coefficients cs, highest power first
+    f = fp = 0.0
+    for c in cs:
+        fp = fp * x + f
+        f = f * x + c
+    return f, fp
 
 
-def _quadratic(c2, c1, c0, tiny):
-    # real roots of c2*x^2 + c1*x + c0, coefficients within tiny taken as zero
-    if abs(c2) <= tiny:
-        if abs(c1) <= tiny:
-            return []  # nonzero constant: no roots
-        return [-c0 / c1]
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    if disc <= 1e-15 * c1 * c1:
-        # a double root within round-off, where Newton's slope is noise
-        return [-0.5 * c1 / c2 if c1 else 0.0]
-    sq = math.sqrt(disc)
-    # numerically stable split
-    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-    roots = sorted(set(round(r, 15) for r in (q / c2, c0 / q)))
-    return [_polish(0.0, c2, c1, c0, r) for r in roots]
+def _newton(cs, x, stop):
+    # on a piece where p is monotone and convex or concave, Newton's iterates
+    # from the end x where p and p'' share a sign approach the root from x's
+    # side (Fourier); round-off that carries one past it narrows the bracket
+    # from stop's side, and a step not strictly inside the bracket ends it
+    f, fp = _horner(cs, x)
+    here, up = x, f > 0.0
+    while True:
+        nx = x - f / fp if fp else x
+        if not (here < nx < stop or stop < nx < here):
+            return x
+        x = nx
+        f, fp = _horner(cs, x)
+        here, stop = (x, stop) if (f > 0.0) == up else (here, x)
+
+
+def _real_roots(cs):
+    # real roots, ascending, of the polynomial with coefficients cs, highest
+    # power first and cs[0] nonzero; a multiple root comes back once
+    n = len(cs) - 1
+    if n <= 1:
+        return [-cs[1] / cs[0]] if n else []
+    if cs[-1] == 0.0:  # x times a polynomial of degree n - 1
+        return sorted({0.0, *_real_roots(cs[:-1])})
+    d1 = [c * (n - i) for i, c in enumerate(cs[:-1])]
+    d2 = [c * (n - 1 - i) for i, c in enumerate(d1[:-1])]
+    # cut the line at the real roots of p' and p'' inside twice Fujiwara's
+    # bound on |roots|: on each piece p is monotone and convex or concave
+    bound = 4.0 * max(abs(c / cs[0] / (2.0 if k == n else 1.0)) ** (1.0 / k)
+                      for k, c in enumerate(cs[1:], 1))
+    cuts = {x for x in _real_roots(d1) + _real_roots(d2) if -bound < x < bound}
+    xs = [-bound, *sorted(cuts), bound]
+    fs = [_horner(cs, x)[0] for x in xs]
+    check_finite("polynomial at its root bound", fs[0])
+    for i in range(1, len(xs) - 1):
+        # a cut where |p| is within its round-off is a root, multiple or not
+        if abs(fs[i]) <= 16.0 * 2.0**-53 * _horner([abs(c) for c in cs], abs(xs[i]))[0]:
+            fs[i] = 0.0
+    # root cuts side by side are one root, p being monotone between them
+    roots = [x for i, x in enumerate(xs) if fs[i] == 0.0 and fs[i - 1] != 0.0]
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+        if fa < 0.0 < fb or fb < 0.0 < fa:  # one simple root inside
+            convex = _horner(d2, 0.5 * (a + b))[0] > 0.0
+            roots.append(_newton(cs, a, b) if (fa > 0.0) == convex else _newton(cs, b, a))
+    return sorted(roots)
 
 
 def solve_cubic_real(c3: float, c2: float, c1: float, c0: float):
     """All real roots of c3*x^3 + c2*x^2 + c1*x + c0 = 0, sorted ascending.
 
-    Handles degenerate leading coefficients (quadratic, linear).  Multiple
-    roots are collapsed to a single entry.  Raises DomainError for the
-    identically zero polynomial.  Each returned root r satisfies
-    |p(r)| < 1e-9 * max(1, |c3|, |c2|, |c1|, |c0|); at c3 = 0 it is not checked.
+    Leading coefficients that are exactly zero lower the degree, and a
+    multiple root comes back once.  Each root r returned has a residual
+    |p(r)|, by Horner's rule, of at most 16 * 2**-53 * sum |c_i| |r|^i:
+    relative to the size of p's terms at r, so a far root is kept.  Raises
+    DomainError for the identically zero polynomial, or where p overflows at
+    its root bound (coefficients some 1e150 apart).
     """
     check_finite("cubic coefficient", c3, c2, c1, c0)
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
+    cs = [c3, c2, c1, c0]
+    while cs and cs[0] == 0.0:
+        cs.pop(0)
+    if not cs:
         raise DomainError("identically zero polynomial has no well-defined roots")
-    tiny = 1e-14 * scale
-    if c3 == 0.0:
-        return _quadratic(c2, c1, c0, tiny)
-
-    near = []
-    if abs(c3) <= tiny:
-        # the cubic term is small next to the others, but not where the
-        # roots are large: the rest's roots and the far root it adds (the
-        # three sum to -c2/c3), polished on the whole cubic, are candidates
-        # next to the closed form's, which loses roots spread too widely
-        rest = _quadratic(c2, c1, c0, tiny) + ([c1 / c2 - c2 / c3] if abs(c2) > tiny else [])
-        near = [_polish(c3, c2, c1, c0, x) for x in rest] + rest
-        if abs(c3) < 1e-50 * scale:  # the closed form would overflow
-            return _checked(c3, c2, c1, c0, near)
-
-    if c1 == 0.0 and c0 == 0.0:
-        # x^2 * (c3*x + c2): exact, where Newton would converge only linearly
-        # to the double root at zero and leave two copies of it
-        return sorted({0.0, -c2 / c3})
-
-    # depressed form t^3 + p*t + q with x = t - c2/(3*c3)
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    disc = -4.0 * p**3 - 27.0 * q * q
-    # band around zero discriminant: 16 unit round-offs (2**-53) of p's, q's
-    # and disc's terms, so a double root lands inside it, and distinct roots
-    # only as close as their own round-off (about 6e-8 relative, centred)
-    err_p = abs(c) + b * b / 3.0
-    err_q = 2.0 * abs(b) ** 3 / 27.0 + abs(b * c) / 3.0 + abs(d)
-    disc_tol = 1.78e-15 * (12.0 * p * p * err_p + 54.0 * abs(q) * err_q
-                           + 4.0 * abs(p) ** 3 + 27.0 * q * q)
-    half_q = q / 2.0
-    inner = half_q * half_q + p**3 / 27.0  # -disc / 108
-    # multiple roots are not polished: Newton's slope there is round-off
-    if abs(p) < 1e-14 * b * b and abs(q) < 1e-14 * max(abs(b) ** 3, abs(d)):
-        xs = [-shift]  # a triple root
-    elif abs(disc) <= disc_tol and p != 0.0:
-        # a double root: the depressed cubic is (t - t2)^2 (t + 2*t2) with
-        # t2 = -3q/(2p) (Kahan, "To solve a real cubic equation", 1986;
-        # Blinn, IEEE CG&A 2006-07)
-        t2 = -1.5 * q / p
-        xs = [t2 - shift, _polish(c3, c2, c1, c0, -2.0 * t2 - shift)]
-    elif inner < 0.0:
-        # three distinct real roots: trigonometric form (p < 0 here)
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
-        theta = math.acos(arg)
-        roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-        xs = [_polish(c3, c2, c1, c0, t - shift) for t in roots]
-    else:
-        s = math.sqrt(inner)
-        u = math.copysign(abs(-half_q + s) ** (1.0 / 3.0), -half_q + s)
-        v = math.copysign(abs(-half_q - s) ** (1.0 / 3.0), -half_q - s)
-        xs = [_polish(c3, c2, c1, c0, u + v - shift)]
-    return _checked(c3, c2, c1, c0, xs + near)
-
-
-def _checked(c3, c2, c1, c0, xs):
-    """The candidate roots ``xs`` whose residual is below the documented
-    bound, sorted, with roots within 1e-9 of each other, relative to the
-    larger, kept once."""
-    out = []
-    bound = 1e-9 * max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
-    for x in xs:
-        if not abs(((c3 * x + c2) * x + c1) * x + c0) < bound:
-            continue  # near-degenerate partner that is not actually a root, or NaN
-        if not any(abs(x - w) <= 1e-9 * max(abs(x), abs(w)) for w in out):
-            out.append(x)
-    out.sort()
-    return out
+    return _real_roots(cs)

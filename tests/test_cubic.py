@@ -17,6 +17,14 @@ def assert_residuals(coeffs, roots):
         assert abs(poly(*coeffs, r)) < 1e-9 * scale
 
 
+def assert_relative_residuals(coeffs, roots):
+    # the residual against the size of p's terms at the root, which at a
+    # far root is far above the coefficients
+    for r in roots:
+        size = sum(abs(c) * abs(r) ** k for c, k in zip(coeffs, (3, 2, 1, 0)))
+        assert abs(poly(*coeffs, r)) <= 16.0 * 2.0**-53 * size
+
+
 def test_factored_cubic():
     roots = solve_cubic_real(1.0, -6.0, 11.0, -6.0)
     assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
@@ -54,12 +62,15 @@ def test_small_leading_coefficient_keeps_the_cubic_term():
         [-36448266.083677328, -706966.90959174124, 155232.99326906928], rel=1e-12)
     assert_residuals(coeffs, roots)
     # where the cubic term is negligible at the near roots, they are kept,
-    # a double one too, where Newton's slope is noise
+    # a double one too, and so is the far root where the cubic term balances
+    # the others: the three sum to -c2/c3
     for coeffs in ((1e-30, 1.0, -3.0, 2.0), (1e-60, 1.0, -3.0, 2.0)):
         roots = solve_cubic_real(*coeffs)
-        assert roots == pytest.approx([1.0, 2.0], rel=1e-12)
-        assert_residuals(coeffs, roots)
-    assert solve_cubic_real(1e-20, 1.0, -2.0, 1.0) == [1.0]
+        assert roots == pytest.approx([-1.0 / coeffs[0] - 3.0, 1.0, 2.0], rel=1e-12)
+        assert_residuals(coeffs, roots[1:])
+        assert_relative_residuals(coeffs, roots[:1])
+    roots = solve_cubic_real(1e-20, 1.0, -2.0, 1.0)
+    assert roots == pytest.approx([-1e20 - 2.0, 1.0], rel=1e-12)
 
 
 def test_repeated_roots_collapse():
@@ -197,6 +208,54 @@ def test_small_cubics_lose_no_more_roots_than_unit_ones():
     assert _three_root_family_losses(1e-4) <= _three_root_family_losses(1.0)
 
 
+def from_roots(k, r1, r2, r3):
+    return (k, -k * (r1 + r2 + r3), k * (r1 * r2 + r1 * r3 + r2 * r3), -k * r1 * r2 * r3)
+
+
+def test_close_roots_beside_a_far_root_are_kept():
+    # roots 2 and 3 lie 5e-9 of the far root apart, and the closed form's
+    # double-root band, relative to the largest root, merged them
+    roots = solve_cubic_real(*from_roots(1.0, 2.0, 3.0, -2e8))
+    assert roots == pytest.approx([-2e8, 2.0, 3.0], rel=1e-12)
+
+
+def test_far_roots_are_kept():
+    # at a root of size 1e8 to 9e15 the round-off in p alone is far above the
+    # coefficients, and an absolute residual bound dropped every such root
+    rng = random.Random(2)
+    for _ in range(2000):
+        want = [rng.uniform(0.5, 3.0), rng.uniform(3.0, 6.0), rng.uniform(1e8, 9e15)]
+        coeffs = from_roots(1.0, *want)
+        roots = solve_cubic_real(*coeffs)
+        assert roots == pytest.approx(want, rel=1e-9), coeffs
+        assert_relative_residuals(coeffs, roots)
+
+
+def test_mixed_scale_roots_are_all_found():
+    # three real roots 1e-6 to 1e12 in size and at least 1e-3 apart relative
+    # to the larger, or one real root and a complex pair, under a leading
+    # coefficient 1e-6 to 1e6 in size: the count is exact, every root found
+    # to 1e-9 and its residual within round-off of p's terms there
+    rng = random.Random(24)
+    for _ in range(5000):
+        k = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-6.0, 6.0)
+        r = [rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-6.0, 12.0) for _ in range(3)]
+        if rng.random() < 0.5:
+            want = sorted(r)
+            if any(abs(a - b) < 1e-3 * max(abs(a), abs(b)) for a, b in zip(want, want[1:])):
+                continue
+            coeffs = from_roots(k, *want)
+        else:
+            # (x - r0)(x^2 - 2*re*x + |z|^2) with z = re + i*im, |im| >= 0.05|z|
+            angle = rng.uniform(0.05, math.pi - 0.05)
+            re, mod2 = abs(r[1]) * math.cos(angle), r[1] * r[1]
+            want = [r[0]]
+            coeffs = (k, -k * (r[0] + 2.0 * re), k * (mod2 + 2.0 * re * r[0]), -k * r[0] * mod2)
+        roots = solve_cubic_real(*coeffs)
+        assert roots == pytest.approx(want, rel=1e-9), coeffs
+        assert_relative_residuals(coeffs, roots)
+
+
 def test_brent_needs_a_sign_change():
     assert brent(lambda x: x * x + 1.0, -1.0, 2.0) is None
     assert brent(lambda x: x - 3.0, 0.0, 2.0) is None
@@ -215,6 +274,21 @@ def test_brent_converges_to_a_jump_within_the_width_bound(hi):
     jump = 0.3 * hi
     root = brent(lambda x: -1.0 if x < jump else 2.0, 0.0, hi)
     assert abs(root - jump) <= 1e-15 * max(1.0, hi)
+
+
+def test_brent_width_bound_does_not_depend_on_the_brackets_sign():
+    # the bound is relative to the larger end in size: taken from hi alone, a
+    # bracket on the negative side never got narrower than it, and brent ran
+    # all 300 iterations
+    def evaluations(g, lo, hi):
+        calls = []
+        root = brent(lambda x: calls.append(x) or g(x), lo, hi)
+        return root, len(calls)
+
+    root, positive = evaluations(lambda x: x**3 - 1000.5, 0.0, 20.0)
+    mirrored, negative = evaluations(lambda x: -x**3 - 1000.5, -20.0, 0.0)
+    assert mirrored == pytest.approx(-root, rel=1e-15)
+    assert negative <= positive
 
 
 def test_brent_finds_smooth_roots_to_the_last_bits():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sirdelay.charroots import certified_sign, char_roots_scan, char_value, max_real_part
+from sirdelay.cubic import solve_cubic_real
 from sirdelay.equilibria import all_equilibria
 from sirdelay.model import JacCoeffs, jacobian_coeffs
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -23,6 +24,7 @@ from sirdelay.stability import (
     CharCoeffs,
     char_coeffs,
     check,
+    crossing_cubic,
     crossings,
     delay_free_stable,
     delta_analysis,
@@ -348,6 +350,33 @@ def test_every_crossing_puts_a_root_on_the_imaginary_axis():
                     assert abs(char_value(cc, *delays(h), 1j * nu)) < 1e-9, (cc, slice_, h)
                     found += 1
     assert found > 300
+
+
+def test_close_crossings_beside_a_far_root_are_kept():
+    # the tau = 0 slice P = lam^3 + p2*lam^2 + p0, Q = q0 with p2^2 = 2e8 - 5,
+    # -2*p2*p0 = 6 - 1e9 and p0^2 - q0^2 = 1.2e9 has the crossing cubic
+    # (s - 2)(s - 3)(s + 2e8), whose roots 2 and 3 lie close beside the far one
+    p2 = math.sqrt(2e8 - 5.0)
+    p0 = (1e9 - 6.0) / (2.0 * p2)
+    cc = CharCoeffs(l=p2, m=0.0, n=p0, l1=0.0, m1=0.0, n1=math.sqrt(p0 * p0 - 1.2e9))
+    found = crossings(*cc.one_delay("delta"))
+    assert [nu for nu, _ in found] == pytest.approx([math.sqrt(2.0), math.sqrt(3.0)], rel=1e-9)
+    for nu, h0 in found:
+        assert abs(char_value(cc, 0.0, h0, 1j * nu)) < 1e-9
+
+
+def test_a_far_root_of_the_crossing_cubic_is_kept():
+    # ex5_1 with a = 1e5 and b = b1 = 300: the endemic point's delta = 0 cubic
+    # has the roots -0.30 and 3.30 and one near -9e14, where the round-off in
+    # p alone is far above its coefficients; the three sum to -a2
+    model = load_preset("ex5_1").model
+    model = replace(model, params=replace(model.params, a=1e5, b=300.0, b1=300.0))
+    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
+    cubic = crossing_cubic(*char_coeffs(jacobian_coeffs(model, eq)).one_delay("tau"))
+    roots = solve_cubic_real(*cubic)
+    assert roots[1:] == pytest.approx([-0.302775646, 3.302775112], rel=1e-8)
+    assert roots[0] == pytest.approx(-cubic[1] - roots[1] - roots[2], rel=1e-12)
+    assert roots[0] == pytest.approx(-9e14, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
