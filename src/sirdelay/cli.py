@@ -9,8 +9,10 @@ Subcommands:
 * ``verify``     - run the acceptance suite over the bundled presets
 
 Exit status: 0 on success, 1 on computation errors, 2 on configuration
-errors (unknown preset, malformed config file, more than MAX_STEPS grid
-values, grid rows or CSV rows).
+errors (unknown preset, malformed config file or reference block, more
+than MAX_STEPS grid values, grid rows or CSV rows, an output path that
+cannot be written).  Every file is written by ``_write``, into an output
+directory made before any work starts.
 """
 
 from __future__ import annotations
@@ -74,16 +76,29 @@ def _scenario_name(cfg: ScenarioConfig, args) -> str:
     return cfg.name or args.preset or Path(args.config).stem
 
 
+def _write(path, fill, field="out"):
+    """Open ``path``, let ``fill`` write to it, and say so; an OSError is a
+    ConfigError naming ``field``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fill(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}", field=field) from None
+    print(f"wrote {path}")
+
+
 def _maybe_dump_config(cfg: ScenarioConfig, args):
     if getattr(args, "dump_config", None):
-        with open(args.dump_config, "w") as fh:
-            dump_scenario(cfg, fh)
-        print(f"wrote {args.dump_config}")
+        _write(args.dump_config, lambda fh: dump_scenario(cfg, fh), field="dump-config")
 
 
 def _outdir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    """The output directory, made before any work is done that would be lost."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}", field="out") from None
     return out
 
 
@@ -110,6 +125,7 @@ def cmd_equilibria(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _resolve_scenario(args)
+    out = _outdir(args) if args.out else None
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
     eqs = all_equilibria(cfg.model)
@@ -127,10 +143,8 @@ def cmd_stability(args) -> int:
             print()
     if args.format == "json" or args.out:
         doc = json.dumps({"reports": [report_to_json(r) for r in reports]}, indent=2)
-        if args.out:
-            path = _outdir(args) / f"{name}_stability.json"
-            path.write_text(doc + "\n")
-            print(f"wrote {path}")
+        if out:
+            _write(out / f"{name}_stability.json", lambda fh: fh.write(doc + "\n"))
         else:
             print(doc)
     return 0
@@ -151,14 +165,12 @@ def cmd_simulate(args) -> int:
                 raise ConfigError("delays must be nonnegative and finite", field=name)
         model = replace(model, params=model.params.with_delays(tau, delta))
         cfg = replace(cfg, model=model)
+    out = _outdir(args)
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
     traj = integrate(model, cfg.history, cfg.horizon, step=cfg.step)
-    out = _outdir(args)
-    csv_path = out / f"{name}_timeseries.csv"
-    with open(csv_path, "w", newline="") as fh:
-        trajectory_to_csv(traj, fh, stride=args.stride)
-    print(f"wrote {csv_path}")
+    _write(out / f"{name}_timeseries.csv",
+           lambda fh: trajectory_to_csv(traj, fh, stride=args.stride))
     final = traj.final_state()
     print(f"final state: ({final.x:.8g}, {final.y:.8g}, {final.z:.8g})")
     eqs = all_equilibria(cfg.model)
@@ -176,9 +188,7 @@ def cmd_simulate(args) -> int:
             title=f"{name}: tau={model.params.tau:g}, delta={model.params.delta:g}",
             x_label="t", y_label="density",
         )
-        svg_path = out / f"{name}_trajectory.svg"
-        svg_path.write_text(svg)
-        print(f"wrote {svg_path}")
+        _write(out / f"{name}_trajectory.svg", lambda fh: fh.write(svg))
     return 0
 
 
@@ -189,6 +199,7 @@ def cmd_sweep(args) -> int:
     if len(taus) * len(deltas) > MAX_STEPS:
         raise ConfigError(f"the tau x delta grid has {len(taus) * len(deltas)} rows, more than "
                           f"MAX_STEPS = {MAX_STEPS}", field="grid")
+    out = _outdir(args)
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
     grid = [(t, d) for t in taus for d in deltas]
@@ -196,15 +207,10 @@ def cmd_sweep(args) -> int:
     for row in rows:
         mr = "" if row.max_re_lambda is None else f"  max Re lambda = {row.max_re_lambda:+.4f}"
         print(f"tau = {row.tau:6g}  delta = {row.delta:6g}  {row.label()}{mr}")
-    out = _outdir(args)
     if args.format == "json":
-        path = out / f"{name}_sweep.json"
-        path.write_text(sweep_to_json(rows) + "\n")
+        _write(out / f"{name}_sweep.json", lambda fh: fh.write(sweep_to_json(rows) + "\n"))
     else:
-        path = out / f"{name}_sweep.csv"
-        with open(path, "w", newline="") as fh:
-            sweep_to_csv(rows, fh)
-    print(f"wrote {path}")
+        _write(out / f"{name}_sweep.csv", lambda fh: sweep_to_csv(rows, fh))
     return 0
 
 

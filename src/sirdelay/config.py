@@ -17,7 +17,9 @@ JSON layout (the model block alone is also accepted and gets defaults):
                                // (at most the smallest positive delay, or
                                // horizon/100 with none); no mesh step of
                                // sirdelay.integrator is longer
-      "reference": {...}       // optional published values for cross-checks
+      "reference": {...}       // optional published values for cross-checks,
+                               // shaped as REFERENCE_SIZES says, and an
+                               // optional "note" string
     }
 
 Response kinds: zero | linear(k) | bilinear | saturating_incidence(k) |
@@ -30,14 +32,20 @@ and leaves out a step, name or reference that is not set.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_finite
 from .integrator import ConstantHistory, HistorySpec, history_from_dict
 from .model import ModelSpec, State, to_jsonable
 
 __all__ = ["ScenarioConfig", "scenario_from_dict", "load_scenario", "dump_scenario"]
+
+#: the reference keys that are read, each with the count of numbers it holds
+#: (None: a list of any length, 0: one number); other keys are kept unread
+REFERENCE_SIZES = {"equilibrium": 3, "char_poly": 4, "pseudo_delay_cubic": 4, "roots": None,
+                   "T_plus": 0, "nu_plus": 0, "tau_plus": 0}
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,20 @@ class ScenarioConfig:
                               field="name")
         if not isinstance(self.reference, dict):
             raise ConfigError("reference block must be an object", field="reference")
+        for key, value in self.reference.items():
+            what, size = f"reference {key}", REFERENCE_SIZES.get(key)
+            try:
+                if key == "note" and not isinstance(value, str):
+                    raise DomainError(f"{what} must be a string, got {reprlib.repr(value)}")
+                if size == 0:
+                    check_finite(what, value)
+                elif key in REFERENCE_SIZES:
+                    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+                        raise DomainError(f"{what} must be a list of {size or 'any number of'} "
+                                          f"numbers, got {reprlib.repr(value)}")
+                    check_finite(f"{what} entry", *value)
+            except DomainError as exc:
+                raise ConfigError(str(exc), field="reference") from None
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:

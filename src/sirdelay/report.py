@@ -49,8 +49,8 @@ PRESERVED_STABLE = "preserved_stable"
 PRESERVED_UNSTABLE = "preserved_unstable"
 SWITCH_AT = "switch_at"
 
-#: offset on each side of the exact crossing at which the root scan must
-#: show max Re < 0 before it and > 0 after it
+#: offset on each side of the exact crossing at which the root count must
+#: certify max Re < 0 before it and > 0 after it
 CROSSING_CHECK = 1e-3
 
 
@@ -84,7 +84,7 @@ class StabilityReport:
     oracle_roots: tuple           # at the model's (tau, delta); empty if refused
     oracle_roots_zero_delay: tuple
     oracle_crossing_tau: float | None  # exact first crossing in tau (delta = 0)
-    crossing_checked: bool  # the root oracle confirms the sign change across it
+    crossing_checked: bool  # the root count certifies the sign change across it
     annotations: tuple
 
 
@@ -105,23 +105,20 @@ def _synthesize_tau_only(delay_free, persistence, critical) -> TauOnlySummary:
 
 
 def switch_evidence(cc, lo: float, hi: float, where: tuple[str, str]) -> str | None:
-    """None when max Re at delta = 0 goes from < 0 at tau = lo to > 0 at tau = hi,
-    as the certified signs show or else the root scans; otherwise the evidence
-    'max Re = L at <where[0]> and R at <where[1]>'.  An empty scan prints what the
-    count certified, and a scan the oracle refuses (DomainError) prints its reason."""
+    """None exactly when the root count certifies max Re at delta = 0 < 0 at tau = lo
+    and > 0 at tau = hi (``certified_sign`` -1, +1); otherwise the root scans explain
+    the miss as 'max Re = L at <where[0]> and R at <where[1]>', with an empty scan
+    printing what the count certified and a refused one (DomainError) its reason."""
     if certified_sign(cc, lo, 0.0) < 0 < certified_sign(cc, hi, 0.0):
         return None
     ends = []
     for tau in (lo, hi):
         try:
             top = max_real_part(cc, tau, 0.0)
-            ends.append((top, f"(no root with Re > {-EPS:g})" if top is None else f"{top:.4g}"))
+            ends.append(f"(no root with Re > {-EPS:g})" if top is None else f"{top:.4g}")
         except DomainError as exc:
-            ends.append((None, f"(uncertified: {exc})"))
-    (left, left_text), (right, right_text) = ends
-    if left is not None and right is not None and left < 0.0 < right:
-        return None
-    return f"max Re = {left_text} at {where[0]} and {right_text} at {where[1]}"
+            ends.append(f"(uncertified: {exc})")
+    return f"max Re = {ends[0]} at {where[0]} and {ends[1]} at {where[1]}"
 
 
 def _fmt_poly(coeffs) -> str:
@@ -143,8 +140,8 @@ def build_stability_report(
     with the computed pipeline is annotated rather than resolved.  When the
     zero-delay scan finds every root stable, the exact first crossing in tau
     (delta = 0) is computed and checked on both sides of it by the root
-    count, or by the scan where the count cannot decide; it audits the
-    pseudo-delay prediction.  A scan refused at the model's own (tau, delta)
+    count alone (``switch_evidence``); it audits the pseudo-delay
+    prediction.  A scan refused at the model's own (tau, delta)
     leaves ``oracle_roots`` empty and is annotated with its reason.
     """
     p = model.params
@@ -191,7 +188,7 @@ def build_stability_report(
                                (f"tau - {CROSSING_CHECK:g}", f"tau + {CROSSING_CHECK:g}"))
         if miss is not None:
             annotations.append(f"exact crossing tau = {crossing:.6g} (delta = 0) is not "
-                               f"confirmed by the root scan: {miss}")
+                               f"certified by the root count: {miss}")
         checked = "" if miss else ", checked by the root count,"
         exact = f"the exact crossing{checked} is at tau = {crossing:.4g}"
 

@@ -73,6 +73,34 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "[history]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["equilibria", "stability"])
+@pytest.mark.parametrize("reference", [
+    {"roots": 5}, {"char_poly": [1, "x", 2, 3]}, {"tau_plus": [1, 2]},
+    {"pseudo_delay_cubic": None}, {"equilibrium": "abc"},
+    # one coordinate used to be compared alone and pass
+    {"equilibrium": [1]}, {"nu_plus": True}, {"note": 3},
+])
+def test_malformed_reference_exits_2(tmp_path, capsys, command, reference):
+    blob = to_jsonable(load_preset("ex5_3"))
+    blob["reference"] = reference
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(blob))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error [reference]: reference ")
+    assert next(iter(reference)) in captured.err
+    assert captured.out == ""
+
+
+def test_unread_reference_keys_are_kept(tmp_path, capsys):
+    blob = to_jsonable(load_preset("ex5_3"))
+    blob["reference"]["source"] = {"table": 2}
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(blob))
+    assert load_scenario(path).reference["source"] == {"table": 2}
+    assert main(["equilibria", "--config", str(path)]) == 0
+
+
 def test_decreasing_response_config_exits_2(tmp_path, capsys):
     path = tmp_path / "decreasing.json"
     blob = to_jsonable(load_preset("ex5_1"))
@@ -106,7 +134,7 @@ def test_stability_names_an_oracle_refusal_in_the_report(tmp_path, capsys):
     assert main(["stability", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "equilibrium disease_free" in out and "equilibrium endemic" in out
-    assert ("exact crossing tau = 0.993394 (delta = 0) is not confirmed by the root scan: "
+    assert ("exact crossing tau = 0.993394 (delta = 0) is not certified by the root count: "
             "max Re = (uncertified: tau + delta = 0.992394 is too long to certify the roots) "
             "at tau - 0.001 and (uncertified: tau + delta = 0.994394 is too long to certify "
             "the roots) at tau + 0.001") in out
@@ -262,6 +290,35 @@ def test_oversized_request_exits_2_before_building_or_writing(tmp_path, capsys, 
     assert f"config error [{field}]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert peak < 8e6
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["stability", "--preset", "ex5_3", "--out", "{file}/sub"], "out"),
+    (["sweep", "--preset", "ex5_3", "--tau", "5", "--horizon", "100", "--out", "{file}"], "out"),
+    (["simulate", "--preset", "ex5_3", "--horizon", "10", "--out", "{file}"], "out"),
+    (["equilibria", "--preset", "ex5_3", "--dump-config", "{tmp}/nodir/x.json"], "dump-config"),
+    (["stability", "--preset", "ex5_3", "--dump-config", "{tmp}/nodir/x.json"], "dump-config"),
+    (["sweep", "--preset", "ex5_3", "--tau", "5", "--out", "{tmp}",
+      "--dump-config", "{file}/x.json"], "dump-config"),
+    (["simulate", "--preset", "ex5_3", "--out", "{tmp}",
+      "--dump-config", "{tmp}/nodir/x.json"], "dump-config"),
+])
+def test_unwritable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        argv, field):
+    file = tmp_path / "file"
+    file.write_text("")
+    for name in ("all_equilibria", "sweep", "integrate"):
+        monkeypatch.setattr(cli, name, _refuse)
+    argv = [a.format(file=file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error [{field}]: cannot ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [file]
 
 
 #: a JSON integer literal (401 digits) too large to convert to a float

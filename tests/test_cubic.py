@@ -190,22 +190,35 @@ def test_triple_root_is_kept():
         assert roots == pytest.approx([a], rel=1e-12), (a, k)
 
 
-def _three_root_family_losses(scale, seed=5, count=100000):
-    rng = random.Random(seed)
+def _losses(cubics):
+    # the count of real roots missing from cubics that each have three
     lost = 0
-    for _ in range(count):
-        r = [rng.uniform(-1.0, 1.0) * scale for _ in range(3)]
+    for r in cubics:
         coeffs = (1.0, -(r[0] + r[1] + r[2]), r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
                   -r[0] * r[1] * r[2])
-        lost += len(solve_cubic_real(*coeffs)) != 3
+        lost += 3 - len(solve_cubic_real(*coeffs))
     return lost
 
 
+def _uniform_roots(rng, scale, count=20000):
+    return ([rng.uniform(-1.0, 1.0) * scale for _ in range(3)] for _ in range(count))
+
+
+def _close_pairs(rng, scale, count=2000):
+    # two roots 1e-6 * scale apart, and the third 0.3 * scale to scale away
+    for _ in range(count):
+        r = rng.uniform(-1.0, 1.0) * scale
+        far = r + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0) * scale
+        yield r, r + 1e-6 * scale, far
+
+
 def test_small_cubics_lose_no_more_roots_than_unit_ones():
-    # duplicates are merged relative to the roots' size, so the same seeded
-    # three-root family shrunk to [-1e-4, 1e-4] keeps as many roots as at
-    # scale 1 (an absolute bar below 1 used to merge roots 5e-10 apart)
-    assert _three_root_family_losses(1e-4) <= _three_root_family_losses(1.0)
+    # duplicates are merged relative to the roots' size, so three-root
+    # families shrunk to 1e-4 keep every root, as at scale 1; merging roots
+    # closer than an absolute 1e-9 would lose every close pair at 1e-4
+    for scale in (1.0, 1e-4):
+        assert _losses(_close_pairs(random.Random(7), scale)) == 0, scale
+        assert _losses(_uniform_roots(random.Random(5), scale)) == 0, scale
 
 
 def from_roots(k, r1, r2, r3):

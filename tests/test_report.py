@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from sirdelay import charroots, report, stability
-from sirdelay.charroots import char_roots_scan, max_real_part
+from sirdelay.charroots import certified_sign, char_roots_scan, max_real_part
 from sirdelay.cli import main
 from sirdelay.equilibria import all_equilibria
+from sirdelay.model import JacCoeffs
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.report import (
     build_stability_report,
@@ -20,7 +21,7 @@ from sirdelay.report import (
     switch_evidence,
 )
 from sirdelay.responses import Linear
-from sirdelay.stability import STABLE
+from sirdelay.stability import STABLE, CharCoeffs
 
 
 def report_for(name, kind, **kw):
@@ -113,6 +114,69 @@ def test_switch_evidence_is_none_only_where_max_re_switches_sign():
     assert f"tau = {c:.4g}, checked by the root count" in render_report(rep)
 
 
+# stable at zero delay and crossing at tau* = 38.06, where max Re moves
+# only 4.2e-7 either side of 0 within 1e-3 of the crossing: the root count
+# certifies neither sign there, and the root scans' values alone do not
+# confirm the switch
+NEAR_MISS = CharCoeffs(2.2558845475884883, 2.2138554619080217, 0.026191409309933356,
+                       1.4923913887258085, -1.4885618499603372, 1.593819249016355)
+
+
+def test_root_scan_values_alone_do_not_confirm_a_switch(monkeypatch):
+    c = stability.tau_crossing(NEAR_MISS)
+    assert c == pytest.approx(38.06258, abs=1e-5)
+    lo, hi = c - 1e-3, c + 1e-3
+    assert certified_sign(NEAR_MISS, lo, 0.0) == certified_sign(NEAR_MISS, hi, 0.0) == 0
+    evidence = "max Re = -4.2e-07 at tau - 0.001 and 4.2e-07 at tau + 0.001"
+    assert switch_evidence(NEAR_MISS, lo, hi, ("tau - 0.001", "tau + 0.001")) == evidence
+
+    monkeypatch.setattr(report, "char_coeffs", lambda jac: NEAR_MISS)
+    rep = report_for("ex5_3", "endemic")
+    assert rep.oracle_crossing_tau == c
+    assert not rep.crossing_checked
+    assert (f"exact crossing tau = {c:.6g} (delta = 0) is not certified by the root "
+            f"count: {evidence}") in rep.annotations
+    text = render_report(rep)
+    assert "checked by the root count" not in text
+    assert f"exact stability crossing (delta=0): tau = {c:.4g}\n" in text
+
+
+def test_a_stable_delay_free_verdict_the_zero_delay_scan_contradicts_is_annotated(monkeypatch):
+    # lam^3 + lam^2 + lam + 10 passes the three sign checks, but l * m < n
+    jac = JacCoeffs(A=0.0, B=-1.0, C=0.0, D=1.0, E=-9.0, alpha=1.0)
+    monkeypatch.setattr(report, "jacobian_coeffs", lambda model, eq: jac)
+    rep = report_for("ex5_3", "endemic")
+    assert rep.cc.zero_delay() == (1.0, 1.0, 1.0, 10.0)
+    assert rep.delay_free.verdict == STABLE
+    top = rep.oracle_roots_zero_delay[0].real
+    assert top == pytest.approx(0.6825, abs=1e-4)
+    assert (f"delay-free criterion says stable but the zero-delay root scan finds "
+            f"max Re = {top:.6g} > 0") in rep.annotations
+    assert rep.oracle_crossing_tau is None
+
+
+@pytest.mark.parametrize("jac,persistence,verdict", [
+    (JacCoeffs(A=-0.5, B=-1.0, C=0.5, D=-1.0, E=3.0, alpha=1.0),
+     "switch_expected", "preserved_unstable"),
+    (JacCoeffs(A=0.5, B=-2.0, C=2.0, D=-0.5, E=0.0, alpha=1.0),
+     "instability_persists", "preserved_unstable"),
+    (JacCoeffs(A=-1.0, B=-2.0, C=0.5, D=1.0, E=2.0, alpha=1.0),
+     "inconclusive", "inconclusive"),
+])
+def test_a_point_unstable_at_zero_delay_takes_its_tau_verdict_from_persistence(
+        monkeypatch, jac, persistence, verdict):
+    monkeypatch.setattr(report, "jacobian_coeffs", lambda model, eq: jac)
+    rep = report_for("ex5_3", "endemic")
+    assert rep.delay_free.verdict == "not_established"
+    assert not rep.delay_free.delay_free_equivalent
+    assert rep.tau_only.persistence.verdict == persistence
+    assert rep.tau_only.verdict == verdict
+    assert rep.tau_only.critical is None and rep.tau_only.tau_plus is None
+    if verdict == "preserved_unstable":
+        for tau in (0.5, 2.0, 8.0):
+            assert certified_sign(rep.cc, tau, 0.0) == 1, tau
+
+
 def test_ex5_4_report_flags_polynomial_discrepancy():
     rep = report_for("ex5_4", "disease_free")
     assert rep.delay_free.delay_free_equivalent
@@ -162,7 +226,7 @@ def test_reports_build_for_every_preset_equilibrium(name):
     for eq in eqs:
         rep = build_stability_report(cfg.model, eq, equilibria=eqs, name=name,
                                      reference=cfg.reference)
-        assert not any("not confirmed by the root scan" in a for a in rep.annotations)
+        assert not any("not certified by the root count" in a for a in rep.annotations)
         json.dumps(report_to_json(rep))
         text = render_report(rep)
         assert "criteria:" in text
