@@ -39,8 +39,8 @@ print("   ", eval_rhs(model, State(1.0, 1.0, 1.0), 1.0, 1.0))
 print()
 
 print("steady states (disease-free solved by Brent's method, endemic in closed")
-print("form for this bilinear case, otherwise by bracketing sign changes of")
-print("one equation in y):")
+print("form for this bilinear case, otherwise as the real roots of one")
+print("resultant polynomial in y):")
 for eq in all_equilibria(model):
     s = eq.state
     print(f"  {eq.kind:13s} ({s.x:.10g}, {s.y:.10g}, {s.z:.10g})   residual {eq.residual:.1e}")

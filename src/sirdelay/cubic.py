@@ -89,20 +89,22 @@ def _real_roots(cs):
         return sorted({0.0, *_real_roots(cs[:-1])})
     d1 = [c * (n - i) for i, c in enumerate(cs[:-1])]
     d2 = [c * (n - 1 - i) for i, c in enumerate(d1[:-1])]
-    # cut the line at the real roots of p' and p'' inside twice Fujiwara's
-    # bound on |roots|: on each piece p is monotone and convex or concave
-    bound = 4.0 * max(abs(c / cs[0] / (2.0 if k == n else 1.0)) ** (1.0 / k)
+    # cut the line at the real roots of p' and p'' inside Fujiwara's bound on
+    # |roots|: on each piece p is monotone and convex or concave
+    bound = 2.0 * max(abs(c / cs[0] / (2.0 if k == n else 1.0)) ** (1.0 / k)
                       for k, c in enumerate(cs[1:], 1))
     cuts = {x for x in _real_roots(d1) + _real_roots(d2) if -bound < x < bound}
     xs = [-bound, *sorted(cuts), bound]
     fs = [_horner(cs, x)[0] for x in xs]
     check_finite("polynomial at its root bound", fs[0])
-    for i in range(1, len(xs) - 1):
-        # a cut where |p| is within its round-off is a root, multiple or not
-        if abs(fs[i]) <= 16.0 * 2.0**-53 * _horner([abs(c) for c in cs], abs(xs[i]))[0]:
+    mags = [abs(c) for c in cs]
+    for i, x in enumerate(xs):
+        # a cut where |p| is within its round-off is a root, multiple or not;
+        # so is an end, where a root may sit, the bound being attained
+        if abs(fs[i]) <= 16.0 * 2.0**-53 * _horner(mags, abs(x))[0]:
             fs[i] = 0.0
     # root cuts side by side are one root, p being monotone between them
-    roots = [x for i, x in enumerate(xs) if fs[i] == 0.0 and fs[i - 1] != 0.0]
+    roots = [x for i, x in enumerate(xs) if fs[i] == 0.0 and (i == 0 or fs[i - 1] != 0.0)]
     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
         if fa < 0.0 < fb or fb < 0.0 < fa:  # one simple root inside
             convex = _horner(d2, 0.5 * (a + b))[0] > 0.0

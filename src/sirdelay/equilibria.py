@@ -1,10 +1,11 @@
-"""Equilibrium computation: disease-free and endemic roots by Brent's method."""
+"""Equilibrium computation: the disease-free root by Brent's method, and the
+endemic points as the real roots of one resultant polynomial."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubic import brent
+from .cubic import _real_roots, brent
 from .model import ModelSpec, State, eval_rhs
 from .responses import Bilinear, Linear
 
@@ -23,9 +24,7 @@ ENDEMIC = "endemic"
 RESIDUAL_TOL = 1e-10
 #: boundary band for the strict endemic-existence inequality
 BOUNDARY_TOL = 1e-12
-#: equally spaced samples of H(y) over (0, Y] in the endemic search
-ENDEMIC_SAMPLES = 400
-#: endemic points need y above this; it is also the first sample of H(y)
+#: endemic points need y above this
 MIN_ENDEMIC_Y = 1e-8
 
 
@@ -94,6 +93,132 @@ def _closed_form_endemic(model: ModelSpec):
     return Equilibrium(state=st, kind=ENDEMIC, residual=_residual(model, st))
 
 
+class _Poly(dict):
+    """A polynomial in x and y: {(i, j): coefficient of x**i * y**j}."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def __neg__(self):
+        return _Poly({key: -c for key, c in self.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (i, j), c in self.items():
+            for (k, l), e in other.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * e
+        return out
+
+
+_ONE = _Poly({(0, 0): 1})
+
+
+class _Ratio:
+    """num / den, two ``_Poly``: a response's ``value`` run on the symbols x
+    and y.  ``== 0.0`` asks whether the ratio is identically zero."""
+
+    __hash__ = None
+
+    def __init__(self, num, den=_ONE):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        o = _ratio(other)
+        if self.den == o.den:
+            return _Ratio(self.num + o.num, self.den)
+        return _Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Ratio(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_ratio(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _ratio(other)
+        return _Ratio(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _ratio(other)
+        return _Ratio(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return _ratio(other) / self
+
+    def __pow__(self, n):
+        out = _ratio(1)
+        for _ in range(abs(n)):
+            out = out * self
+        return out if n >= 0 else 1 / out
+
+    def __eq__(self, other):
+        return not any((self - other).num.values())
+
+
+def _ratio(v):
+    # a number as a constant ratio; 0 has no terms, so a float 0.0 (``Zero``)
+    # leaves exact coefficients exact
+    return v if isinstance(v, _Ratio) else _Ratio(_Poly({(0, 0): v} if v else {}))
+
+
+_X, _Y = _Ratio(_Poly({(1, 0): 1})), _Ratio(_Poly({(0, 1): 1}))
+
+
+def _in_x(e):
+    # the coefficients of e in x, highest power first, each a polynomial in y
+    terms = {key: c for key, c in e.items() if c}
+    n = max(i for i, _ in terms)
+    out = [_Poly() for _ in range(n + 1)]
+    for (i, j), c in terms.items():
+        out[n - i][0, j] = c
+    return out
+
+
+def _det(rows):
+    # by cofactors along the first row; the Sylvester matrices are at most 4x4
+    if not rows:
+        return _ONE
+    total = _Poly()
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _endemic_polynomial(model: ModelSpec):
+    """(e1, R): e1 = the numerator of G(x) - K(y) by powers of x, and R(y) =
+    Res_x(e1, e2), e2 the numerator of b1*f(x, y) - r*P(y) - d1*y, as its
+    coefficients in y, highest power first, with the powers of y divided
+    out.  Each response's ``value`` runs on the symbols x and y."""
+    p = model.params
+    rp = p.r * model.P.value(_Y)
+    k = (p.b / p.b1) * (rp + p.d1 * _Y) - rp
+    e1 = _in_x((_susceptible_balance(model)(_X) - k).num)
+    e2 = _in_x((p.b1 * model.f.value(_X, _Y) - rp - p.d1 * _Y).num)
+    m, n = len(e1) - 1, len(e2) - 1
+    zero = _Poly()
+    rows = [[zero] * i + e1 + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + e2 + [zero] * (m - 1 - i) for i in range(m)]
+    res = _det(rows)
+    cs = [res.get((0, j), 0) for j in range(max(j for _, j in res), -1, -1)]
+    while cs[0] == 0:
+        cs.pop(0)
+    while cs[-1] == 0:
+        cs.pop()
+    return e1, cs
+
+
 def find_endemic(model: ModelSpec):
     """All endemic equilibria (y > 0) of the model.
 
@@ -101,66 +226,44 @@ def find_endemic(model: ModelSpec):
     closed form.  Otherwise, with z = r*P(y)/alpha and b1*f = r*P(y) + d1*y,
     the x equation reads G(x) = K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y).
     Contract: V and P do not decrease (``ModelSpec`` checks it), so with
-    b1 <= b, G falls and K rises, so x(y) is one root on [0, a/d] for y in
-    (0, Y], where K(Y) = G(0), and falls strictly in y.  The endemic points
-    are the sign changes of H(y) = b1*f(x(y), y) - r*P(y) - d1*y, sampled
-    at MIN_ENDEMIC_Y (so a point just above threshold, next to the
-    disease-free root y = 0, is bracketed) and at ENDEMIC_SAMPLES equal
-    steps of (0, Y], bracketing x(y) by [0, x(previous sample)] where that
-    changes sign.  Each sign change is refined by ``cubic.brent``, x(y) on
-    [0, a/d], and verified to residual < 1e-10.  A tangential root at a
-    fold (or two roots within one step) changes no sign and is not reported.
+    b1 <= b, G falls and K rises, and x(y) is one root on [0, a/d] for y in
+    (0, Y], where K(Y) = G(0) <= K(b1*G(0)/(b*d1)).  Every response is
+    rational in its arguments, so the endemic points are common roots of
+    two polynomials: e1, the numerator of G(x) - K(y), and e2, that of
+    b1*f(x, y) - r*P(y) - d1*y.  Their y are real roots of the resultant
+    R(y) = Res_x(e1, e2) (``_endemic_polynomial``), found by
+    ``cubic._real_roots`` in (MIN_ENDEMIC_Y, b1*G(0)/(b*d1)]; each x is a
+    root of e1(., y) in [0, a/d], found the same way, so a root of R where
+    e2 shares e1's other root in x, which is negative, is dropped; so is a
+    point whose residual is 1e-10 or more (a root where a denominator
+    vanishes).  Two close roots of R are found as two; a fold, a double root
+    of R, is found where the round-off in R's coefficients leaves a real
+    root there, and is not certified.
     """
     if is_bilinear_special_case(model):
         eq = _closed_form_endemic(model)
         return [eq] if eq is not None else []
 
     p = model.params
-    f, P = model.f.value, model.P.value
-    G = _susceptible_balance(model)
-    g0 = G(0.0)
-    if g0 <= 0.0:  # then G(x) <= 0 < K(y) for all x >= 0 < y
-        return []
-
-    def K(y):
-        rp = p.r * P(y)
-        return (p.b / p.b1) * (rp + p.d1 * y) - rp
-
-    def x_of(y, hi=p.a / p.d):
-        k = K(y)
-        x = brent(lambda x: G(x) - k, 0.0, hi)
-        if x is None and hi < p.a / p.d:  # the warm bracket missed x(y)
-            return x_of(y)
-        return 0.0 if x is None else x  # K(y) passes G(0) only within Y's tolerance
-
-    def H(y, x):
-        return p.b1 * f(x, y) - p.r * P(y) - p.d1 * y
-
-    # K(y) >= (b/b1)*d1*y reaches G(0) by yhi; None means only at yhi, within rounding
-    yhi = p.b1 * g0 / (p.b * p.d1)
-    ymax = brent(lambda y: K(y) - g0, 0.0, yhi)
-    ymax = yhi if ymax is None else ymax
-    steps = (ymax * i / ENDEMIC_SAMPLES for i in range(1, ENDEMIC_SAMPLES + 1))
-    ys = [MIN_ENDEMIC_Y] + [y for y in steps if y > MIN_ENDEMIC_Y]
-    hs, x = [], p.a / p.d
-    for y in ys:
-        x = x_of(y, x)
-        hs.append(H(y, x))
-    roots = [y for y, h in zip(ys, hs) if h == 0.0]
-    roots += [brent(lambda y: H(y, x_of(y)), y0, y1)
-              for y0, y1, h0, h1 in zip(ys, ys[1:], hs, hs[1:]) if h0 * h1 < 0.0]
-
+    e1, cs = _endemic_polynomial(model)
+    yhi = p.b1 * _susceptible_balance(model)(0.0) / (p.b * p.d1)
     found = []
-    for y in roots:
-        st = State(x_of(y), y, p.r * P(y) / p.alpha)
-        if st.y <= MIN_ENDEMIC_Y or st.x < -1e-9 or st.z < -1e-9:
+    for y in _real_roots(cs):
+        if not MIN_ENDEMIC_Y < y <= yhi:
             continue
-        res = _residual(model, st)
-        if res >= RESIDUAL_TOL:
-            continue
-        if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
-            continue
-        found.append(Equilibrium(state=st, kind=ENDEMIC, residual=res))
+        at_y = [sum(c * y**j for (_, j), c in row.items()) for row in e1]
+        while at_y[0] == 0.0:
+            at_y.pop(0)
+        for x in _real_roots(at_y):
+            if not 0.0 <= x <= p.a / p.d:
+                continue
+            st = State(x, y, p.r * model.P.value(y) / p.alpha)
+            res = _residual(model, st)
+            if res >= RESIDUAL_TOL:
+                continue
+            if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
+                continue
+            found.append(Equilibrium(state=st, kind=ENDEMIC, residual=res))
     found.sort(key=lambda e: (e.state.x, e.state.y, e.state.z))
     return found
 

@@ -198,7 +198,8 @@ def build_stability_report(
         wrong = switch_evidence(cc, tp * 0.9, tp * 1.1, ("0.9*tau", "1.1*tau"))
         if wrong is not None:
             annotations.append(f"pseudo-delay chain predicts a switch at tau = {tp:.6g}, but "
-                               f"the root scan gives {wrong}" + (f"; {exact}" if exact else ""))
+                               f"the root count does not certify it: {wrong}"
+                               + (f"; {exact}" if exact else ""))
     elif tau_only.verdict == PRESERVED_STABLE and exact:
         annotations.append(f"criteria report preservation for all incubation delays, "
                            f"but {exact} (delta = 0)")

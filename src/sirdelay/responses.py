@@ -7,6 +7,13 @@ V(x) and the recovery term P(y).
 
 Conventions
 -----------
+* Each ``value`` is rational in its arguments: it uses only +, -, *, /,
+  integer powers and the test ``== 0.0``.  The endemic search runs it
+  unchanged on the symbols x and y of the rational type in
+  ``sirdelay.equilibria`` (where ``== 0.0`` means "identically zero") to
+  read each kind's numerator polynomials, so a kind that needs more (exp,
+  an order comparison, a fractional power) cannot join the catalog
+  without a new search.
 * ``FractionalMix`` (x/(x+y)) is defined as 0 with zero partials at the
   origin so the model right-hand side stays finite; the point (0, 0) is
   never reached from positive data.

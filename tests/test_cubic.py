@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sirdelay.cubic import brent, solve_cubic_real
+from sirdelay.cubic import _real_roots, brent, solve_cubic_real
 from sirdelay.errors import DomainError
 
 
@@ -267,6 +267,25 @@ def test_mixed_scale_roots_are_all_found():
         roots = solve_cubic_real(*coeffs)
         assert roots == pytest.approx(want, rel=1e-9), coeffs
         assert_relative_residuals(coeffs, roots)
+
+
+def test_a_root_at_or_just_inside_fujiwaras_bound_is_kept():
+    # the outermost pieces end at Fujiwara's bound 2*max|c_k/c_0|^(1/k), with
+    # c_n halved, which x^n - t*x^(n-1) - ... - t^(n-1)*x - 2*t^n attains at
+    # its root 2t, so the root is the end itself; (x - s)(x^2 + t*x + t^2)
+    # with s = 1.98t has the bound 1.9933t, so s lies 0.67% inside
+    rng = random.Random(11)
+    for _ in range(2000):
+        t = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        roots = solve_cubic_real(1.0, -t, -t * t, -2.0 * t**3)
+        assert roots == pytest.approx([2.0 * t], rel=1e-12), t
+        s = 1.98 * t
+        coeffs = (1.0, t - s, t * t - s * t, -s * t * t)
+        assert solve_cubic_real(*coeffs) == pytest.approx([s], rel=1e-12), t
+        assert_relative_residuals(coeffs, [s])
+        # the degree 7 of the endemic resultant
+        cs = [1.0] + [-t**k for k in range(1, 7)] + [-2.0 * t**7]
+        assert [x for x in _real_roots(cs) if x * t > 0.0] == pytest.approx([2.0 * t], rel=1e-12), t
 
 
 def test_brent_needs_a_sign_change():

@@ -1,13 +1,13 @@
 import math
-from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from sirdelay import equilibria
+from sirdelay import equilibria, responses
+from sirdelay.cubic import brent
 from sirdelay.equilibria import (
-    ENDEMIC_SAMPLES,
+    MIN_ENDEMIC_Y,
     all_equilibria,
     find_disease_free,
     find_endemic,
@@ -16,6 +16,8 @@ from sirdelay.equilibria import (
 from sirdelay.model import ModelSpec, Params, eval_rhs
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import Bilinear, Linear
+
+from test_cross_validation import random_models
 
 
 def max_diff(state, want):
@@ -146,36 +148,117 @@ def test_disease_free_root_has_the_exact_residual_of_a_last_bit(name):
     assert abs(G) <= 4.0 * math.ulp(xbar) * slope
 
 
-@pytest.mark.parametrize("name", ["ex5_5", "ex5_6", "ex5_7"])
-def test_x_of_y_solves_stay_within_an_evaluation_budget(name, monkeypatch):
-    # an x(y) solve is a brent call each of whose evaluations evaluates G
-    # once (one that evaluates H solves x(y) inside); counting evaluations,
-    # not time, keeps the budget deterministic
-    g_calls = [0]
-    balance = equilibria._susceptible_balance
+def exact(record):
+    # the same record with every number field a Fraction
+    return replace(record, **{f.name: Fraction(getattr(record, f.name)) for f in fields(record)})
 
-    def counted_balance(model):
-        G = balance(model)
 
-        def counted(x):
-            g_calls[0] += 1
-            return G(x)
-        return counted
+def infected_bound(model):
+    # Y, where K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y) reaches G(0) = a - c*V(0);
+    # K(y) >= (b/b1)*d1*y puts Y at or below yhi = b1*G(0)/(b*d1), and Y is
+    # yhi up to rounding where brent finds no sign change
+    p, P = model.params, model.P.value
+    g0 = p.a - p.c * model.V.value(0.0)
+    yhi = p.b1 * g0 / (p.b * p.d1)
+    Y = brent(lambda y: (p.b / p.b1) * (p.r * P(y) + p.d1 * y) - p.r * P(y) - g0, 0.0, yhi)
+    return yhi if Y is None else Y
 
-    evals = Counter()
-    brent = equilibria.brent
 
-    def counting_brent(g, lo, hi):
-        def counted(x):
-            before = g_calls[0]
-            value = g(x)
-            if g_calls[0] - before == 1:
-                evals[g] += 1
-            return value
-        return brent(counted, lo, hi)
+def tarski_query(ps, qs, lo, hi):
+    # the sum of sign q(y) over the distinct real roots y of p in (lo, hi],
+    # by the signed remainder sequence of p and p'*q in exact arithmetic
+    # (Sturm-Tarski; with q = 1 it is Sturm's count); coefficients highest
+    # power first
+    def value(cs, x):
+        out = 0
+        for c in cs:
+            out = out * x + c
+        return out
 
-    monkeypatch.setattr(equilibria, "_susceptible_balance", counted_balance)
-    monkeypatch.setattr(equilibria, "brent", counting_brent)
-    find_endemic(load_preset(name).model)
-    assert len(evals) >= ENDEMIC_SAMPLES
-    assert sum(evals.values()) / len(evals) <= 12.0
+    def stripped(a):
+        while a and a[0] == 0:
+            a = a[1:]
+        return a
+
+    def remainder(a, b):
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = stripped([u - q * v for u, v in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))])
+        return a
+
+    dp = [c * (len(ps) - 1 - i) for i, c in enumerate(ps[:-1])]
+    dpq = [0] * (len(dp) + len(qs) - 1)
+    for i, u in enumerate(dp):
+        for j, v in enumerate(qs):
+            dpq[i + j] += u * v
+    seq = [ps, stripped(dpq)]
+    while seq[-1]:
+        seq.append([-c for c in remainder(seq[-2], seq[-1])])
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (value(cs, x) for cs in seq) if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+    return sign_changes(lo) - sign_changes(hi)
+
+
+def in_y(poly):
+    # a polynomial in y alone as its coefficients, highest power first
+    return [poly.get((0, j), 0) for j in range(max(j for _, j in poly), -1, -1)]
+
+
+@pytest.mark.parametrize("model", [load_preset(name).model for name in PRESET_NAMES]
+                         + random_models(15) + random_models(200, seed=7),
+                         ids=lambda m: m.content_hash())
+def test_endemic_count_is_the_exact_root_count_of_the_resultant(model):
+    # R built from the model's numbers as Fractions, so its coefficients
+    # carry no round-off, and its distinct roots on (MIN_ENDEMIC_Y, Y]
+    # counted exactly, a fold or two close roots included.  At a root y the
+    # common root of e1 and e2 = A(y)*x + B(y) (linear in x for every
+    # incidence) is x = -B/A.  e1 is a line or a concave quadratic in x, and
+    # positive at x = 0 for y < Y, so its other root is negative and may be
+    # the common one: the root is an endemic point exactly when -A*B > 0,
+    # and the count is (TaQ(1) + TaQ(-A*B)) / 2
+    spec = replace(model, params=exact(model.params), f=exact(model.f), V=exact(model.V),
+                   P=exact(model.P))
+    p, X, Y = spec.params, equilibria._X, equilibria._Y
+    _, cs = equilibria._endemic_polynomial(spec)
+    assert all(type(c) is Fraction for c in cs)
+    A, B = equilibria._in_x((p.b1 * spec.f.value(X, Y) - p.r * spec.P.value(Y)
+                             - p.d1 * Y).num)
+    minus_ab = [-c for c in in_y(A * B)]
+    lo, hi = Fraction(MIN_ENDEMIC_Y), Fraction(infected_bound(model))
+    twice = tarski_query(cs, [1], lo, hi) + tarski_query(cs, minus_ab, lo, hi)
+    assert twice % 2 == 0  # odd where A*B = 0 at a root, which the count cannot place
+    assert len(find_endemic(model)) == twice // 2
+
+
+@pytest.mark.parametrize("r", [2.51111, 2.5111107])
+def test_two_endemic_points_closer_than_a_grid_step_are_both_found(r):
+    # a bistable model whose two endemic points meet at a fold near
+    # r = 2.51111071: here they lie closer in y than Y/400, the step of a
+    # 400-point scan of (0, Y], which missed both
+    model = random_models(500, seed=101)[375]
+    model = replace(model, params=replace(model.params, r=r))
+    eqs = find_endemic(model)
+    assert len(eqs) == 2
+    assert abs(eqs[0].state.y - eqs[1].state.y) < infected_bound(model) / 400.0
+    for eq in eqs:
+        st = eq.state
+        assert max(abs(v) for v in eval_rhs(model, st, st.x, st.y)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", sorted(responses._CLASS_BY_KIND))
+def test_every_response_kind_is_rational(kind):
+    # find_endemic runs each value on the symbols x and y; a kind that is
+    # not rational in its arguments fails here
+    cls = responses._CLASS_BY_KIND[kind]
+    fn = cls(**{f.name: 0.7 for f in fields(cls)})
+    x, y = 1.3, 0.4
+    n = fn.arity or 2
+    got = equilibria._ratio(fn.value(*(equilibria._X, equilibria._Y)[:n]))
+
+    def at(poly):
+        return sum(c * x**i * y**j for (i, j), c in poly.items())
+    den = at(got.den)
+    assert den != 0.0
+    assert at(got.num) / den == pytest.approx(fn.value(*(x, y)[:n]), rel=1e-14, abs=0.0)
