@@ -3,6 +3,7 @@
 Library layout:
 
 * :mod:`sirdelay.model` - model definition, right-hand side, linearization
+* :mod:`sirdelay.responses` - incidence, vaccination and recovery responses
 * :mod:`sirdelay.equilibria` - disease-free and endemic steady states
 * :mod:`sirdelay.stability` - closed-form stability criteria
 * :mod:`sirdelay.charroots` - characteristic-root scan (the numerical oracle)
@@ -38,7 +39,6 @@ from .model import (
     State,
     eval_rhs,
     jacobian_coeffs,
-    jacobian_coeffs_fd,
 )
 from .presets import PRESET_NAMES, load_preset
 from .report import StabilityReport, build_stability_report, render_report, report_to_json

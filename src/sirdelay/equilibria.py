@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .cubic import _real_roots, brent
 from .model import ModelSpec, State, eval_rhs
-from .responses import Bilinear, Linear
+from .responses import _ONE, _X, _Y, Bilinear, Linear, _Poly
 
 __all__ = [
     "Equilibrium",
@@ -20,7 +20,8 @@ __all__ = [
 DISEASE_FREE = "disease_free"
 ENDEMIC = "endemic"
 
-#: residual bound every returned equilibrium satisfies
+#: residual bound every endemic point found from the resultant satisfies,
+#: relative to the largest term of the three balances there (at least 1)
 RESIDUAL_TOL = 1e-10
 #: boundary band for the strict endemic-existence inequality
 BOUNDARY_TOL = 1e-12
@@ -31,6 +32,14 @@ MIN_ENDEMIC_Y = 1e-8
 def _residual(model: ModelSpec, st: State) -> float:
     dx, dy, dz = eval_rhs(model, st, st.x, st.y)
     return max(abs(dx), abs(dy), abs(dz))
+
+
+def _largest_term(model: ModelSpec, st: State) -> float:
+    # the scale of the residual at st; b1*f is left out, as b1 <= b
+    p, x, y = model.params, st.x, st.y
+    f, rp = model.f.value(x, y), p.r * model.P.value(y)
+    return max(abs(t) for t in (
+        p.a, p.b * f, p.d * x, p.c * model.V.value(x), p.alpha * st.z, rp, p.d1 * y))
 
 
 @dataclass(frozen=True)
@@ -91,87 +100,6 @@ def _closed_form_endemic(model: ModelSpec):
     zstar = (p.r / p.alpha) * ystar
     st = State(xstar, ystar, zstar)
     return Equilibrium(state=st, kind=ENDEMIC, residual=_residual(model, st))
-
-
-class _Poly(dict):
-    """A polynomial in x and y: {(i, j): coefficient of x**i * y**j}."""
-
-    def __add__(self, other):
-        out = _Poly(self)
-        for key, c in other.items():
-            out[key] = out.get(key, 0) + c
-        return out
-
-    def __neg__(self):
-        return _Poly({key: -c for key, c in self.items()})
-
-    def __mul__(self, other):
-        out = _Poly()
-        for (i, j), c in self.items():
-            for (k, l), e in other.items():
-                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * e
-        return out
-
-
-_ONE = _Poly({(0, 0): 1})
-
-
-class _Ratio:
-    """num / den, two ``_Poly``: a response's ``value`` run on the symbols x
-    and y.  ``== 0.0`` asks whether the ratio is identically zero."""
-
-    __hash__ = None
-
-    def __init__(self, num, den=_ONE):
-        self.num, self.den = num, den
-
-    def __add__(self, other):
-        o = _ratio(other)
-        if self.den == o.den:
-            return _Ratio(self.num + o.num, self.den)
-        return _Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Ratio(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + -_ratio(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = _ratio(other)
-        return _Ratio(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _ratio(other)
-        return _Ratio(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return _ratio(other) / self
-
-    def __pow__(self, n):
-        out = _ratio(1)
-        for _ in range(abs(n)):
-            out = out * self
-        return out if n >= 0 else 1 / out
-
-    def __eq__(self, other):
-        return not any((self - other).num.values())
-
-
-def _ratio(v):
-    # a number as a constant ratio; 0 has no terms, so a float 0.0 (``Zero``)
-    # leaves exact coefficients exact
-    return v if isinstance(v, _Ratio) else _Ratio(_Poly({(0, 0): v} if v else {}))
-
-
-_X, _Y = _Ratio(_Poly({(1, 0): 1})), _Ratio(_Poly({(0, 1): 1}))
 
 
 def _in_x(e):
@@ -235,7 +163,8 @@ def find_endemic(model: ModelSpec):
     ``cubic._real_roots`` in (MIN_ENDEMIC_Y, b1*G(0)/(b*d1)]; each x is a
     root of e1(., y) in [0, a/d], found the same way, so a root of R where
     e2 shares e1's other root in x, which is negative, is dropped; so is a
-    point whose residual is 1e-10 or more (a root where a denominator
+    point whose residual is 1e-10 or more of the largest term of the three
+    balances there, or of 1 if that is smaller (a root where a denominator
     vanishes).  Two close roots of R are found as two; a fold, a double root
     of R, is found where the round-off in R's coefficients leaves a real
     root there, and is not certified.
@@ -251,7 +180,7 @@ def find_endemic(model: ModelSpec):
     for y in _real_roots(cs):
         if not MIN_ENDEMIC_Y < y <= yhi:
             continue
-        at_y = [sum(c * y**j for (_, j), c in row.items()) for row in e1]
+        at_y = [row.at(0.0, y) for row in e1]
         while at_y[0] == 0.0:
             at_y.pop(0)
         for x in _real_roots(at_y):
@@ -259,7 +188,7 @@ def find_endemic(model: ModelSpec):
                 continue
             st = State(x, y, p.r * model.P.value(y) / p.alpha)
             res = _residual(model, st)
-            if res >= RESIDUAL_TOL:
+            if res >= RESIDUAL_TOL * max(1.0, _largest_term(model, st)):
                 continue
             if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
                 continue

@@ -32,11 +32,7 @@ __all__ = [
     "JacCoeffs",
     "eval_rhs",
     "jacobian_coeffs",
-    "jacobian_coeffs_fd",
 ]
-
-#: relative central-difference step of jacobian_coeffs_fd
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -273,28 +269,3 @@ def jacobian_coeffs(model: ModelSpec, eq) -> JacCoeffs:
         E=p.r * pp,
         alpha=p.alpha,
     )
-
-
-def jacobian_coeffs_fd(model: ModelSpec, eq) -> JacCoeffs:
-    """Central-finite-difference version of :func:`jacobian_coeffs`.
-
-    Differentiates eval_rhs directly, treating current and delayed
-    arguments independently.  Serves as a cross-check for the analytic
-    coefficients.
-    """
-    st = getattr(eq, "state", eq)
-    x, y, z = st.as_tuple()
-    p = model.params
-
-    def rhs(xc, yc, zc, xt, yd):
-        return eval_rhs(model, State(xc, yc, zc), xt, yd)
-
-    hx = FD_STEP * (1.0 + abs(x))
-    hy = FD_STEP * (1.0 + abs(y))
-    # A: d(dx)/dx with the delayed argument held fixed
-    A = (rhs(x + hx, y, z, x, y)[0] - rhs(x - hx, y, z, x, y)[0]) / (2 * hx)
-    B = (rhs(x, y + hy, z, x, y)[0] - rhs(x, y - hy, z, x, y)[0]) / (2 * hy)
-    C = (rhs(x, y + hy, z, x, y)[1] - rhs(x, y - hy, z, x, y)[1]) / (2 * hy)
-    D = (rhs(x, y, z, x + hx, y)[1] - rhs(x, y, z, x - hx, y)[1]) / (2 * hx)
-    E = (rhs(x, y, z, x, y + hy)[2] - rhs(x, y, z, x, y - hy)[2]) / (2 * hy)
-    return JacCoeffs(A=A, B=B, C=C, D=D, E=E, alpha=p.alpha)

@@ -1,22 +1,24 @@
 """Catalog of incidence, vaccination and recovery response functions.
 
 Each response function is a small immutable object exposing an analytic
-value and analytic partial derivatives.  Two-argument forms serve as the
-incidence term f(x, y); one-argument forms serve as the vaccination term
-V(x) and the recovery term P(y).
+value; its partial derivatives follow from that value.  Two-argument forms
+serve as the incidence term f(x, y); one-argument forms serve as the
+vaccination term V(x) and the recovery term P(y).
 
 Conventions
 -----------
 * Each ``value`` is rational in its arguments: it uses only +, -, *, /,
-  integer powers and the test ``== 0.0``.  The endemic search runs it
-  unchanged on the symbols x and y of the rational type in
-  ``sirdelay.equilibria`` (where ``== 0.0`` means "identically zero") to
-  read each kind's numerator polynomials, so a kind that needs more (exp,
-  an order comparison, a fractional power) cannot join the catalog
-  without a new search.
-* ``FractionalMix`` (x/(x+y)) is defined as 0 with zero partials at the
-  origin so the model right-hand side stays finite; the point (0, 0) is
-  never reached from positive data.
+  integer powers and the test ``== 0.0``.  This module's private rational
+  type (``_Poly``, ``_Ratio``) runs it unchanged on the symbols x and y
+  (where ``== 0.0`` means "identically zero"): ``ResponseFn.partial``
+  differentiates that form by the quotient rule, and the endemic search in
+  ``sirdelay.equilibria`` reads each kind's numerator polynomials from it.
+  A kind that needs more (exp, an order comparison, a fractional power)
+  cannot join the catalog without new derivatives and a new search.
+* A partial derivative whose numerator and denominator are both exactly 0
+  at the point is 0.  So ``FractionalMix`` (x/(x+y)), defined as 0 at the
+  origin, has zero partials there and the model right-hand side stays
+  finite; the point (0, 0) is never reached from positive data.
 * ``zero_when_y_zero`` is True for incidence forms with f(x, 0) = 0 for
   all x.  A disease-free steady state can only exist when that holds, so
   the equilibrium search consults this flag.
@@ -41,13 +43,112 @@ __all__ = [
 ]
 
 
+class _Poly(dict):
+    """A polynomial in x and y: {(i, j): coefficient of x**i * y**j}."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def __neg__(self):
+        return _Poly({key: -c for key, c in self.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (i, j), c in self.items():
+            for (k, l), e in other.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * e
+        return out
+
+    def diff(self, index):
+        """The partial derivative in x (index 0) or in y (index 1)."""
+        di, dj = (1, 0) if index == 0 else (0, 1)
+        return _Poly({(i - di, j - dj): c * (i, j)[index]
+                      for (i, j), c in self.items() if (i, j)[index]})
+
+    def at(self, x, y=0.0):
+        """The value at (x, y); a polynomial in x alone needs no y."""
+        return sum(c * x**i * y**j for (i, j), c in self.items())
+
+
+_ONE = _Poly({(0, 0): 1})
+
+
+class _Ratio:
+    """num / den, two ``_Poly``: a response's ``value`` run on the symbols x
+    and y.  ``== 0.0`` asks whether the ratio is identically zero."""
+
+    __hash__ = None
+
+    def __init__(self, num, den=_ONE):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        o = _ratio(other)
+        if self.den == o.den:
+            return _Ratio(self.num + o.num, self.den)
+        return _Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Ratio(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_ratio(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _ratio(other)
+        return _Ratio(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _ratio(other)
+        return _Ratio(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return _ratio(other) / self
+
+    def __pow__(self, n):
+        out = _ratio(1)
+        for _ in range(abs(n)):
+            out = out * self
+        return out if n >= 0 else 1 / out
+
+    def __eq__(self, other):
+        return not any((self - other).num.values())
+
+    def diff(self, index):
+        """The partial derivative in x (index 0) or in y (index 1) by the
+        quotient rule; like terms cancel in the coefficients, and the
+        numerator keeps no zero term."""
+        num = self.num.diff(index) * self.den + -(self.num * self.den.diff(index))
+        return _Ratio(_Poly({key: c for key, c in num.items() if c}), self.den * self.den)
+
+
+def _ratio(v):
+    # a number as a constant ratio; 0 has no terms, so a float 0.0 (``Zero``)
+    # leaves exact coefficients exact
+    return v if isinstance(v, _Ratio) else _Ratio(_Poly({(0, 0): v} if v else {}))
+
+
+_X, _Y = _Ratio(_Poly({(1, 0): 1})), _Ratio(_Poly({(0, 1): 1}))
+
+
 @dataclass(frozen=True)
 class ResponseFn:
-    """Base class; each concrete variant defines the formulas value(*args)
-    and partial(index, *args), the analytic partial derivative with respect
-    to argument ``index``.  Neither checks its arguments: non-finite numbers
-    are refused where they enter (``Params``, each field by ``__post_init__``
-    below, the histories, ``eval_rhs`` and ``jacobian_coeffs``)."""
+    """Base class; each concrete variant defines only the formula
+    value(*args), rational in its arguments, and ``partial`` derives from it
+    (a subclass whose formula is not rational must define its own).
+    Neither checks its arguments: non-finite numbers are refused where they
+    enter (``Params``, each field by ``__post_init__`` below, the histories,
+    ``eval_rhs`` and ``jacobian_coeffs``)."""
 
     #: the tag of the JSON form {kind, k?, p1?, p2?}, one per concrete class
     kind = None
@@ -60,6 +161,28 @@ class ResponseFn:
         for f in fields(self):
             check_finite(f"{type(self).__name__} {f.name}", getattr(self, f.name))
 
+    def _derivatives(self):
+        # the first partial derivatives of ``value`` run on the symbols, kept
+        # on the instance by object.__setattr__: a write through __dict__
+        # (as by functools.cached_property) slows later attribute reads
+        try:
+            return self._first_partials
+        except AttributeError:
+            n = self.arity or 2
+            form = _ratio(self.value(*(_X, _Y)[:n]))
+            object.__setattr__(self, "_first_partials", tuple(form.diff(i) for i in range(n)))
+            return self._first_partials
+
+    def partial(self, index, *args):
+        """The partial derivative of ``value`` with respect to argument
+        ``index`` at ``args``; 0.0 where the derivative's numerator and
+        denominator are both exactly 0."""
+        d = self._derivatives()[index]
+        num, den = d.num.at(*args), d.den.at(*args)
+        if num == 0.0 and den == 0.0:
+            return 0.0
+        return num / den
+
 
 @dataclass(frozen=True)
 class Zero(ResponseFn):
@@ -70,9 +193,6 @@ class Zero(ResponseFn):
     zero_when_y_zero = True
 
     def value(self, *args):
-        return 0.0
-
-    def partial(self, index, *args):
         return 0.0
 
 
@@ -87,9 +207,6 @@ class Linear(ResponseFn):
     def value(self, u):
         return self.k * u
 
-    def partial(self, index, u):
-        return self.k
-
 
 @dataclass(frozen=True)
 class Bilinear(ResponseFn):
@@ -101,9 +218,6 @@ class Bilinear(ResponseFn):
 
     def value(self, x, y):
         return x * y
-
-    def partial(self, index, x, y):
-        return y if index == 0 else x
 
 
 @dataclass(frozen=True)
@@ -122,11 +236,6 @@ class SaturatingIncidence(ResponseFn):
 
     def value(self, x, y):
         return (x / (x + self.k)) * y
-
-    def partial(self, index, x, y):
-        if index == 0:
-            return self.k * y / (x + self.k) ** 2
-        return x / (x + self.k)
 
 
 @dataclass(frozen=True)
@@ -147,14 +256,6 @@ class FractionalMix(ResponseFn):
             return 0.0
         return x / s
 
-    def partial(self, index, x, y):
-        s = x + y
-        if s == 0.0:
-            return 0.0
-        if index == 0:
-            return y / s**2
-        return -x / s**2
-
 
 @dataclass(frozen=True)
 class SaturatingUnary(ResponseFn):
@@ -172,9 +273,6 @@ class SaturatingUnary(ResponseFn):
     def value(self, u):
         return u / (self.k + u)
 
-    def partial(self, index, u):
-        return self.k / (self.k + u) ** 2
-
 
 @dataclass(frozen=True)
 class PowerSum(ResponseFn):
@@ -187,9 +285,6 @@ class PowerSum(ResponseFn):
 
     def value(self, u):
         return self.p1 * u + self.p2 * u * u
-
-    def partial(self, index, u):
-        return self.p1 + 2.0 * self.p2 * u
 
 
 _CLASS_BY_KIND = {cls.kind: cls for cls in (

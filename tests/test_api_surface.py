@@ -4,8 +4,8 @@ A parameter that nothing reads is dead surface: callers must pass it and
 tests and docs must cover it, yet it changes nothing.  The one exemption is
 a method whose name more than one class of the same module defines; such a
 method implements a shared interface (``History.value``,
-``ResponseFn.value``/``partial``), and a variant may ignore an argument
-the interface passes.
+``ResponseFn.value``), and a variant may ignore an argument the interface
+passes.
 """
 
 import ast

@@ -3,7 +3,9 @@
 The root scan arbitrates every criterion disagreement, so it gets checked
 here against methods that share none of its code: numpy's eigenvalue-based
 polynomial roots for delay-free cases, and the exact modulus/angle
-crossing delay (``tau_crossing``) for the delayed case.
+crossing delay (``tau_crossing``) for the delayed case.  The analytic
+linearization is checked against central differences of the right-hand
+side (``jacobian_coeffs_fd``, which ``test_model`` shares).
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 
 from sirdelay.charroots import EPS, char_roots_scan, char_value, max_real_part
 from sirdelay.equilibria import all_equilibria
-from sirdelay.model import ModelSpec, Params, jacobian_coeffs, jacobian_coeffs_fd
+from sirdelay.model import JacCoeffs, ModelSpec, Params, State, eval_rhs, jacobian_coeffs
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import (
     Bilinear,
@@ -26,6 +28,34 @@ from sirdelay.responses import (
     Zero,
 )
 from sirdelay.stability import STABLE, CharCoeffs, char_coeffs, delay_free_stable, tau_crossing
+
+#: relative central-difference step of jacobian_coeffs_fd
+FD_STEP = 1e-6
+
+
+def jacobian_coeffs_fd(model: ModelSpec, eq) -> JacCoeffs:
+    """Central-finite-difference version of :func:`jacobian_coeffs`.
+
+    Differentiates eval_rhs directly, treating current and delayed
+    arguments independently.  Serves as a cross-check for the analytic
+    coefficients.
+    """
+    st = getattr(eq, "state", eq)
+    x, y, z = st.as_tuple()
+    p = model.params
+
+    def rhs(xc, yc, zc, xt, yd):
+        return eval_rhs(model, State(xc, yc, zc), xt, yd)
+
+    hx = FD_STEP * (1.0 + abs(x))
+    hy = FD_STEP * (1.0 + abs(y))
+    # A: d(dx)/dx with the delayed argument held fixed
+    A = (rhs(x + hx, y, z, x, y)[0] - rhs(x - hx, y, z, x, y)[0]) / (2 * hx)
+    B = (rhs(x, y + hy, z, x, y)[0] - rhs(x, y - hy, z, x, y)[0]) / (2 * hy)
+    C = (rhs(x, y + hy, z, x, y)[1] - rhs(x, y - hy, z, x, y)[1]) / (2 * hy)
+    D = (rhs(x, y, z, x + hx, y)[1] - rhs(x, y, z, x - hx, y)[1]) / (2 * hx)
+    E = (rhs(x, y, z, x, y + hy)[2] - rhs(x, y, z, x, y - hy)[2]) / (2 * hy)
+    return JacCoeffs(A=A, B=B, C=C, D=D, E=E, alpha=p.alpha)
 
 
 def fold_upper(roots, tol=1e-7):

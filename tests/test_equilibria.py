@@ -77,6 +77,20 @@ def test_generic_search_finds_ex5_5_equilibrium():
     assert max_diff(eqs[0].state, want) < 1e-9
 
 
+def test_large_rates_keep_their_endemic_points():
+    # the residual gate is relative to the balances' largest term: ex5_5
+    # with every rate times 1e8 has the same point at a residual near 3e-8,
+    # and with a times 1e6 one point at a residual near 1.4e-9
+    model = load_preset("ex5_5").model
+    p = model.params
+    (want,) = find_endemic(model)
+    rates = {k: 1e8 * getattr(p, k) for k in ("a", "b", "b1", "c", "d", "d1", "r", "alpha")}
+    (got,) = find_endemic(replace(model, params=replace(p, **rates)))
+    for u, v in zip(got.state.as_tuple(), want.state.as_tuple()):
+        assert u == pytest.approx(v, rel=1e-12, abs=0.0)
+    assert len(find_endemic(replace(model, params=replace(p, a=1e6 * p.a)))) == 1
+
+
 def test_closed_form_agrees_with_generic_search():
     # same dynamics expressed so the special-case detection does not fire:
     # c*V with c=2, V=0.5*x multiplies out to the original c=1, V=x
@@ -220,7 +234,7 @@ def test_endemic_count_is_the_exact_root_count_of_the_resultant(model):
     # and the count is (TaQ(1) + TaQ(-A*B)) / 2
     spec = replace(model, params=exact(model.params), f=exact(model.f), V=exact(model.V),
                    P=exact(model.P))
-    p, X, Y = spec.params, equilibria._X, equilibria._Y
+    p, X, Y = spec.params, responses._X, responses._Y
     _, cs = equilibria._endemic_polynomial(spec)
     assert all(type(c) is Fraction for c in cs)
     A, B = equilibria._in_x((p.b1 * spec.f.value(X, Y) - p.r * spec.P.value(Y)
@@ -255,10 +269,7 @@ def test_every_response_kind_is_rational(kind):
     fn = cls(**{f.name: 0.7 for f in fields(cls)})
     x, y = 1.3, 0.4
     n = fn.arity or 2
-    got = equilibria._ratio(fn.value(*(equilibria._X, equilibria._Y)[:n]))
-
-    def at(poly):
-        return sum(c * x**i * y**j for (i, j), c in poly.items())
-    den = at(got.den)
+    got = responses._ratio(fn.value(*(responses._X, responses._Y)[:n]))
+    den = got.den.at(x, y)
     assert den != 0.0
-    assert at(got.num) / den == pytest.approx(fn.value(*(x, y)[:n]), rel=1e-14, abs=0.0)
+    assert got.num.at(x, y) / den == pytest.approx(fn.value(*(x, y)[:n]), rel=1e-14, abs=0.0)

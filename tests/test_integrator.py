@@ -390,9 +390,6 @@ class _ConstantDrain(ResponseFn):
     def value(self, u):
         return 1.0
 
-    def partial(self, index, u):
-        return 0.0
-
 
 def _drain_model():
     # constant drain c*V = 5 exceeds the inflow a = 1, so x crosses zero

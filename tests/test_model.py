@@ -14,11 +14,12 @@ from sirdelay.model import (
     State,
     eval_rhs,
     jacobian_coeffs,
-    jacobian_coeffs_fd,
     to_jsonable,
 )
 from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.responses import Bilinear, Linear, PowerSum, Zero
+
+from test_cross_validation import jacobian_coeffs_fd
 
 
 def test_params_validation():

@@ -1,11 +1,14 @@
 import json
 import math
+import sys
+from dataclasses import fields
 
 import pytest
 
 from sirdelay.errors import DomainError
 from sirdelay.model import ModelSpec, Params, State, eval_rhs, jacobian_coeffs, to_jsonable
 from sirdelay.responses import (
+    _CLASS_BY_KIND,
     Bilinear,
     FractionalMix,
     Linear,
@@ -76,6 +79,79 @@ def test_partials_match_finite_differences(fn):
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-9)
 
 
+def _fractional_mix_partial(fn, index, x, y):
+    s = x + y
+    if s == 0.0:
+        return 0.0
+    return y / s**2 if index == 0 else -x / s**2
+
+
+#: the hand-written partial of each kind that the one generic
+#: ``ResponseFn.partial`` replaced, kept as its reference
+HAND_PARTIALS = {
+    "zero": lambda fn, index, *args: 0.0,
+    "linear": lambda fn, index, u: fn.k,
+    "bilinear": lambda fn, index, x, y: y if index == 0 else x,
+    "saturating_incidence": lambda fn, index, x, y: (
+        fn.k * y / (x + fn.k) ** 2 if index == 0 else x / (x + fn.k)),
+    "fractional_mix": _fractional_mix_partial,
+    "saturating_unary": lambda fn, index, u: fn.k / (fn.k + u) ** 2,
+    "power_sum": lambda fn, index, u: fn.p1 + 2.0 * fn.p2 * u,
+}
+
+#: 0 and every decade from 1e-6 to 1e6
+GRID = [0.0] + [10.0**e for e in range(-6, 7)]
+
+
+@pytest.mark.parametrize("kind", sorted(_CLASS_BY_KIND))
+def test_generic_partial_matches_the_hand_written_formula(kind):
+    # every parameter at 1e-4 and at 1e3, and PowerSum with a slope that
+    # changes sign; FractionalMix's origin takes the 0/0 convention
+    cls, hand = _CLASS_BY_KIND[kind], HAND_PARTIALS[kind]
+    fns = [cls(**{f.name: v for f in fields(cls)}) for v in (1e-4, 1e3)]
+    if cls is PowerSum:
+        fns.append(PowerSum(2.0, -0.1))
+    for fn in fns:
+        for n in ((fn.arity,) if fn.arity else (1, 2)):
+            points = [(u,) for u in GRID] if n == 1 else [(x, y) for x in GRID for y in GRID]
+            for args in points:
+                for index in range(n):
+                    want = hand(fn, index, *args)
+                    assert fn.partial(index, *args) == pytest.approx(want, rel=1e-15, abs=0.0), \
+                        (fn, index, args)
+
+
+def _at(form, args):
+    return form.num.at(*args) / form.den.at(*args)
+
+
+@pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
+def test_second_derivatives_of_the_cached_form_match_central_differences(fn):
+    # the cached first derivatives differentiated once more; a central
+    # difference of a partial g with step h is off by about h**2/6 * |g'''|
+    # (g''' from the form too, with a factor 2 for its change over the
+    # step) plus the round-off of two partials over 2h
+    eps = sys.float_info.epsilon
+    for args in sample_args(fn):
+        if isinstance(fn, FractionalMix) and args[0] + args[1] < 0.3:
+            continue
+        n = len(args)
+        for i in range(n):
+            for j in range(n):
+                second = fn._derivatives()[i].diff(j)
+                h = 1e-4 * (1.0 + abs(args[j]))
+                lo, hi = list(args), list(args)
+                lo[j] -= h
+                hi[j] += h
+                approx = (fn.partial(i, *hi) - fn.partial(i, *lo)) / (2.0 * h)
+                bound = (h * h / 3.0 * abs(_at(second.diff(j).diff(j), args))
+                         + 8.0 * eps * (1.0 + abs(fn.partial(i, *args))) / h)
+                assert abs(_at(second, args) - approx) <= bound, (fn, i, j, args)
+        if n == 2:
+            fxy, fyx = fn._derivatives()[0].diff(1), fn._derivatives()[1].diff(0)
+            assert _at(fxy, args) == pytest.approx(_at(fyx, args), rel=1e-14, abs=1e-300)
+
+
 @pytest.mark.parametrize("fn", ALL_VARIANTS, ids=lambda f: f.kind + str(getattr(f, "k", "")))
 def test_nonnegative_on_nonnegative_args(fn):
     if isinstance(fn, PowerSum) and (fn.p1 < 0 or fn.p2 < 0):
@@ -143,6 +219,18 @@ def test_a_subclass_defining_value_and_partial_works_in_a_model():
     model = _model_with(Half())
     assert eval_rhs(model, State(2.0, 3.0, 1.0), 2.0, 3.0) == (2.0, 1.5, 0.5)
     assert jacobian_coeffs(model, State(2.0, 3.0, 1.0)).E == 0.5
+
+
+def test_a_subclass_defining_only_value_gets_its_jacobian():
+    class SaturatingInInfected(ResponseFn):
+        arity = 2
+
+        def value(self, x, y):
+            return x * y / (1.0 + y)
+
+    # f_x = y/(1+y) = 3/4 and f_y = x/(1+y)**2 = 1/8 at (2, 3)
+    j = jacobian_coeffs(_model_with(SaturatingInInfected()), State(2.0, 3.0, 1.0))
+    assert (j.A, j.B, j.C, j.D, j.E) == (-2.75, -0.125, -1.875, 0.75, 1.0)
 
 
 def test_bad_parameters_rejected():
