@@ -38,9 +38,8 @@ print("  right-hand side at (1, 1, 1):")
 print("   ", eval_rhs(model, State(1.0, 1.0, 1.0), 1.0, 1.0))
 print()
 
-print("steady states (disease-free solved by Brent's method, endemic in closed")
-print("form for this bilinear case, otherwise as the real roots of one")
-print("resultant polynomial in y):")
+print("steady states (every y is 0 or a real root of one resultant polynomial")
+print("of the two balances, and each x a root of one balance at that y):")
 for eq in all_equilibria(model):
     s = eq.state
     print(f"  {eq.kind:13s} ({s.x:.10g}, {s.y:.10g}, {s.z:.10g})   residual {eq.residual:.1e}")

@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`sirdelay.model` - model definition, right-hand side, linearization
 * :mod:`sirdelay.responses` - incidence, vaccination and recovery responses
-* :mod:`sirdelay.equilibria` - disease-free and endemic steady states
+* :mod:`sirdelay.equilibria` - every steady state from the two balance polynomials
 * :mod:`sirdelay.stability` - closed-form stability criteria
 * :mod:`sirdelay.charroots` - characteristic-root scan (the numerical oracle)
 * :mod:`sirdelay.integrator` - method-of-steps RK4 with dense output
@@ -17,13 +17,7 @@ from .analytics import Classification, SweepRow, classify, sweep
 from .charroots import char_roots_scan, max_real_part
 from .config import ScenarioConfig, load_scenario, scenario_from_dict
 from .cubic import solve_cubic_real
-from .equilibria import (
-    Equilibrium,
-    all_equilibria,
-    find_disease_free,
-    find_endemic,
-    is_bilinear_special_case,
-)
+from .equilibria import Equilibrium, all_equilibria
 from .errors import ConfigError, DomainError, IntegrationError
 from .integrator import (
     ConstantHistory,
@@ -59,6 +53,7 @@ from .stability import (
     delta_analysis,
     general_delay_analysis,
     global_verdict,
+    is_bilinear_special_case,
     pseudo_delay_cubic,
     tau_critical,
     tau_crossing,

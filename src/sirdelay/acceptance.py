@@ -28,14 +28,14 @@ import numpy as np
 from .analytics import CONVERGED, DAMPED, SUSTAINED, convergence_bar, sweep
 from .charroots import char_roots_scan
 from .cubic import solve_cubic_real
-from .equilibria import all_equilibria, is_bilinear_special_case
+from .equilibria import all_equilibria
 from .errors import IntegrationError
 from .integrator import ConstantHistory, SampledHistory, dense_eval, integrate
 from .model import ModelSpec, Params, State, jacobian_coeffs
 from .presets import PRESET_NAMES, load_preset
 from .report import build_stability_report, switch_evidence
 from .responses import Linear, Zero
-from .stability import STABLE, char_coeffs, tau_from_pseudo_delay
+from .stability import STABLE, char_coeffs, is_bilinear_special_case, tau_from_pseudo_delay
 
 __all__ = ["SubCheck", "CriterionResult", "run", "run_all", "CRITERIA", "format_result"]
 

@@ -1,32 +1,27 @@
-"""Equilibrium computation: the disease-free root by Brent's method, and the
-endemic points as the real roots of one resultant polynomial."""
+"""Equilibrium computation: every steady state from the two balance
+polynomials, its y a real root of their resultant (or 0) and its x a root of
+one of the two."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubic import _real_roots, brent
+from .cubic import _real_roots
 from .model import ModelSpec, State, eval_rhs
-from .responses import _ONE, _X, _Y, Bilinear, Linear, _Poly
+from .responses import _ONE, _X, _Y, _Poly
 
-__all__ = [
-    "Equilibrium",
-    "find_disease_free",
-    "find_endemic",
-    "all_equilibria",
-    "is_bilinear_special_case",
-]
+__all__ = ["Equilibrium", "all_equilibria"]
 
 DISEASE_FREE = "disease_free"
 ENDEMIC = "endemic"
 
-#: residual bound every endemic point found from the resultant satisfies,
-#: relative to the largest term of the three balances there (at least 1)
+#: residual bound every equilibrium found satisfies, relative to the largest
+#: term of the three balances there (at least 1)
 RESIDUAL_TOL = 1e-10
-#: boundary band for the strict endemic-existence inequality
-BOUNDARY_TOL = 1e-12
-#: endemic points need y above this
+#: endemic points need y above this fraction of yhi = b1*G(0)/(b*d1)
 MIN_ENDEMIC_Y = 1e-8
+#: relative round-off allowed on the bound a/d of x
+X_ROUNDOFF = 1e-14
 
 
 def _residual(model: ModelSpec, st: State) -> float:
@@ -58,50 +53,6 @@ def _susceptible_balance(model: ModelSpec):
     return lambda x: p.a - p.d * x - p.c * V(x)
 
 
-def find_disease_free(model: ModelSpec):
-    """Locate the disease-free steady state (xbar, 0, 0), if one exists.
-
-    Solves G(x) = a - d*x - c*V(x) = 0 by ``cubic.brent`` on [0, a/d].
-    Returns None when the incidence does not vanish at y = 0 (no disease-free
-    state can exist) or when the bracket carries no sign change.
-    """
-    if not model.supports_disease_free:
-        return None
-    xbar = brent(_susceptible_balance(model), 0.0, model.params.a / model.params.d)
-    if xbar is None:
-        return None
-    st = State(xbar, 0.0, 0.0)
-    return Equilibrium(state=st, kind=DISEASE_FREE, residual=_residual(model, st))
-
-
-def is_bilinear_special_case(model: ModelSpec) -> bool:
-    """True for f = x*y, V = x, P = y: the case with closed-form endemic
-    coordinates and a delay-independent global stability criterion."""
-    return (
-        isinstance(model.f, Bilinear)
-        and isinstance(model.V, Linear) and model.V.k == 1.0
-        and isinstance(model.P, Linear) and model.P.k == 1.0
-    )
-
-
-def _closed_form_endemic(model: ModelSpec):
-    """Endemic point of the bilinear special case, or None.
-
-    x* = (d1+r)/b1, y* = (b1*a - (c+d)(d1+r)) / (b*d1 + r*(b-b1)),
-    z* = (r/alpha)*y*.  Exists only under the strict threshold
-    (d1+r)/b1 < a/(c+d); the equality boundary counts as nonexistent.
-    """
-    p = model.params
-    xstar = (p.d1 + p.r) / p.b1
-    thresh = p.a / (p.c + p.d)
-    if xstar >= thresh - BOUNDARY_TOL * max(1.0, abs(thresh)):
-        return None
-    ystar = (p.b1 * p.a - (p.c + p.d) * (p.d1 + p.r)) / (p.b * p.d1 + p.r * (p.b - p.b1))
-    zstar = (p.r / p.alpha) * ystar
-    st = State(xstar, ystar, zstar)
-    return Equilibrium(state=st, kind=ENDEMIC, residual=_residual(model, st))
-
-
 def _in_x(e):
     # the coefficients of e in x, highest power first, each a polynomial in y
     terms = {key: c for key, c in e.items() if c}
@@ -124,11 +75,12 @@ def _det(rows):
     return total
 
 
-def _endemic_polynomial(model: ModelSpec):
-    """(e1, R): e1 = the numerator of G(x) - K(y) by powers of x, and R(y) =
-    Res_x(e1, e2), e2 the numerator of b1*f(x, y) - r*P(y) - d1*y, as its
-    coefficients in y, highest power first, with the powers of y divided
-    out.  Each response's ``value`` runs on the symbols x and y."""
+def _balance_polynomials(model: ModelSpec):
+    """(e1, e2, R): e1 = the numerator of G(x) - K(y) and e2 that of
+    b1*f(x, y) - r*P(y) - d1*y, each by powers of x, and R(y) =
+    Res_x(e1, e2) as its coefficients in y, highest power first, with the
+    powers of y divided out.  Each response's ``value`` runs on the symbols
+    x and y."""
     p = model.params
     rp = p.r * model.P.value(_Y)
     k = (p.b / p.b1) * (rp + p.d1 * _Y) - rp
@@ -144,64 +96,59 @@ def _endemic_polynomial(model: ModelSpec):
         cs.pop(0)
     while cs[-1] == 0:
         cs.pop()
-    return e1, cs
+    return e1, e2, cs
 
 
-def find_endemic(model: ModelSpec):
-    """All endemic equilibria (y > 0) of the model.
-
-    The bilinear special case (f = x*y, V = x, P = y) is answered in
-    closed form.  Otherwise, with z = r*P(y)/alpha and b1*f = r*P(y) + d1*y,
-    the x equation reads G(x) = K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y).
-    Contract: V and P do not decrease (``ModelSpec`` checks it), so with
-    b1 <= b, G falls and K rises, and x(y) is one root on [0, a/d] for y in
-    (0, Y], where K(Y) = G(0) <= K(b1*G(0)/(b*d1)).  Every response is
-    rational in its arguments, so the endemic points are common roots of
-    two polynomials: e1, the numerator of G(x) - K(y), and e2, that of
-    b1*f(x, y) - r*P(y) - d1*y.  Their y are real roots of the resultant
-    R(y) = Res_x(e1, e2) (``_endemic_polynomial``), found by
-    ``cubic._real_roots`` in (MIN_ENDEMIC_Y, b1*G(0)/(b*d1)]; each x is a
-    root of e1(., y) in [0, a/d], found the same way, so a root of R where
-    e2 shares e1's other root in x, which is negative, is dropped; so is a
-    point whose residual is 1e-10 or more of the largest term of the three
-    balances there, or of 1 if that is smaller (a root where a denominator
-    vanishes).  Two close roots of R are found as two; a fold, a double root
-    of R, is found where the round-off in R's coefficients leaves a real
-    root there, and is not certified.
-    """
-    if is_bilinear_special_case(model):
-        eq = _closed_form_endemic(model)
-        return [eq] if eq is not None else []
-
-    p = model.params
-    e1, cs = _endemic_polynomial(model)
-    yhi = p.b1 * _susceptible_balance(model)(0.0) / (p.b * p.d1)
-    found = []
-    for y in _real_roots(cs):
-        if not MIN_ENDEMIC_Y < y <= yhi:
-            continue
-        at_y = [row.at(0.0, y) for row in e1]
-        while at_y[0] == 0.0:
-            at_y.pop(0)
-        for x in _real_roots(at_y):
-            if not 0.0 <= x <= p.a / p.d:
-                continue
-            st = State(x, y, p.r * model.P.value(y) / p.alpha)
-            res = _residual(model, st)
-            if res >= RESIDUAL_TOL * max(1.0, _largest_term(model, st)):
-                continue
-            if any(st.max_abs_diff(e.state) < 1e-8 for e in found):
-                continue
-            found.append(Equilibrium(state=st, kind=ENDEMIC, residual=res))
-    found.sort(key=lambda e: (e.state.x, e.state.y, e.state.z))
-    return found
+def _roots_in(e, y, hi):
+    # the roots in [0, hi] of e(., y), e by powers of x as from _in_x
+    cs = [row.at(0.0, y) for row in e]
+    while cs and cs[0] == 0.0:
+        cs.pop(0)
+    return [x for x in _real_roots(cs) if 0.0 <= x <= hi] if cs else []
 
 
 def all_equilibria(model: ModelSpec):
-    """Disease-free equilibrium (when present) followed by endemic ones."""
-    eqs = []
-    df = find_disease_free(model)
-    if df is not None:
-        eqs.append(df)
-    eqs.extend(find_endemic(model))
-    return eqs
+    """The disease-free point (xbar, 0, 0), when there is one, then the
+    endemic points (y > 0) by (x, y, z).
+
+    At a steady state z = r*P(y)/alpha and b1*f = r*P(y) + d1*y, so the x
+    equation reads G(x) = K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y).
+    Contract: V and P do not decrease (``ModelSpec`` checks it), so with
+    b1 <= b, G falls and K rises, x lies in [0, a/d] and y in [0, Y], where
+    K(Y) = G(0) <= K(yhi), yhi = b1*G(0)/(b*d1).  Every response is
+    rational, so the steady states are the common roots of e1 and e2
+    (``_balance_polynomials``).  Each candidate y is 0, when the incidence
+    vanishes at y = 0, or a real root of R = Res_x(e1, e2) in
+    (MIN_ENDEMIC_Y*yhi, yhi].  Its x is the root in [0, a/d], a/d allowed
+    its round-off, of e1(., y) or, for y > 0, of e2(., y), whichever leaves
+    the smaller residual; ``cubic._real_roots`` finds every root.  A root
+    of R where e2 shares e1's other root in x, which is negative, gives no
+    point; nor does one whose residual is 1e-10 or more of the largest term
+    of the three balances there, or of 1 if that is smaller (a root where a
+    denominator vanishes), nor an endemic point within 1e-8 of one found
+    before.  Two close roots of R are found as two; a fold, a double root
+    of R, is found where the round-off in R's coefficients leaves a real
+    root there, and is not certified.
+    """
+    p = model.params
+    e1, e2, cs = _balance_polynomials(model)
+    xhi = (1.0 + X_ROUNDOFF) * p.a / p.d
+    yhi = p.b1 * _susceptible_balance(model)(0.0) / (p.b * p.d1)
+    ys = [0.0] if model.supports_disease_free else []
+    ys += [y for y in _real_roots(cs) if MIN_ENDEMIC_Y * yhi < y <= yhi]
+    found = []
+    for y in ys:
+        z = p.r * model.P.value(y) / p.alpha
+        xs = _roots_in(e1, y, xhi) + (_roots_in(e2, y, xhi) if y else [])
+        if not xs:
+            continue
+        res, st = min(((_residual(model, s), s) for s in (State(x, y, z) for x in xs)),
+                      key=lambda t: t[0])
+        if res >= RESIDUAL_TOL * max(1.0, _largest_term(model, st)):
+            continue
+        # the disease-free point, first if at all, is no endemic point's twin
+        if y and any(e.state.y and st.max_abs_diff(e.state) < 1e-8 for e in found):
+            continue
+        found.append(Equilibrium(state=st, kind=ENDEMIC if y else DISEASE_FREE, residual=res))
+    found.sort(key=lambda e: (e.kind == ENDEMIC, e.state.x, e.state.y, e.state.z))
+    return found

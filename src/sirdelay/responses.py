@@ -11,21 +11,26 @@ Conventions
   integer powers and the test ``== 0.0``.  This module's private rational
   type (``_Poly``, ``_Ratio``) runs it unchanged on the symbols x and y
   (where ``== 0.0`` means "identically zero"): ``ResponseFn.partial``
-  differentiates that form by the quotient rule, and the endemic search in
+  differentiates that form by the quotient rule, ``zero_when_y_zero``
+  reads its numerator, and the equilibrium search in
   ``sirdelay.equilibria`` reads each kind's numerator polynomials from it.
   A kind that needs more (exp, an order comparison, a fractional power)
   cannot join the catalog without new derivatives and a new search.
 * A partial derivative whose numerator and denominator are both exactly 0
   at the point is 0.  So ``FractionalMix`` (x/(x+y)), defined as 0 at the
   origin, has zero partials there and the model right-hand side stays
-  finite; the point (0, 0) is never reached from positive data.
+  finite; the point (0, 0) is never reached from positive data.  One whose
+  denominator alone is 0 is infinite, which ``jacobian_coeffs`` refuses
+  by name.
 * ``zero_when_y_zero`` is True for incidence forms with f(x, 0) = 0 for
-  all x.  A disease-free steady state can only exist when that holds, so
-  the equilibrium search consults this flag.
+  all x: no term of the numerator is free of y.  A disease-free steady
+  state can only exist when that holds, so the equilibrium search
+  consults it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, check_finite
@@ -144,9 +149,10 @@ _X, _Y = _Ratio(_Poly({(1, 0): 1})), _Ratio(_Poly({(0, 1): 1}))
 @dataclass(frozen=True)
 class ResponseFn:
     """Base class; each concrete variant defines only the formula
-    value(*args), rational in its arguments, and ``partial`` derives from it
-    (a subclass whose formula is not rational must define its own).
-    Neither checks its arguments: non-finite numbers are refused where they
+    value(*args), rational in its arguments, and ``partial`` and
+    ``zero_when_y_zero`` derive from it (a subclass whose formula is not
+    rational must define its own).
+    ``value`` and ``partial`` check no argument: non-finite numbers are refused where they
     enter (``Params``, each field by ``__post_init__`` below, the histories,
     ``eval_rhs`` and ``jacobian_coeffs``)."""
 
@@ -154,12 +160,21 @@ class ResponseFn:
     kind = None
     #: number of arguments the function takes; None means either 1 or 2
     arity = None
-    #: True when the function vanishes identically at y = 0 (binary forms)
-    zero_when_y_zero = False
 
     def __post_init__(self):
         for f in fields(self):
             check_finite(f"{type(self).__name__} {f.name}", getattr(self, f.name))
+
+    def _form(self):
+        # ``value`` run on the symbols: on x and y, or on x alone (arity 1)
+        return _ratio(self.value(*(_X, _Y)[:self.arity or 2]))
+
+    @property
+    def zero_when_y_zero(self) -> bool:
+        """True when the function vanishes identically at y = 0: no term of
+        the numerator of ``value`` run on the symbols is free of y (a
+        one-argument form runs on x, so it is True only when identically 0)."""
+        return all(j for (_, j), c in self._form().num.items() if c)
 
     def _derivatives(self):
         # the first partial derivatives of ``value`` run on the symbols, kept
@@ -169,18 +184,19 @@ class ResponseFn:
             return self._first_partials
         except AttributeError:
             n = self.arity or 2
-            form = _ratio(self.value(*(_X, _Y)[:n]))
+            form = self._form()
             object.__setattr__(self, "_first_partials", tuple(form.diff(i) for i in range(n)))
             return self._first_partials
 
     def partial(self, index, *args):
         """The partial derivative of ``value`` with respect to argument
         ``index`` at ``args``; 0.0 where the derivative's numerator and
-        denominator are both exactly 0."""
+        denominator are both exactly 0, and at a pole, where only the
+        denominator (a square) is, an infinity of the numerator's sign."""
         d = self._derivatives()[index]
         num, den = d.num.at(*args), d.den.at(*args)
-        if num == 0.0 and den == 0.0:
-            return 0.0
+        if den == 0.0:
+            return math.copysign(math.inf, num) if num else 0.0
         return num / den
 
 
@@ -190,7 +206,6 @@ class Zero(ResponseFn):
 
     kind = "zero"
     arity = None
-    zero_when_y_zero = True
 
     def value(self, *args):
         return 0.0
@@ -214,7 +229,6 @@ class Bilinear(ResponseFn):
 
     kind = "bilinear"
     arity = 2
-    zero_when_y_zero = True
 
     def value(self, x, y):
         return x * y
@@ -227,7 +241,6 @@ class SaturatingIncidence(ResponseFn):
     kind = "saturating_incidence"
     k: float
     arity = 2
-    zero_when_y_zero = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -248,7 +261,6 @@ class FractionalMix(ResponseFn):
 
     kind = "fractional_mix"
     arity = 2
-    zero_when_y_zero = False
 
     def value(self, x, y):
         s = x + y

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .cubic import brent, solve_cubic_real
-from .equilibria import is_bilinear_special_case
 from .errors import DomainError, check_delays, check_finite
 from .model import JacCoeffs, ModelSpec
+from .responses import Bilinear, Linear
 
 __all__ = [
     "CharCoeffs",
@@ -39,6 +39,7 @@ __all__ = [
     "delta_analysis",
     "general_delay_analysis",
     "global_verdict",
+    "is_bilinear_special_case",
     "STABLE",
     "NOT_ESTABLISHED",
     "PRESERVED",
@@ -554,6 +555,16 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
 # ---------------------------------------------------------------------------
 # global stability of the bilinear special case
 # ---------------------------------------------------------------------------
+
+def is_bilinear_special_case(model: ModelSpec) -> bool:
+    """True for f = x*y, V = x, P = y: the case with closed-form endemic
+    coordinates and a delay-independent global stability criterion."""
+    return (
+        isinstance(model.f, Bilinear)
+        and isinstance(model.V, Linear) and model.V.k == 1.0
+        and isinstance(model.P, Linear) and model.P.k == 1.0
+    )
+
 
 @dataclass(frozen=True)
 class GlobalResult:

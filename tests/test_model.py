@@ -144,6 +144,15 @@ def test_disease_free_infected_column():
         assert j.C == pytest.approx(p.b1 * eq.state.x - p.d1 - p.r, abs=1e-12)
 
 
+@pytest.mark.parametrize("name, state", [
+    ("ex5_7", State(-2.0, 1.0, 1.0)),  # x/(x + k) with k = 2
+    ("ex5_5", State(-1.0, 1.0, 1.0)),  # x/(x + y)
+])
+def test_jacobian_at_a_pole_of_the_incidence_is_refused_by_name(name, state):
+    with pytest.raises(DomainError, match="response partial df/dx undefined at"):
+        jacobian_coeffs(load_preset(name).model, state)
+
+
 def test_supports_disease_free_flag():
     assert load_preset("ex5_1").model.supports_disease_free
     assert not load_preset("ex5_5").model.supports_disease_free

@@ -165,6 +165,8 @@ def test_incidence_vanishing_flags():
     assert SaturatingIncidence(2.0).zero_when_y_zero
     assert Zero().zero_when_y_zero
     assert not FractionalMix().zero_when_y_zero
+    assert not any(fn.zero_when_y_zero for fn in (Linear(1.0), SaturatingUnary(1.0),
+                                                  PowerSum(1.0, 0.5)))
     # f(x, 0) = 0 holds for the flagged ones
     for x in (0.0, 1.0, 5.0):
         assert Bilinear().value(x, 0.0) == 0.0
