@@ -339,12 +339,12 @@ def criterion_7():
         "coefficient a0 = -36 < 0 predicts the switch, yet global_verdict still "
         "reports it globally stable (b1 = 1 < min(b(d1+r)/r, c+d) = 2).  The "
         "solutions there grow without bound, against the published claim: at "
-        "(1,1) from (1,1,1), at step 1e-4, y peaks at 24.1, 85.7 and 967.6 at "
-        "t = 3.67, 7.59 and 11.31 (about 86,400 near t = 14.91 at step 2e-5), "
-        "so no bound x <= max(x(0), (a + alpha*max z)/(c+d)) holds.  At the "
-        "default step 0.04 the runs stop once h*(b*y + c + d) passes RK4's "
-        "limit of ~2.79 (y past ~68): at t ~ 9-16 at (1,1) and t ~ 10.9-13.3 "
-        "at (5,2).",
+        "(1,1) from (1,1,1) y peaks at 24.1, 85.7, 967.6 and 86,398 at "
+        "t = 3.67, 7.59, 11.31 and 14.91 (the controlled steps and a fixed step "
+        "2e-5 agree to 2e-6), so no bound x <= max(x(0), (a + alpha*max z)/(c+d)) "
+        "holds.  The controlled steps follow that growth until the try budget is "
+        "used up, at t ~ 15-22 at (1,1) and t ~ 11.2-13.6 at (5,2), or until y "
+        "passes DIVERGENCE_BOUND, at t ~ 19 at (5,2) from (2,1.5,1).",
         "ex5_2 sits on its threshold a/(c+d) = (d1+r)/b1 = 5 with roots {0, -1, -2} "
         "at every delay; along the zero root dev ~ 8/t, so the 1e-2 bar needs "
         "t ~ 800 and runs that miss it at horizon 300 are held to that tail law.",

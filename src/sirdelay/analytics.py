@@ -20,7 +20,7 @@ from .charroots import max_real_part
 from .cubic import solve_cubic_real
 from .equilibria import Equilibrium, all_equilibria
 from .errors import DomainError, IntegrationError
-from .integrator import HistorySpec, Trajectory, integrate
+from .integrator import DIVERGENCE_BOUND, HistorySpec, Trajectory, integrate
 from .model import ModelSpec, State, jacobian_coeffs, to_jsonable
 from .stability import char_coeffs
 
@@ -50,7 +50,6 @@ TAIL_FRACTION = 0.5
 #: peak-amplitude ratio band separating damped from sustained oscillation
 RATIO_BAND = (0.9, 1.1)
 MIN_PEAKS = 3
-DIVERGENCE_BOUND = 1e6
 
 
 def convergence_bar(target: State) -> float:
@@ -86,12 +85,13 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     The analysis window is the last TAIL_FRACTION of the horizon.
     Order of tests: convergence to ``candidate`` (within its
     ``convergence_bar``); then successive maxima of y(t) relative to the
-    tail mean, with last/first amplitude ratio below RATIO_BAND meaning
-    damped and inside it (with >= MIN_PEAKS peaks) meaning sustained; then
-    DIVERGENCE_BOUND; else unclassified.  A sustained oscillation's period
-    is the mean spacing of its peaks, each placed at the maximum of the
-    Hermite dense output (the exact root of its slope, a quadratic) rather
-    than at a mesh point, so it does not depend on the step beyond its error.
+    tail's time-weighted mean (so a non-uniform mesh does not bias it), with
+    last/first amplitude ratio below RATIO_BAND meaning damped and inside it
+    (with >= MIN_PEAKS peaks) meaning sustained; then DIVERGENCE_BOUND; else
+    unclassified.  A sustained oscillation's period is the mean spacing of
+    its peaks, each placed at the maximum of the Hermite dense output (the
+    exact root of its slope, a quadratic) rather than at a mesh point, so it
+    does not depend on the step beyond its error.
 
     Precondition: horizon >= 10x the larger delay and >= 50 time units.
     """
@@ -100,8 +100,7 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
         raise ValueError(
             f"horizon {horizon} too short to classify: need >= 50 and >= 10x max delay"
         )
-    t0 = horizon * (1.0 - TAIL_FRACTION)
-    sel = traj.times >= t0
+    sel = _tail(traj)
     tail = traj.states[sel]
 
     target = getattr(candidate, "state", candidate)
@@ -111,7 +110,8 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
             return Classification(CONVERGED, target=target, max_deviation=dev)
 
     ys = tail[:, 1]
-    mean_y = float(np.mean(ys))
+    times = traj.times[sel]
+    mean_y = float(_time_mean(times, ys))
     peak_idx = [
         i for i in range(1, len(ys) - 1)
         if ys[i - 1] < ys[i] >= ys[i + 1] and ys[i] > mean_y
@@ -123,7 +123,7 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
         if ratio < RATIO_BAND[0]:
             return Classification(DAMPED, decay_ratio=ratio)
         if ratio <= RATIO_BAND[1] and len(peak_idx) >= MIN_PEAKS:
-            times, slopes = traj.times[sel], traj.derivatives[sel, 1]
+            slopes = traj.derivatives[sel, 1]
             first, last = (_peak_time(times, ys, slopes, i) for i in (peak_idx[0], peak_idx[-1]))
             spacing = (last - first) / (len(peak_idx) - 1)
             return Classification(
@@ -134,6 +134,19 @@ def classify(traj: Trajectory, candidate: Equilibrium | State | None = None) -> 
     if float(np.max(np.abs(tail))) > DIVERGENCE_BOUND:
         return Classification(DIVERGED)
     return Classification(UNCLASSIFIED)
+
+
+def _tail(traj: Trajectory) -> np.ndarray:
+    """Mask of the mesh times in the trajectory's last TAIL_FRACTION."""
+    return traj.times >= traj.horizon * (1.0 - TAIL_FRACTION)
+
+
+def _time_mean(times, values):
+    """The trapezoid mean of ``values`` (along the first axis) over ``times``,
+    which weighs each mesh point by the time around it, however the steps vary."""
+    widths = np.diff(times)
+    area = np.tensordot(widths, 0.5 * (values[1:] + values[:-1]), axes=1)
+    return area / (times[-1] - times[0])
 
 
 def _peak_time(times, ys, slopes, i) -> float:
@@ -170,9 +183,10 @@ class SweepRow:
 
 
 def nearest_equilibrium(traj: Trajectory, eqs) -> Equilibrium:
-    """The equilibrium nearest, in the max norm, to the mean state over the
-    trajectory's last TAIL_FRACTION."""
-    mean = np.mean(traj.states[traj.times >= traj.horizon * (1.0 - TAIL_FRACTION)], axis=0)
+    """The equilibrium nearest, in the max norm, to the time-weighted mean
+    state over the trajectory's last TAIL_FRACTION."""
+    sel = _tail(traj)
+    mean = _time_mean(traj.times[sel], traj.states[sel])
     return min(eqs, key=lambda e: float(np.max(np.abs(mean - np.array(e.state.as_tuple())))))
 
 

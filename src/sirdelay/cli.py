@@ -169,6 +169,7 @@ def cmd_simulate(args) -> int:
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
     traj = integrate(model, cfg.history, cfg.horizon, step=cfg.step)
+    print(f"steps: {len(traj.times) - 1} accepted, {traj.rejected} rejected")
     _write(out / f"{name}_timeseries.csv",
            lambda fh: trajectory_to_csv(traj, fh, stride=args.stride))
     final = traj.final_state()

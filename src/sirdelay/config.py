@@ -13,10 +13,11 @@ JSON layout (the model block alone is also accepted and gets defaults):
       },
       "history": {"kind": "constant", "state": [1.0, 1.0, 1.0]},
       "horizon": 100.0,
-      "step": 0.04,            // optional requested RK4 step, default 0.04
-                               // (at most the smallest positive delay, or
-                               // horizon/100 with none); no mesh step of
-                               // sirdelay.integrator is longer
+      "step": 0.04,            // optional fixed RK4 step (at most the
+                               // smallest positive delay, or horizon/100
+                               // with none); no mesh step is longer.  Left
+                               // out, sirdelay.integrator controls the step
+                               // by its local error estimate
       "reference": {...}       // optional published values for cross-checks,
                                // shaped as REFERENCE_SIZES says, and an
                                // optional "note" string

@@ -11,7 +11,9 @@ class DomainError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a numerical integration fails (negativity violation or blow-up).
+    """Raised when a numerical integration fails: a negativity violation, a
+    blow-up, or a controlled run that passes the divergence bound or uses up
+    its try budget.
 
     The attribute ``time`` holds the integration time at which the failure
     was detected, and ``trajectory`` the part computed before the failing

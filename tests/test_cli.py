@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -179,6 +180,17 @@ def test_simulate_outputs(tmp_path, capsys):
     assert tree.getroot().tag.endswith("svg")
 
 
+def test_simulate_reports_its_step_counts(tmp_path, capsys):
+    # a requested step gives the fixed mesh, 200/0.04 steps; controlled steps
+    # take fewer on ex5_3's convergence, and count the ones they reject
+    assert main(["simulate", "--preset", "ex5_3", "--step", "0.04", "--out", str(tmp_path)]) == 0
+    assert "steps: 5000 accepted, 0 rejected\n" in capsys.readouterr().out
+    assert main(["simulate", "--preset", "ex5_3", "--out", str(tmp_path)]) == 0
+    accepted, rejected = map(int, re.search(r"steps: (\d+) accepted, (\d+) rejected\n",
+                                            capsys.readouterr().out).groups())
+    assert 0 < rejected < accepted < 5000
+
+
 def test_plot_samples_the_csv_times(tmp_path, capsys, monkeypatch):
     charted = []
     monkeypatch.setattr(cli, "line_chart", lambda ts, series, **kw: charted.extend(ts) or "<svg/>")
@@ -208,9 +220,8 @@ def test_simulate_delay_overrides(tmp_path, capsys):
 
 def test_simulate_blowup_exits_1(tmp_path, capsys):
     # ex5_1's endemic point is unstable at (1, 1); the growing oscillation
-    # drives fixed-step RK4 out of its stability region (h*(b*y + c + d)
-    # passes ~2.79 near t = 10 at the default step) and the integrator
-    # reports a blow-up
+    # takes ever smaller controlled steps until the try budget is used up,
+    # and the integrator reports it
     rc = main(["simulate", "--preset", "ex5_1", "--tau", "1", "--delta", "1",
                "--horizon", "100", "--out", str(tmp_path)])
     assert rc == 1
@@ -369,13 +380,14 @@ def test_sweep_csv(tmp_path, capsys):
 
 
 def test_sweep_keeps_a_failed_row_in_csv_and_json(tmp_path, capsys):
-    # ex5_1 at (tau, delta) = (1, 1) blows up (see test_simulate_blowup_exits_1);
-    # the sweep keeps that row, with its error in place of a classification
+    # ex5_1 at (tau, delta) = (1, 1) grows without bound (see
+    # test_simulate_blowup_exits_1) until the try budget is used up; the
+    # sweep keeps that row, with its error in place of a classification
     argv = ["sweep", "--preset", "ex5_1", "--tau", "0:1:1", "--delta", "0:1:1",
             "--horizon", "60", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert main(argv + ["--format", "json"]) == 0
-    error = "blow-up: non-finite state at t = 9.68"
+    error = "try budget used up: 10000 steps tried (10 rejected) reached t = 14.8017 of 60"
     assert f"error: {error}" in capsys.readouterr().out
     with open(tmp_path / "ex5_1_sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))

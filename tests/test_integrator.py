@@ -10,6 +10,7 @@ import pytest
 
 from sirdelay import integrator
 from sirdelay.acceptance import EX5_5_SAMPLED_HISTORY
+from sirdelay.analytics import _peak_time
 from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import DomainError, IntegrationError
 from sirdelay.integrator import (
@@ -42,8 +43,9 @@ def exact_linear(t, x0=8.0, y0=3.0, z0=4.0):
 
 
 def test_default_step():
-    # DEFAULT_STEP, capped at the smallest positive delay (horizon/100 with
-    # none), for every delay and history; no mesh step is longer
+    # a requested DEFAULT_STEP, or the smallest positive delay (horizon/100
+    # with none) where that is smaller, for every delay and history; no mesh
+    # step is longer, and no controlled step is longer than its cap
     const = ConstantHistory(State(1.0, 1.0, 1.0))
     sampled = SampledHistory(times=(-1.0, -0.37, 0.0), states=(State(1, 1, 1),) * 3)
     assert integrator.DEFAULT_STEP == 0.04
@@ -59,9 +61,12 @@ def test_default_step():
         (0.1, 0.03, sampled, 20.0, 0.03),
     ]:
         model, _ = _ex5_3(tau, delta)
-        steps = np.diff(integrate(model, hist, horizon).times)
+        steps = np.diff(integrate(model, hist, horizon, step=want).times)
         assert steps.max() == pytest.approx(want, rel=1e-3), (tau, delta, horizon)
         assert steps.max() <= want * (1.0 + 1e-9)
+        controlled = integrate(model, hist, horizon)
+        assert controlled.horizon == horizon
+        assert np.diff(controlled.times).max() <= _cap(tau, delta, horizon) * (1.0 + 1e-9)
 
 
 def test_step_validation():
@@ -225,10 +230,22 @@ def _assert_mesh_holds_the_breaking_points(traj, starts, tau, delta, step):
     (2.0, 0.3, 30.0, 0.07),
 ])
 def test_mesh_holds_every_multiple_of_the_delay(tau, delta, horizon, step):
+    # None requests DEFAULT_STEP, and also runs the controlled steps, whose
+    # cap is 10*DEFAULT_STEP or the smallest positive delay
     model, hist = _ex5_3(tau, delta)
-    traj = integrate(model, hist, horizon, step=step)
+    traj = integrate(model, hist, horizon, step=step or integrator.DEFAULT_STEP)
     _assert_mesh_holds_the_breaking_points(traj, (0.0,), tau, delta,
-                                           step or min(integrator.DEFAULT_STEP, tau or delta))
+                                           step or integrator.DEFAULT_STEP)
+    if step is None:
+        _assert_mesh_holds_the_breaking_points(integrate(model, hist, horizon), (0.0,), tau,
+                                               delta, _cap(tau, delta, horizon))
+
+
+def _cap(tau, delta, horizon):
+    """The longest controlled step: 10*DEFAULT_STEP, or the smallest positive
+    delay (horizon/100 with none) where that is smaller."""
+    return min(10.0 * integrator.DEFAULT_STEP,
+               min([v for v in (tau, delta) if v > 0.0], default=horizon / 100.0))
 
 
 @pytest.mark.parametrize("tau, delta, step", [(1.0, 0.0, None), (0.93, 0.61, None),
@@ -236,9 +253,12 @@ def test_mesh_holds_every_multiple_of_the_delay(tau, delta, horizon, step):
 def test_mesh_holds_every_breaking_point_of_a_sampled_history(tau, delta, step):
     model, _ = _ex5_3(tau, delta)
     hist = _zigzag_history(n=7, span=1.0)
-    traj = integrate(model, hist, 40.0, step=step)
+    traj = integrate(model, hist, 40.0, step=step or integrator.DEFAULT_STEP)
     _assert_mesh_holds_the_breaking_points(traj, hist.times, tau, delta,
                                            step or integrator.DEFAULT_STEP)
+    if step is None:
+        _assert_mesh_holds_the_breaking_points(integrate(model, hist, 40.0), hist.times, tau,
+                                               delta, _cap(tau, delta, 40.0))
 
 
 def test_constant_history_puts_gap_ends_only_where_a_low_derivative_jumps():
@@ -250,7 +270,8 @@ def test_constant_history_puts_gap_ends_only_where_a_low_derivative_jumps():
     want = [0.0]
     for a, b in zip(ends, ends[1:]):
         want += np.linspace(a, b, math.ceil((b - a) / step - 1e-9) + 1)[1:].tolist()
-    np.testing.assert_allclose(integrate(model, hist, horizon).times, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(integrate(model, hist, horizon, step=step).times, want,
+                               rtol=0, atol=1e-12)
 
 
 def test_fourth_order_from_a_rough_history_with_two_delays():
@@ -282,8 +303,9 @@ def test_kinks_that_no_delay_carries_past_zero_add_no_mesh_time():
     state = const.state
     hist = SampledHistory(times=(-2.0, -0.95, 0.0), states=(state, State(1.0, 3.0, 2.0), state))
     assert -2.0 + 4 * 0.93 > 0.0 and -0.95 + 2 * 0.93 > 0.0
-    np.testing.assert_array_equal(integrate(model, hist, 20.0).times,
-                                  integrate(model, const, 20.0).times)
+    step = integrator.DEFAULT_STEP
+    np.testing.assert_array_equal(integrate(model, hist, 20.0, step=step).times,
+                                  integrate(model, const, 20.0, step=step).times)
 
 
 @pytest.mark.parametrize("tau", [0.93, 2.37, 5.37])
@@ -371,15 +393,45 @@ def test_blow_up_raises_with_time():
         assert exc.value.time == pytest.approx(when, abs=1e-9)
 
 
-def test_blow_up_time_at_the_default_step():
-    # the blow-up time belongs to the step: the default 0.04 leaves RK4's
-    # stability region at a different y than 0.01 does
+#: the y peaks (t, y) of ex5_1 at (tau, delta) = (1, 1) from (1, 1, 1), from a
+#: fixed step-2e-5 run to t = 15.5, each placed by _peak_time
+EX5_1_PEAKS = ((3.67272, 24.1124), (7.58607, 85.7093), (11.3121, 967.635), (14.9120, 86397.8))
+
+
+def _ex5_1(tau, delta):
     model = load_preset("ex5_1").model
-    model = replace(model, params=model.params.with_delays(1.0, 1.0))
-    for start, when in (((8.0, 5.0, 2.0), 1.72), ((1.0, 1.0, 1.0), 9.68)):
-        with pytest.raises(IntegrationError, match="blow-up") as exc:
-            integrate(model, ConstantHistory(State(*start)), horizon=100.0)
-        assert exc.value.time == pytest.approx(when, abs=1e-9)
+    return replace(model, params=model.params.with_delays(tau, delta))
+
+
+def test_controlled_steps_follow_the_ex5_1_blow_up_through_its_peaks():
+    # the fixed default step used to stop at t = 9.68, before the third peak;
+    # controlled steps follow the solution until the try budget, twice the
+    # 7,500 steps of a DEFAULT_STEP mesh, is used up past the fourth
+    with pytest.raises(IntegrationError, match="try budget used up: 15000 steps") as exc:
+        integrate(_ex5_1(1.0, 1.0), ConstantHistory(State(1.0, 1.0, 1.0)), horizon=300.0)
+    part = exc.value.trajectory
+    assert part.horizon == exc.value.time > EX5_1_PEAKS[-1][0]
+    assert len(part.times) - 1 + part.rejected == 15000
+    ys, slopes = part.states[:, 1], part.derivatives[:, 1]
+    peaks = [i for i in range(1, len(ys) - 1) if ys[i - 1] < ys[i] >= ys[i + 1]]
+    assert len(peaks) == 4
+    for i, (t, y) in zip(peaks, EX5_1_PEAKS):
+        when = _peak_time(part.times, ys, slopes, i)
+        assert when == pytest.approx(t, rel=1e-3)
+        assert dense_eval(part, when).y == pytest.approx(y, rel=1e-3)
+
+
+def test_controlled_run_stops_at_the_divergence_bound():
+    model = _ex5_1(5.0, 2.0)
+    with pytest.raises(IntegrationError, match="diverged") as exc:
+        integrate(model, ConstantHistory(State(2.0, 1.5, 1.0)), horizon=300.0)
+    part = exc.value.trajectory
+    # the part holds the steps before the one that passed the bound
+    assert part.states.max() <= integrator.DIVERGENCE_BOUND < 2.0 * part.states[-1, 1]
+    assert part.horizon < exc.value.time <= part.horizon + _cap(5.0, 2.0, 300.0)
+    # a requested step has no bound: it runs until RK4 leaves its stability region
+    with pytest.raises(IntegrationError, match="blow-up"):
+        integrate(model, ConstantHistory(State(2.0, 1.5, 1.0)), horizon=300.0, step=0.04)
 
 
 class _ConstantDrain(ResponseFn):
@@ -578,6 +630,9 @@ def test_stored_derivatives_match_eval_rhs(name):
     cfg = load_preset(name.removesuffix("_sampled"))
     history = _zigzag_history() if name.endswith("_sampled") else cfg.history
     traj = integrate(cfg.model, history, horizon=20.0)
+    # every run rejects some controlled steps: a rejected step that left a
+    # stored value or moved a lookup index would show here
+    assert traj.rejected > 0
     _assert_derivatives_are_eval_rhs(cfg.model, history, traj)
 
 
