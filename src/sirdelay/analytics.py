@@ -195,7 +195,6 @@ def sweep(
     delay_grid,
     history: HistorySpec,
     horizon: float,
-    step: float | None = None,
 ) -> list:
     """Integrate and classify the model over a grid of (tau, delta) pairs.
 
@@ -203,16 +202,15 @@ def sweep(
     oracle's rightmost real part at the row's reference equilibrium (the
     equilibrium nearest the trajectory tail; for rows whose integration
     fails, the endemic equilibrium when one exists, else the disease-free
-    one).  Integration failures, including a step that does not suit a
-    row's delays, and oracle failures are recorded in the row (an oracle
-    failure leaves max_re_lambda None) and the sweep continues.
+    one).  Every row is integrated with error-controlled steps.  Integration
+    failures, including a horizon or history that does not suit a row's
+    delays, and oracle failures are recorded in the row (an oracle failure
+    leaves max_re_lambda None) and the sweep continues.
     """
     if not delay_grid:
         raise ValueError("delay grid must be nonempty")
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
-    if step is not None and not 0.0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
     eqs = all_equilibria(model)
     fallback = next((e for e in eqs if e.kind == "endemic"), eqs[0] if eqs else None)
     rows = []
@@ -221,8 +219,8 @@ def sweep(
         cand = fallback
         classification = None
         error = None
-        try:  # ValueError: a step or horizon that does not suit this row's delays
-            traj = integrate(row_model, history, horizon, step=step)
+        try:  # ValueError: a horizon or history that does not suit this row's delays
+            traj = integrate(row_model, history, horizon)
             if eqs:
                 cand = nearest_equilibrium(traj, eqs)
             classification = classify(traj, candidate=cand)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, check_delays
 
-__all__ = ["char_value", "char_deriv", "char_roots_scan", "certified_sign", "max_real_part"]
+__all__ = ["char_value", "char_roots_scan", "certified_sign", "max_real_part"]
 
 ROOT_ABS_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -57,11 +57,6 @@ def _char_pair(cc, tau, delta, lam):
 def char_value(cc, tau: float, delta: float, lam: complex) -> complex:
     """F(lam) for characteristic coefficients ``cc`` at delays (tau, delta)."""
     return _char_pair(cc, tau, delta, lam)[0]
-
-
-def char_deriv(cc, tau: float, delta: float, lam: complex) -> complex:
-    """dF/dlam, analytic."""
-    return _char_pair(cc, tau, delta, lam)[1]
 
 
 def _newton(cc, tau, delta, z, power=0):

@@ -67,8 +67,6 @@ def _resolve_scenario(args) -> ScenarioConfig:
         raise ConfigError("one of --preset or --config is required", field="preset")
     if getattr(args, "horizon", None) is not None:
         cfg = replace(cfg, horizon=args.horizon)
-    if getattr(args, "step", None) is not None:
-        cfg = replace(cfg, step=args.step)
     return cfg
 
 
@@ -107,7 +105,7 @@ def cmd_equilibria(args) -> int:
     _maybe_dump_config(cfg, args)
     model = cfg.model
     eqs = all_equilibria(model)
-    if not model.supports_disease_free:
+    if not model.f.zero_when_y_zero:
         print("no disease-free equilibrium: the incidence does not vanish at y = 0")
     if not eqs:
         print("no equilibria found")
@@ -168,7 +166,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
-    traj = integrate(model, cfg.history, cfg.horizon, step=cfg.step)
+    traj = integrate(model, cfg.history, cfg.horizon)
     print(f"steps: {len(traj.times) - 1} accepted, {traj.rejected} rejected")
     _write(out / f"{name}_timeseries.csv",
            lambda fh: trajectory_to_csv(traj, fh, stride=args.stride))
@@ -204,7 +202,7 @@ def cmd_sweep(args) -> int:
     _maybe_dump_config(cfg, args)
     name = _scenario_name(cfg, args)
     grid = [(t, d) for t in taus for d in deltas]
-    rows = sweep(cfg.model, grid, cfg.history, cfg.horizon, step=cfg.step)
+    rows = sweep(cfg.model, grid, cfg.history, cfg.horizon)
     for row in rows:
         mr = "" if row.max_re_lambda is None else f"  max Re lambda = {row.max_re_lambda:+.4f}"
         print(f"tau = {row.tau:6g}  delta = {row.delta:6g}  {row.label()}{mr}")
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate and export a time series")
     _add_source_opts(p_sim)
     p_sim.add_argument("--horizon", type=float)
-    p_sim.add_argument("--step", type=float)
     p_sim.add_argument("--tau", type=float, help="override the incubation delay")
     p_sim.add_argument("--delta", type=float, help="override the recovery delay")
     p_sim.add_argument("--stride", type=float, default=0.1, help="CSV output stride")
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--tau", help="single value or range A:B:STEP")
     p_sw.add_argument("--delta", help="single value or range A:B:STEP")
     p_sw.add_argument("--horizon", type=float)
-    p_sw.add_argument("--step", type=float)
     p_sw.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sw.add_argument("--out", default=".", help="output directory")
     p_sw.set_defaults(fn=cmd_sweep)

@@ -13,11 +13,6 @@ JSON layout (the model block alone is also accepted and gets defaults):
       },
       "history": {"kind": "constant", "state": [1.0, 1.0, 1.0]},
       "horizon": 100.0,
-      "step": 0.04,            // optional fixed RK4 step (at most the
-                               // smallest positive delay, or horizon/100
-                               // with none); no mesh step is longer.  Left
-                               // out, sirdelay.integrator controls the step
-                               // by its local error estimate
       "reference": {...}       // optional published values for cross-checks,
                                // shaped as REFERENCE_SIZES says, and an
                                // optional "note" string
@@ -26,8 +21,12 @@ JSON layout (the model block alone is also accepted and gets defaults):
 Response kinds: zero | linear(k) | bilinear | saturating_incidence(k) |
 fractional_mix | saturating_unary(k) | power_sum(p1, p2).
 
+A scenario is always integrated with error-controlled steps, so a "step"
+key is refused rather than ignored: an old file never changes method
+silently.
+
 ``dump_scenario`` writes this layout through ``sirdelay.model.to_jsonable``
-and leaves out a step, name or reference that is not set.
+and leaves out a name or reference that is not set.
 """
 
 from __future__ import annotations
@@ -54,19 +53,18 @@ class ScenarioConfig:
     model: ModelSpec
     history: HistorySpec
     horizon: float
-    step: float | None = None
     name: str | None = None
     reference: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # checked here, not in the parser, so that dataclasses.replace checks
         # too; an integer is kept, and dumped, as a float
-        for key in ("horizon", "step") if self.step is not None else ("horizon",):
-            v = getattr(self, key)
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not 0 < v <= sys.float_info.max):
-                raise ConfigError(f"{key} must be a positive finite number, got {v!r}", field=key)
-            object.__setattr__(self, key, float(v))
+        v = self.horizon
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not 0 < v <= sys.float_info.max):
+            raise ConfigError(f"horizon must be a positive finite number, got {v!r}",
+                              field="horizon")
+        object.__setattr__(self, "horizon", float(v))
         # output files are named after the scenario
         if self.name is not None and (not isinstance(self.name, str) or self.name in ("", ".", "..")
                                       or any(c in self.name for c in "/\\\0")):
@@ -95,6 +93,9 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     offending field named."""
     if not isinstance(d, dict):
         raise ConfigError("configuration must be a JSON object", field="<root>")
+    if "step" in d:
+        raise ConfigError("a scenario takes no step: it is integrated with error-controlled "
+                          "steps; remove the \"step\" key", field="step")
     if "model" not in d and "params" in d:
         d = {"model": d}
     if "model" not in d:
@@ -113,8 +114,8 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         history = ConstantHistory(State(1.0, 1.0, 1.0))
 
     return ScenarioConfig(
-        model=model, history=history, horizon=d.get("horizon", 100.0), step=d.get("step"),
-        name=d.get("name"), reference=d.get("reference", {}),
+        model=model, history=history, horizon=d.get("horizon", 100.0), name=d.get("name"),
+        reference=d.get("reference", {}),
     )
 
 

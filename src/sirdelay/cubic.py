@@ -1,57 +1,37 @@
 """Real roots of scalar equations: every real root of a polynomial, by Newton
-steps on pieces where it is monotone and convex or concave, and Brent-Dekker
+steps on pieces where it is monotone and convex or concave, and bisection
 on a sign-changing bracket."""
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError, check_finite
 
-__all__ = ["brent", "solve_cubic_real"]
+__all__ = ["bisect_root", "solve_cubic_real"]
 
 
-def brent(g, lo, hi):
-    """A root of g on [lo, hi] by Brent-Dekker: inverse quadratic or secant
-    steps, bisection where they fall short (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).  Stops only where g is
-    exactly 0 or the bracket is narrower than 1e-15 * max(1, |lo|, |hi|);
-    None when g(lo) and g(hi) are nonzero and share a sign."""
-    a, b, fa, fb = lo, hi, g(lo), g(hi)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
+def bisect_root(g, lo, hi):
+    """A root of g on [lo, hi] by bisection, carried down to two adjacent
+    floats, of which the one with the smaller |g| is returned; g exactly 0
+    at lo, at hi or at a midpoint ends the search there.  None when g(lo)
+    and g(hi) are nonzero and share a sign."""
+    flo, fhi = g(lo), g(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
         return None
-    tol = 0.5e-15 * max(1.0, abs(lo), abs(hi))  # half the width bound
-    c, fc, d, e = a, fa, b - a, b - a  # d and e: the last two steps
-    for _ in range(300):
-        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
-            c, fc, d, e = a, fa, b - a, b - a
-        if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        m = 0.5 * (c - b)
-        if fb == 0.0 or abs(m) <= tol:
-            return b
-        num = den = 0.0
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                num, den = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                num = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            num, den = abs(num), -den if num > 0.0 else den
-        if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
-            d, e = num / den, d
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
+        if not lo < mid < hi:
+            return lo if abs(flo) <= abs(fhi) else hi
+        fmid = g(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
         else:
-            d = e = m  # bisect: interpolation would leave the bracket or stall
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = g(b)
-    return b
+            hi, fhi = mid, fmid
 
 
 def _horner(cs, x):

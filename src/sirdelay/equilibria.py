@@ -134,7 +134,7 @@ def all_equilibria(model: ModelSpec):
     e1, e2, cs = _balance_polynomials(model)
     xhi = (1.0 + X_ROUNDOFF) * p.a / p.d
     yhi = p.b1 * _susceptible_balance(model)(0.0) / (p.b * p.d1)
-    ys = [0.0] if model.supports_disease_free else []
+    ys = [0.0] if model.f.zero_when_y_zero else []
     ys += [y for y in _real_roots(cs) if MIN_ENDEMIC_Y * yhi < y <= yhi]
     found = []
     for y in ys:

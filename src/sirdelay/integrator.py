@@ -50,7 +50,9 @@ gap at the proposed h, so no sliver step falls before a breaking point.  The fir
 proposed is DEFAULT_STEP, capped the same way.  A controlled run stops
 with an IntegrationError when a state passes DIVERGENCE_BOUND, or when
 it has tried twice the steps of the DEFAULT_STEP mesh (at least
-MIN_TRIES), so a stiff run cannot grind on to MAX_STEPS.
+MIN_TRIES), so a stiff run cannot grind on to MAX_STEPS.  The fixed mesh
+is the reference that order studies and tests measure against;
+scenarios, the CLI and sweeps never request a step.
 
 Stated tolerance: with controlled steps, ex5_3 (endemic point (2, 2, 2))
 from its constant history stays within 2e-5 of a step-0.001 reference

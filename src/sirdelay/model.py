@@ -188,12 +188,6 @@ class ModelSpec:
         # the bound right-hand side is a closure: pickle without it, rebuild on use
         return {k: v for k, v in vars(self).items() if k != "rhs"}
 
-    @property
-    def supports_disease_free(self) -> bool:
-        """True when the incidence vanishes at y = 0, a prerequisite for a
-        disease-free steady state."""
-        return self.f.zero_when_y_zero
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         for key in ("params", "f", "V", "P"):

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cubic import brent, solve_cubic_real
+from .cubic import bisect_root, solve_cubic_real
 from .errors import DomainError, check_delays, check_finite
 from .model import JacCoeffs, ModelSpec
 from .responses import Bilinear, Linear
@@ -535,7 +535,7 @@ def general_delay_analysis(cc: CharCoeffs, tau: float, delta: float) -> Combined
     else:
         diagnostics.append("Psi has no sign change on the search grid")
         return CombinedResult(INCONCLUSIVE, None, None, None, tuple(checks), tuple(diagnostics))
-    nu_plus = brent(lambda nu: _psi(cc, theta_given, nu), prev_nu, nu)
+    nu_plus = bisect_root(lambda nu: _psi(cc, theta_given, nu), prev_nu, nu)
 
     num = m * nu_plus - nu_plus**3
     den = n - l * nu_plus * nu_plus

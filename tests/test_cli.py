@@ -13,6 +13,7 @@ import pytest
 from sirdelay import acceptance, cli
 from sirdelay.cli import _parse_values, main
 from sirdelay.config import load_scenario
+from sirdelay.integrator import integrate
 from sirdelay.model import to_jsonable
 from sirdelay.presets import load_preset
 
@@ -181,14 +182,36 @@ def test_simulate_outputs(tmp_path, capsys):
 
 
 def test_simulate_reports_its_step_counts(tmp_path, capsys):
-    # a requested step gives the fixed mesh, 200/0.04 steps; controlled steps
-    # take fewer on ex5_3's convergence, and count the ones they reject
-    assert main(["simulate", "--preset", "ex5_3", "--step", "0.04", "--out", str(tmp_path)]) == 0
-    assert "steps: 5000 accepted, 0 rejected\n" in capsys.readouterr().out
+    # controlled steps take fewer than the fixed mesh's 200/0.04 on ex5_3's
+    # convergence, and count the ones they reject
+    cfg = load_preset("ex5_3")
+    fixed = len(integrate(cfg.model, cfg.history, cfg.horizon, step=0.04).times) - 1
+    assert fixed == 5000
     assert main(["simulate", "--preset", "ex5_3", "--out", str(tmp_path)]) == 0
     accepted, rejected = map(int, re.search(r"steps: (\d+) accepted, (\d+) rejected\n",
                                             capsys.readouterr().out).groups())
-    assert 0 < rejected < accepted < 5000
+    assert 0 < rejected < accepted < fixed
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_scenario_file_with_a_step_exits_2_before_writing(tmp_path, capsys, command):
+    # an old file that asked for a fixed mesh is refused, not run another way
+    blob = to_jsonable(load_preset("ex5_3"))
+    blob["step"] = 0.04
+    path = tmp_path / "stepped.json"
+    path.write_text(json.dumps(blob))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error [step]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_the_parser_refuses_a_step(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "ex5_3", "--step", "0.04", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--step" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_samples_the_csv_times(tmp_path, capsys, monkeypatch):
@@ -228,12 +251,6 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
-def test_simulate_step_longer_than_a_delay_exits_1_before_writing(tmp_path, capsys):
-    assert main(["simulate", "--preset", "ex5_3", "--step", "5", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: step 5.0 exceeds the smallest positive delay 1.0\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("tau", ["1:2", "0:1:0"])
 def test_malformed_range_exits_2_before_writing(tmp_path, capsys, tau):
     assert main(["sweep", "--preset", "ex5_3", "--tau", tau, "--out", str(tmp_path)]) == 2
@@ -253,7 +270,7 @@ def test_simulate_nonpositive_stride_exits_2_before_writing(tmp_path, capsys, st
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "--preset", "ex5_2", "--horizon", "nan"], "horizon"),
     (["simulate", "--preset", "ex5_2", "--horizon", "inf"], "horizon"),
-    (["simulate", "--preset", "ex5_2", "--step", "nan"], "step"),
+    (["sweep", "--preset", "ex5_3", "--horizon", "nan"], "horizon"),
     (["simulate", "--preset", "ex5_2", "--tau", "nan"], "tau"),
     (["simulate", "--preset", "ex5_2", "--delta", "inf"], "delta"),
     (["sweep", "--preset", "ex5_3", "--tau", "0:1:nan", "--delta", "0", "--horizon", "60"], "tau"),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sirdelay.cubic import _real_roots, brent, solve_cubic_real
+from sirdelay.cubic import _real_roots, bisect_root, solve_cubic_real
 from sirdelay.errors import DomainError
 
 
@@ -288,33 +288,32 @@ def test_a_root_at_or_just_inside_fujiwaras_bound_is_kept():
         assert [x for x in _real_roots(cs) if x * t > 0.0] == pytest.approx([2.0 * t], rel=1e-12), t
 
 
-def test_brent_needs_a_sign_change():
-    assert brent(lambda x: x * x + 1.0, -1.0, 2.0) is None
-    assert brent(lambda x: x - 3.0, 0.0, 2.0) is None
+def test_bisect_root_needs_a_sign_change():
+    assert bisect_root(lambda x: x * x + 1.0, -1.0, 2.0) is None
+    assert bisect_root(lambda x: x - 3.0, 0.0, 2.0) is None
 
 
-def test_brent_returns_exact_endpoint_zeros():
-    assert brent(lambda x: x - 1.0, 1.0, 4.0) == 1.0
-    assert brent(lambda x: x - 4.0, 1.0, 4.0) == 4.0
-    assert brent(lambda x: 0.0, -2.0, 5.0) == -2.0
+def test_bisect_root_returns_exact_endpoint_zeros():
+    assert bisect_root(lambda x: x - 1.0, 1.0, 4.0) == 1.0
+    assert bisect_root(lambda x: x - 4.0, 1.0, 4.0) == 4.0
+    assert bisect_root(lambda x: 0.0, -2.0, 5.0) == -2.0
 
 
 @pytest.mark.parametrize("hi", [1.0, 7.5])
-def test_brent_converges_to_a_jump_within_the_width_bound(hi):
-    # no interpolation step can land on a discontinuous sign change, so the
-    # bisection fallback must carry the bracket down to 1e-15 * max(1, hi)
+def test_bisect_root_converges_to_a_jump_within_the_width_bound(hi):
+    # g is never 0 at a discontinuous sign change, so only carrying the
+    # bracket down to adjacent floats puts the root within 1e-15 * max(1, hi)
     jump = 0.3 * hi
-    root = brent(lambda x: -1.0 if x < jump else 2.0, 0.0, hi)
+    root = bisect_root(lambda x: -1.0 if x < jump else 2.0, 0.0, hi)
     assert abs(root - jump) <= 1e-15 * max(1.0, hi)
 
 
-def test_brent_width_bound_does_not_depend_on_the_brackets_sign():
-    # the bound is relative to the larger end in size: taken from hi alone, a
-    # bracket on the negative side never got narrower than it, and brent ran
-    # all 300 iterations
+def test_bisect_root_does_not_depend_on_the_brackets_sign():
+    # the bracket mirrored through 0 gives the mirrored root, and costs no
+    # more evaluations
     def evaluations(g, lo, hi):
         calls = []
-        root = brent(lambda x: calls.append(x) or g(x), lo, hi)
+        root = bisect_root(lambda x: calls.append(x) or g(x), lo, hi)
         return root, len(calls)
 
     root, positive = evaluations(lambda x: x**3 - 1000.5, 0.0, 20.0)
@@ -323,7 +322,7 @@ def test_brent_width_bound_does_not_depend_on_the_brackets_sign():
     assert negative <= positive
 
 
-def test_brent_finds_smooth_roots_to_the_last_bits():
-    root = brent(lambda x: x ** 3 - 2.0, 0.0, 3.0)
+def test_bisect_root_finds_smooth_roots_to_the_last_bits():
+    root = bisect_root(lambda x: x ** 3 - 2.0, 0.0, 3.0)
     assert abs(root - 2.0 ** (1.0 / 3.0)) <= 4.0 * math.ulp(2.0 ** (1.0 / 3.0))
-    assert brent(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=2e-15)
+    assert bisect_root(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=2e-15)

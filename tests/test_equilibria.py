@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sirdelay import equilibria, responses
-from sirdelay.cubic import brent
+from sirdelay.cubic import bisect_root
 from sirdelay.equilibria import MIN_ENDEMIC_Y, all_equilibria
 from sirdelay.model import ModelSpec, Params, eval_rhs
 from sirdelay.presets import PRESET_NAMES, load_preset
@@ -74,7 +74,7 @@ def test_a_model_without_vaccination_keeps_its_disease_free_point(model):
 def test_an_incidence_vanishing_at_y_zero_gives_one_disease_free_point():
     for model in ([load_preset(name).model for name in PRESET_NAMES]
                   + random_models(15) + random_models(200, seed=7)):
-        assert len(disease_free(model)) == int(model.supports_disease_free), model.content_hash()
+        assert len(disease_free(model)) == int(model.f.zero_when_y_zero), model.content_hash()
 
 
 def test_endemic_closed_forms():
@@ -220,12 +220,12 @@ def exact(record):
 def infected_bounds(model):
     # (yhi, Y): Y, where K(y) = (b/b1)*(r*P(y) + d1*y) - r*P(y) reaches
     # G(0) = a - c*V(0); K(y) >= (b/b1)*d1*y puts Y at or below
-    # yhi = b1*G(0)/(b*d1), and Y is yhi up to rounding where brent finds no
-    # sign change
+    # yhi = b1*G(0)/(b*d1), and Y is yhi up to rounding where bisect_root
+    # finds no sign change
     p, P = model.params, model.P.value
     g0 = p.a - p.c * model.V.value(0.0)
     yhi = p.b1 * g0 / (p.b * p.d1)
-    Y = brent(lambda y: (p.b / p.b1) * (p.r * P(y) + p.d1 * y) - p.r * P(y) - g0, 0.0, yhi)
+    Y = bisect_root(lambda y: (p.b / p.b1) * (p.r * P(y) + p.d1 * y) - p.r * P(y) - g0, 0.0, yhi)
     return yhi, yhi if Y is None else Y
 
 

@@ -496,7 +496,7 @@ def test_trajectory_csv_round_trip():
 def test_trajectory_csv_refuses_a_bad_stride_before_writing(stride):
     # 1e-7 asks for 10^8 rows over the horizon 10, more than MAX_STEPS
     cfg = load_preset("ex5_3")
-    traj = integrate(cfg.model, cfg.history, horizon=10.0, step=cfg.step)
+    traj = integrate(cfg.model, cfg.history, horizon=10.0)
     buf = io.StringIO()
     with pytest.raises(ValueError, match="stride"):
         trajectory_to_csv(traj, buf, stride=stride)

@@ -154,8 +154,8 @@ def test_jacobian_at_a_pole_of_the_incidence_is_refused_by_name(name, state):
 
 
 def test_supports_disease_free_flag():
-    assert load_preset("ex5_1").model.supports_disease_free
-    assert not load_preset("ex5_5").model.supports_disease_free
+    assert load_preset("ex5_1").model.f.zero_when_y_zero
+    assert not load_preset("ex5_5").model.f.zero_when_y_zero
 
 
 def test_model_dict_round_trip_and_hash():
