@@ -14,10 +14,13 @@ eigenvalues (DDE-BIFTOOL: Engelborghs, Luzyanina & Roose, ACM TOMS 28, 2002).
 Contract: every root with Re > -EPS (so lam = 0 too) is returned, certified
 by equality, conjugates counted, with the argument-principle count of zeros
 in Re > -EPS, |lam| < R, where R bounds all roots there; failing that, N
-doubles up to DOUBLINGS times, then DomainError is raised.  A root with
-Re <= -EPS is returned only when an eigenvalue lies within RESOLVED_TOL of
-it, relative, so the list does not depend on Newton's basins.  Every root
-has |F| < 1e-9, or |F| < 1e-9 * max(1, |lam|)^3 without delay; roots come by
+doubles up to DOUBLINGS times, then DomainError is raised.  Each Newton run
+stops where it leaves the ball of relative radius RESOLVED_TOL around the
+eigenvalue it started from; the stopped runs resume, without the ball, only
+when the roots found fall short of the count.  A listed root with
+Re <= -EPS lies within RESOLVED_TOL of the eigenvalue its run started from;
+a resumed run's root there is kept only when some eigenvalue lies that
+close.  Every root has |F| < 1e-9, or |F| < 1e-9 * max(1, |lam|)^3 without delay; roots come by
 descending real part, with Im >= 0 only.
 ``certified_sign`` reads the count alone: -1 certifies that no root has
 Re > -EPS, so max Re < 0; +1 that a root has Re > EPS, so max Re > 0; 0
@@ -59,24 +62,21 @@ def char_value(cc, tau: float, delta: float, lam: complex) -> complex:
     return _char_pair(cc, tau, delta, lam)[0]
 
 
-def _newton(cc, tau, delta, z, power=0):
-    """Newton on F from z: the root, if |F| < ROOT_ABS_TOL * max(1, |root|)^power there."""
-    try:
-        for _ in range(NEWTON_MAX_ITER):
-            value, d = _char_pair(cc, tau, delta, z)
-            if d == 0:
-                break
-            step = value / d
-            z -= step
-            # exp(-z*(tau+delta)) overflows once Newton strays far left
-            if z.real * (tau + delta) < -600.0:
-                return None
-            if abs(step) < 1e-13 * (1.0 + abs(z)):
-                break
-        tol = ROOT_ABS_TOL * max(1.0, abs(z)) ** power
-        return z if abs(char_value(cc, tau, delta, z)) < tol else None
-    except OverflowError:
-        return None
+def _newton(cc, tau, delta, z):
+    """Newton's iterates on F from z, at most NEWTON_MAX_ITER; the last is a step
+    below 1e-13 relative, or where F' vanishes.  OverflowError once an iterate
+    strays so far left that exp(-z*(tau+delta)) would overflow."""
+    for _ in range(NEWTON_MAX_ITER):
+        value, d = _char_pair(cc, tau, delta, z)
+        if d == 0:
+            return
+        step = value / d
+        z -= step
+        if z.real * (tau + delta) < -600.0:
+            raise OverflowError
+        yield z
+        if abs(step) < 1e-13 * (1.0 + abs(z)):
+            return
 
 
 def _generator(cc, tau, delta, n):
@@ -131,14 +131,41 @@ def _unstable_count(cc, tau, delta, sigma=-EPS):
     raise DomainError(f"argument principle unresolved at tau={tau:g}, delta={delta:g}")
 
 
-def _polish(cc, tau, delta, eigs, power=0):
-    roots = []
-    for mu in eigs:
-        z = _newton(cc, tau, delta, complex(mu), power)
-        if z is not None:
-            z = complex(z.real, 0.0 if abs(z.imag) < 1e-10 else abs(z.imag))
-            if not any(abs(z - w) < DEDUP_TOL for w in roots):
-                roots.append(z)
+def _found(roots):
+    """Roots in Re > -EPS, conjugates counted."""
+    return sum(1 if z.imag == 0.0 else 2 for z in roots if z.real > -EPS)
+
+
+def _polish(cc, tau, delta, eigs, power=0, count=None):
+    """The roots Newton reaches from ``eigs``, each once, with Im >= 0: those
+    with |F| < ROOT_ABS_TOL * max(1, |root|)^power.  Given the ``count`` of
+    roots in Re > -EPS, a run stops where it leaves the ball
+    |z - mu| <= RESOLVED_TOL * (1 + |z|) around its eigenvalue mu, and the
+    stopped runs resume, without the ball, only if the other runs find fewer
+    than ``count`` roots in Re > -EPS."""
+    roots, stopped = [], []
+
+    def follow(z, run, mu=None):
+        # run Newton on from z and keep the root it ends at; given mu, set the
+        # run aside instead where an iterate leaves mu's ball
+        try:
+            for z in run:
+                if mu is not None and abs(z - mu) > RESOLVED_TOL * (1.0 + abs(z)):
+                    stopped.append((z, run))
+                    return
+            if abs(char_value(cc, tau, delta, z)) >= ROOT_ABS_TOL * max(1.0, abs(z)) ** power:
+                return
+        except OverflowError:
+            return
+        z = complex(z.real, 0.0 if abs(z.imag) < 1e-10 else abs(z.imag))
+        if not any(abs(z - w) < DEDUP_TOL for w in roots):
+            roots.append(z)
+
+    for mu in map(complex, eigs):
+        follow(mu, _newton(cc, tau, delta, mu), None if count is None else mu)
+    if count is not None and _found(roots) < count:
+        for z, run in stopped:
+            follow(z, run)
     return roots
 
 
@@ -155,8 +182,8 @@ def char_roots_scan(cc, tau: float, delta: float):
         count = _unstable_count(cc, tau, delta)
         for n in NODES * 2 ** np.arange(DOUBLINGS + 1):
             eigs = np.linalg.eigvals(_generator(cc, tau, delta, n))
-            roots = _polish(cc, tau, delta, eigs[eigs.imag >= 0.0])
-            found = sum(1 if z.imag == 0.0 else 2 for z in roots if z.real > -EPS)
+            roots = _polish(cc, tau, delta, eigs[eigs.imag >= 0.0], count=count)
+            found = _found(roots)
             if found == count:
                 break
         else:

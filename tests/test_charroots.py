@@ -1,9 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from sirdelay import charroots
 from sirdelay.charroots import (
+    EPS,
     _char_pair,
     certified_sign,
     char_roots_scan,
@@ -13,6 +16,7 @@ from sirdelay.charroots import (
 from sirdelay.equilibria import all_equilibria
 from sirdelay.errors import DomainError
 from sirdelay.model import jacobian_coeffs
+from sirdelay.presets import PRESET_NAMES, load_preset
 from sirdelay.report import switch_evidence
 from sirdelay.stability import (
     CharCoeffs,
@@ -189,3 +193,97 @@ def test_brackets_the_signs_do_not_confirm_print_the_root_scans_values():
     evidence = f"max Re = {left:.4g} at 0.9*tau and {right:.4g} at 1.1*tau"
     assert switch_evidence(cc, 0.9 * tp, 1.1 * tp, ("0.9*tau", "1.1*tau")) == evidence
     assert any(evidence in a for a in rep.annotations)
+
+
+def node_counts(monkeypatch):
+    """The collocation sizes N of the scans that follow, in order."""
+    ns = []
+    generator = charroots._generator
+
+    def counted(cc, tau, delta, n):
+        ns.append(int(n))
+        return generator(cc, tau, delta, n)
+
+    monkeypatch.setattr(charroots, "_generator", counted)
+    return ns
+
+
+def near_pass_found(cc, tau, delta, n):
+    """Roots in Re > -EPS, conjugates counted, that the runs staying inside
+    their eigenvalues' balls find at N = n: a count of 0 never resumes."""
+    eigs = np.linalg.eigvals(charroots._generator(cc, tau, delta, n))
+    return charroots._found(charroots._polish(cc, tau, delta, eigs[eigs.imag >= 0.0], count=0))
+
+
+def test_a_shortfall_of_the_near_pass_resumes_the_stopped_runs_at_each_node_count(monkeypatch):
+    # an endemic point at a long combined delay: without the resume, 56 of
+    # the 60 counted roots are found at N = 96 and the scan is refused
+    model = random_models(200, seed=7)[191]
+    eq = [e for e in all_equilibria(model) if e.kind == "endemic"][0]
+    cc = char_coeffs(jacobian_coeffs(model, eq))
+    tau, delta = 73.66810735707593, 4.013608180223375
+    assert near_pass_found(cc, tau, delta, 96) < 60
+    ns = node_counts(monkeypatch)
+    roots = char_roots_scan(cc, tau, delta)
+    assert ns == [12, 24, 48, 96]
+    assert charroots._unstable_count(cc, tau, delta) == 60
+    assert len(roots) == 30 and all(z.imag >= 0.0 for z in roots)
+    assert roots[0].real == pytest.approx(0.045524343472427946, rel=1e-12)
+
+
+def test_a_resume_at_the_first_node_count_keeps_it(monkeypatch):
+    cc = endemic_cc("sec6_followup")
+    count = charroots._unstable_count(cc, 7.0, 0.0)
+    assert near_pass_found(cc, 7.0, 0.0, 12) < count
+    ns = node_counts(monkeypatch)
+    roots = char_roots_scan(cc, 7.0, 0.0)
+    assert ns == [12]
+    assert charroots._found(roots) == count == 8
+
+
+def test_ex5_1_endemic_scan_at_tau_60_doubles_the_nodes_twice(monkeypatch):
+    ns = node_counts(monkeypatch)
+    roots = char_roots_scan(endemic_cc("ex5_1"), 60.0, 0.0)
+    assert ns == [12, 24, 48]
+    assert charroots._found(roots) == 24
+
+
+def test_eigenvalues_are_polished_inside_their_balls(monkeypatch):
+    # unbounded runs from every eigenvalue took 297 evaluations of F and F'
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return _char_pair(*args)
+
+    monkeypatch.setattr(charroots, "_char_pair", counted)
+    roots = char_roots_scan(endemic_cc("ex5_3"), 7.0, 0.0)
+    assert roots[0].real > 0.0
+    assert len(calls) <= 40
+
+
+def preset_and_random_ccs():
+    models = [load_preset(name).model for name in PRESET_NAMES] + random_models(15)
+    for model in models:
+        for eq in all_equilibria(model):
+            yield char_coeffs(jacobian_coeffs(model, eq))
+
+
+def test_the_unstable_roots_are_those_of_a_polish_without_the_ball(monkeypatch):
+    ns = node_counts(monkeypatch)
+    compared = 0
+    for cc in preset_and_random_ccs():
+        for tau, delta in ((0.5, 0.0), (2.0, 0.0), (1.0, 1.0), (5.0, 2.0), (15.0, 0.0), (0.0, 3.0)):
+            ns.clear()
+            roots = char_roots_scan(cc, tau, delta)
+            if not ns:  # no delayed term: the cubic's roots, polished without a ball
+                continue
+            eigs = np.linalg.eigvals(charroots._generator(cc, tau, delta, ns[-1]))
+            unbounded = charroots._polish(cc, tau, delta, eigs[eigs.imag >= 0.0])
+            want = sorted((z for z in unbounded if z.real > -EPS), key=lambda w: (-w.real, w.imag))
+            got = [z for z in roots if z.real > -EPS]
+            assert len(got) == len(want), (cc, tau, delta)
+            for z, w in zip(got, want):
+                assert abs(z - w) <= 1e-12 * abs(w), (cc, tau, delta, z, w)
+            compared += 1
+    assert compared >= 80  # scans with a delayed term
