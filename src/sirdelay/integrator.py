@@ -123,6 +123,11 @@ class ConstantHistory:
     def value(self, t: float) -> State:
         return self.state
 
+    def component(self, j: int):
+        """The reader t -> float of state component j (0, 1, 2 for x, y, z):
+        the one-sample table of that component."""
+        return _linear_reader((0.0,), self.state.as_tuple()[j:j + 1])
+
     def span(self) -> float:
         return math.inf
 
@@ -165,8 +170,32 @@ class SampledHistory:
             s0.z + w * (s1.z - s0.z),
         )
 
+    def component(self, j: int):
+        """The reader t -> float of state component j (0, 1, 2 for x, y, z):
+        the same float as ``value(t)``'s component j."""
+        return _linear_reader(self.times, tuple(s.as_tuple()[j] for s in self.states))
+
 
 HistorySpec = ConstantHistory | SampledHistory
+
+
+def _linear_reader(ts: tuple, vs: tuple):
+    """The reader t -> float of the piecewise-linear interpolant through the
+    points (ts[i], vs[i]), constant beyond the first and last: the clamps,
+    interval and arithmetic of ``SampledHistory.value`` on one component."""
+    first, last = ts[0], ts[-1]
+
+    def read(t):
+        if t <= first:
+            return vs[0]
+        if t >= last:
+            return vs[-1]
+        i = bisect_left(ts, t) - 1
+        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        v0 = vs[i]
+        return v0 + w * (vs[i + 1] - v0)
+
+    return read
 
 
 def _floats(name, values) -> tuple:
@@ -209,7 +238,9 @@ class Trajectory:
 def _hermite(ys, fs, ts, i, t, history=None):
     """The one reader of the past: ``history(t)`` when a history is given and
     t <= 0, else cubic Hermite interpolation at t on the mesh interval
-    [ts[i], ts[i + 1]] through the values ``ys`` and slopes ``fs`` at its ends."""
+    [ts[i], ts[i + 1]] through the values ``ys`` and slopes ``fs`` at its ends.
+    ``history`` is the history's ``component`` reader (t -> float) of the
+    component that ``ys`` holds."""
     if t <= 0.0 and history is not None:
         return history(t)
     t0 = ts[i]
@@ -291,6 +322,11 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     being finite (blow-up; a controlled step rejects it instead), or when
     a controlled run passes DIVERGENCE_BOUND or uses up its try budget; its
     ``trajectory`` holds the steps accepted before the failing one.
+
+    The history gives the initial state through ``value(0)``; every delayed
+    lookup at t <= 0 reads x or y alone through the history's
+    ``component`` reader, built once per call after the step budget is
+    checked, so no lookup builds a State.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
@@ -331,8 +367,8 @@ def integrate(model: ModelSpec, history: HistorySpec, horizon: float,
     use_xt = tau > 0.0
     use_yd = delta > 0.0
 
-    hist_x = lambda t: history.value(t).x
-    hist_y = lambda t: history.value(t).y
+    # built after the budget checks: a long history's sample tuples cost memory
+    hist_x, hist_y = history.component(0), history.component(1)
 
     s0 = history.value(0.0)
     x, y, z = s0.x, s0.y, s0.z

@@ -573,11 +573,33 @@ def test_sampled_history_lookup_matches_scan_and_interp():
     ts = np.array(hist.times)
     rows = np.array([s.as_tuple() for s in hist.states])
     probes = list(ts) + list(0.5 * (ts[:-1] + ts[1:])) + [ts[0] - 1.0, 1.0]
+    # the component readers integrate uses give value's floats bit for bit
+    constant = ConstantHistory(State(0.3, 1.7, 2.9))
+    readers = [(h, [h.component(j) for j in range(3)]) for h in (hist, constant)]
     for t in probes:
         got = hist.value(float(t)).as_tuple()
         assert got == _scan_value(hist, float(t)).as_tuple()
         want = [np.interp(t, ts, rows[:, j]) for j in range(3)]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        for h, read in readers:
+            assert tuple(r(float(t)) for r in read) == h.value(float(t)).as_tuple()
+
+
+def test_sampled_lookups_build_no_state(monkeypatch):
+    # integrate reads the initial state once through value; every delayed
+    # lookup at t <= 0 goes through the component readers
+    calls = []
+    value = SampledHistory.value
+
+    def counted(self, t):
+        calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(SampledHistory, "value", counted)
+    cfg = load_preset("ex5_5")
+    model = replace(cfg.model, params=cfg.model.params.with_delays(0.93, 0.61))
+    integrate(model, EX5_5_SAMPLED_HISTORY, horizon=200.0)
+    assert len(calls) <= 1, len(calls)
 
 
 def test_step_budget_fails_fast(monkeypatch):
